@@ -4,6 +4,7 @@ periodic domains."""
 
 from .errors import (
     CertificateError,
+    ConfigError,
     DegenerateError,
     ExprEvalError,
     ExprSyntaxError,
@@ -40,7 +41,6 @@ from .grid import (
 from .kwsolver import (
     Bracket,
     KWProblem,
-    LinearOptions,
     NecessaryCheck,
     SolveReport,
     asymptotic_suite,
@@ -60,6 +60,7 @@ from .kwsolver import (
 )
 from .linsolve import (
     LinearOperatorSpec,
+    LinearOptions,
     SolveStats,
     apply_operator,
     estimate_gamma,

@@ -25,18 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fieldexpr
-from .errors import (
-    CertificateError,
-    DegenerateError,
-    ExprEvalError,
-    ExprSyntaxError,
-    FileFormatError,
-    GauduchonError,
-    GridError,
-    KWTorusError,
-    SolvabilityError,
-    SolverError,
-)
+from .errors import ConfigError, GridError, KWTorusError, SolverError
 from .geometry import (
     GeometrySetup,
     degenerate_solve,
@@ -46,6 +35,8 @@ from .geometry import (
 )
 from .grid import GridSpec, OneForm, ScalarField, read_field, write_field
 from .kwsolver import (
+    DEFAULT_KW_MAXITER,
+    DEFAULT_KW_TOL,
     KWProblem,
     LinearOptions,
     SolveReport,
@@ -65,25 +56,6 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_UNSOLVABLE = 4
 
 FIELD_KEYS = ("s", "s_hat", "s2", "phi", "psi", "f", "u", "u_star")
-
-COMMANDS = (
-    "validate",
-    "transform",
-    "reduce",
-    "solve",
-    "necessary",
-    "sufficient",
-    "critical-c",
-    "asymptotic",
-    "construct-unsolvable",
-    "roundtrip",
-    "gamma-estimate",
-    "degenerate-t",
-)
-
-
-class ConfigError(KWTorusError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +189,26 @@ class FieldResolver:
 
 
 def linear_options(cfg: RunConfig) -> LinearOptions:
+    default = LinearOptions()
     return LinearOptions(
-        tol=cfg.get_float("lin_tol", 1e-10),
-        maxiter=cfg.get_int("lin_maxiter", 20_000),
-        restart=cfg.get_int("lin_restart", 50),
-        precondition=cfg.get_bool("lin_precondition", True),
-        allow_direct=cfg.get_bool("lin_direct", True),
+        tol=cfg.get_float("lin_tol", default.tol),
+        maxiter=cfg.get_int("lin_maxiter", default.maxiter),
+        restart=cfg.get_int("lin_restart", default.restart),
+        precondition=cfg.get_bool("lin_precondition", default.precondition),
+        allow_direct=cfg.get_bool("lin_direct", default.allow_direct),
+    )
+
+
+def solve_options(cfg: RunConfig) -> dict:
+    """Keyword arguments of solve_prescribed, shared by solve and roundtrip."""
+    return dict(
+        strategy=cfg.get_str("strategy", "auto"),
+        steps=cfg.get_int("steps", 10),
+        tol=cfg.get_float("kw_tol", DEFAULT_KW_TOL),
+        maxiter=cfg.get_int("kw_maxiter", DEFAULT_KW_MAXITER),
+        monotone_budget=cfg.get_int("monotone_budget", None),
+        lambda_override=cfg.get_float("kw_lambda_override", None),
+        lin=linear_options(cfg),
     )
 
 
@@ -368,7 +354,7 @@ def cmd_reduce(cfg: RunConfig, rep: Reporter) -> int:
     s = res.field("s")
     s_hat = res.field("s_hat")
     alpha = res.one_form()
-    red, stats = reduce_problem(s, s_hat, alpha, setup, **_lin_kwargs(cfg))
+    red, stats = reduce_problem(s, s_hat, alpha, setup, linear_options(cfg))
     rep.add("k_t", setup.k_t)
     rep.add("c", red.c)
     rep.add("g_mean", mean(red.g))
@@ -379,36 +365,13 @@ def cmd_reduce(cfg: RunConfig, rep: Reporter) -> int:
     return EXIT_OK
 
 
-def _lin_kwargs(cfg: RunConfig) -> dict:
-    lin = linear_options(cfg)
-    return dict(
-        tol=lin.tol,
-        maxiter=lin.maxiter,
-        restart=lin.restart,
-        precondition=lin.precondition,
-        allow_direct=lin.allow_direct,
-    )
-
-
 def cmd_solve(cfg: RunConfig, rep: Reporter) -> int:
     res = FieldResolver(cfg)
     setup = res.setup()
     s = res.field("s")
     s_hat = res.field("s_hat")
     alpha = res.one_form()
-    u, report = solve_prescribed(
-        s,
-        s_hat,
-        alpha,
-        setup,
-        strategy=cfg.get_str("strategy", "auto"),
-        steps=cfg.get_int("steps", 10),
-        tol=cfg.get_float("kw_tol", 1e-9),
-        maxiter=cfg.get_int("kw_maxiter", 500),
-        monotone_budget=cfg.get_int("monotone_budget", None),
-        lambda_override=cfg.get_float("kw_lambda_override", None),
-        lin=linear_options(cfg),
-    )
+    u, report = solve_prescribed(s, s_hat, alpha, setup, **solve_options(cfg))
     rep.add("k_t", setup.k_t)
     report_solve(rep, report)
     rep.field_stats("u", u)
@@ -446,7 +409,7 @@ def cmd_sufficient(cfg: RunConfig, rep: Reporter) -> int:
     gamma_hat = cfg.get_float("gamma_hat", None)
     if gamma_hat is None:
         samples = cfg.get_int("samples", 8)
-        gamma_hat = estimate_gamma(alpha, c, p, samples)
+        gamma_hat = estimate_gamma(alpha, c, p, samples, lin=linear_options(cfg))
         rep.add("gamma_source", "estimated")
     else:
         rep.add("gamma_source", "given")
@@ -470,8 +433,8 @@ def cmd_critical_c(cfg: RunConfig, rep: Reporter) -> int:
         phi,
         alpha,
         floor,
-        tol=cfg.get_float("kw_tol", 1e-9),
-        maxiter=cfg.get_int("kw_maxiter", 500),
+        tol=cfg.get_float("kw_tol", DEFAULT_KW_TOL),
+        maxiter=cfg.get_int("kw_maxiter", DEFAULT_KW_MAXITER),
         lin=linear_options(cfg),
     )
     rep.add("c_lo", bracket.c_lo)
@@ -527,18 +490,7 @@ def cmd_roundtrip(cfg: RunConfig, rep: Reporter) -> int:
     alpha = res.one_form()
     s_hat = transform_s(s, u_star, alpha, setup)
     rep.save_field("s_hat", s_hat)
-    u, report = solve_prescribed(
-        s,
-        s_hat,
-        alpha,
-        setup,
-        strategy=cfg.get_str("strategy", "auto"),
-        steps=cfg.get_int("steps", 10),
-        tol=cfg.get_float("kw_tol", 1e-9),
-        maxiter=cfg.get_int("kw_maxiter", 500),
-        monotone_budget=cfg.get_int("monotone_budget", None),
-        lin=linear_options(cfg),
-    )
+    u, report = solve_prescribed(s, s_hat, alpha, setup, **solve_options(cfg))
     report_solve(rep, report)
     sup_err = float(np.max(np.abs(u.values - u_star.values)))
     rep.add("sup_error", sup_err)
@@ -557,7 +509,7 @@ def cmd_gamma_estimate(cfg: RunConfig, rep: Reporter) -> int:
         raise ConfigError("gamma-estimate needs the constant c")
     p = cfg.get_float("p", float(res.spec.rank + 1))
     samples = cfg.get_int("samples", 8)
-    gamma_hat = estimate_gamma(alpha, c, p, samples)
+    gamma_hat = estimate_gamma(alpha, c, p, samples, lin=linear_options(cfg))
     rep.add("c", c)
     rep.add("p", p)
     rep.add("samples", samples)
@@ -584,6 +536,21 @@ def cmd_degenerate_t(cfg: RunConfig, rep: Reporter) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+
+COMMANDS = {
+    "validate": cmd_validate,
+    "transform": cmd_transform,
+    "reduce": cmd_reduce,
+    "solve": cmd_solve,
+    "necessary": cmd_necessary,
+    "sufficient": cmd_sufficient,
+    "critical-c": cmd_critical_c,
+    "asymptotic": cmd_asymptotic,
+    "construct-unsolvable": cmd_construct_unsolvable,
+    "roundtrip": cmd_roundtrip,
+    "gamma-estimate": cmd_gamma_estimate,
+    "degenerate-t": cmd_degenerate_t,
+}
 
 _FLAG_KEYS = [
     "dims", "n", "t",
@@ -632,55 +599,21 @@ def main(argv: list[str] | None = None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         rep = Reporter(outdir)
         rep.add("command", args.command)
+        command = COMMANDS[args.command]
         try:
-            code = _dispatch(args.command, cfg, rep, args)
+            if "paths" in args:
+                code = command(cfg, rep, args.paths)
+            else:
+                code = command(cfg, rep)
         finally:
             rep.write()
         return code
-    except (
-        ConfigError,
-        GridError,
-        FileFormatError,
-        ExprSyntaxError,
-        ExprEvalError,
-        DegenerateError,
-        GauduchonError,
-        SolvabilityError,
-        CertificateError,
-    ) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
     except SolverError as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-
-
-def _dispatch(command: str, cfg: RunConfig, rep: Reporter, args) -> int:
-    if command == "validate":
-        return cmd_validate(cfg, rep, list(args.paths))
-    if command == "transform":
-        return cmd_transform(cfg, rep)
-    if command == "reduce":
-        return cmd_reduce(cfg, rep)
-    if command == "solve":
-        return cmd_solve(cfg, rep)
-    if command == "necessary":
-        return cmd_necessary(cfg, rep)
-    if command == "sufficient":
-        return cmd_sufficient(cfg, rep)
-    if command == "critical-c":
-        return cmd_critical_c(cfg, rep)
-    if command == "asymptotic":
-        return cmd_asymptotic(cfg, rep)
-    if command == "construct-unsolvable":
-        return cmd_construct_unsolvable(cfg, rep)
-    if command == "roundtrip":
-        return cmd_roundtrip(cfg, rep)
-    if command == "gamma-estimate":
-        return cmd_gamma_estimate(cfg, rep)
-    if command == "degenerate-t":
-        return cmd_degenerate_t(cfg, rep)
-    raise ConfigError(f"unknown command {command!r}")
+    except KWTorusError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

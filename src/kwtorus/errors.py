@@ -10,6 +10,11 @@ class KWTorusError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(KWTorusError):
+    """Invalid configuration or option value (a bad config key, an
+    unknown strategy, a nonpositive linear tolerance, ...)."""
+
+
 class GridError(KWTorusError):
     """Invalid grid specification or mismatched field shapes."""
 

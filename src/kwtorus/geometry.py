@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateError, GridError
 from .grid import GridSpec, OneForm, ScalarField, multi_index
-from .linsolve import SolveStats, solve_meanzero
+from .linsolve import LinearOptions, SolveStats, solve_meanzero
 from .operators import chern_laplacian, grad_squared, laplacian, lee_pairing, mean
 
 DEGENERATE_TOL = 1e-12
@@ -114,12 +114,12 @@ def reduce_problem(
     s_hat: ScalarField,
     alpha: OneForm,
     setup: GeometrySetup,
-    **solver_kwargs,
+    lin: LinearOptions | None = None,
 ) -> tuple[ReducedProblem, SolveStats]:
     """Reduce prescribed data (s, s_hat) to the exponential equation.
 
     Returns the reduced problem and the statistics of the linear solve for
-    g.  Extra keyword arguments pass through to solve_meanzero.
+    g, which runs with the linear options lin.
     """
     _same_spec(s, s_hat)
     _same_form(s, alpha)
@@ -130,7 +130,7 @@ def reduce_problem(
     k = setup.k_t
     c = (2.0 / k) * mean(s)
     rhs = ScalarField(s.spec, (2.0 / k) * (mean(s) - s.values))
-    g, stats = solve_meanzero(alpha, rhs, **solver_kwargs)
+    g, stats = solve_meanzero(alpha, rhs, lin=lin)
     phi = ScalarField(s.spec, (2.0 / k) * np.exp(g.values) * s_hat.values)
     return ReducedProblem(c, g, phi, setup), stats
 

@@ -20,12 +20,13 @@ and continuation solvers cover the best-effort regimes c >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (
     CertificateError,
+    ConfigError,
     DegenerateError,
     GauduchonError,
     SolvabilityError,
@@ -34,9 +35,7 @@ from .errors import (
 from .geometry import GeometrySetup, recover_metric, reduce_problem
 from .grid import GridSpec, OneForm, ScalarField, make_field
 from .linsolve import (
-    DEFAULT_MAXITER,
-    DEFAULT_RESTART,
-    DEFAULT_TOL,
+    LinearOptions,
     _apply,
     _solve_system,
     solve_meanzero,
@@ -59,17 +58,8 @@ C_ZERO_TOL = 1e-12
 # point never helps because the line search judges the step anyway
 NEWTON_INNER_MAXITER = 2000
 NEWTON_INNER_RTOL = 1e-6
-
-
-@dataclass
-class LinearOptions:
-    """Knobs forwarded to the inner linear solves."""
-
-    tol: float = DEFAULT_TOL
-    maxiter: int = DEFAULT_MAXITER
-    restart: int = DEFAULT_RESTART
-    precondition: bool = True
-    allow_direct: bool = True
+LINE_SEARCH_HALVINGS = 40
+STRATEGIES = ("auto", "newton", "fixed-point", "continuation")
 
 
 @dataclass(frozen=True)
@@ -215,7 +205,6 @@ def build_supersolution(
     oscillation of e^{a v}, which fails for c far below zero even when the
     equation happens to be solvable.
     """
-    lin = lin or LinearOptions()
     c = prob.c
     if c >= 0:
         raise CertificateError("supersolution construction needs c < 0")
@@ -267,17 +256,9 @@ def build_supersolution(
     return best
 
 
-def _solve_for_v(prob: KWProblem, lin: LinearOptions):
+def _solve_for_v(prob: KWProblem, lin: LinearOptions | None):
     rhs = ScalarField(prob.spec, prob.phi.values - mean(prob.phi))
-    return solve_meanzero(
-        prob.alpha,
-        rhs,
-        tol=lin.tol,
-        maxiter=lin.maxiter,
-        restart=lin.restart,
-        precondition=lin.precondition,
-        allow_direct=lin.allow_direct,
-    )
+    return solve_meanzero(prob.alpha, rhs, lin=lin)
 
 
 def _oscillation(v: np.ndarray, a: float) -> float:
@@ -394,17 +375,7 @@ def monotone_solve(
     iterations = 0
     for _ in range(maxiter):
         rhs = _phi_exp(phi, w) - prob.c + lam * w
-        w_next, stats = _solve_system(
-            spec,
-            prob.alpha,
-            lam,
-            rhs,
-            tol=lin.tol,
-            maxiter=lin.maxiter,
-            restart=lin.restart,
-            precondition=lin.precondition,
-            allow_direct=lin.allow_direct,
-        )
+        w_next, stats = _solve_system(spec, prob.alpha, lam, rhs, lin=lin)
         if not stats.converged:
             raise SolverError(
                 f"inner shifted solve failed (residual {stats.residual_sup:.3e})"
@@ -434,6 +405,39 @@ def monotone_solve(
 # Damped Newton
 # ---------------------------------------------------------------------------
 
+def _norm2(r: np.ndarray) -> float:
+    # an overflowed residual reads as inf, which every caller rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(r.ravel()))
+
+
+def _line_search(x: np.ndarray, delta: np.ndarray, merit, merit0: float):
+    """Backtracking along delta: step sizes 1, 1/2, 1/4, ...
+
+    merit maps a trial point to the residual whose 2-norm must fall below
+    merit0.  Returns (trial, residual, norm) for the first step that
+    achieves it, or None after LINE_SEARCH_HALVINGS rejected trials.  A
+    trial that overflows has a non-finite norm and is rejected, so its
+    floating-point warnings are silenced.
+    """
+    s = 1.0
+    for _ in range(LINE_SEARCH_HALVINGS):
+        x_try = x + s * delta
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_try = merit(x_try)
+        rn_try = _norm2(r_try)
+        if np.isfinite(rn_try) and rn_try < merit0:
+            return x_try, r_try, rn_try
+        s *= 0.5
+    return None
+
+
+def _newton_inner(lin: LinearOptions | None) -> LinearOptions:
+    """Options of an inexact Newton step: the Krylov budget is capped."""
+    lin = lin or LinearOptions()
+    return replace(lin, maxiter=min(lin.maxiter, NEWTON_INNER_MAXITER))
+
+
 def newton_solve(
     prob: KWProblem,
     w0: ScalarField,
@@ -450,16 +454,19 @@ def newton_solve(
     scale.  A stalled line search or failed inner solve reports status
     not-certified; the budget running out reports max-iter.
     """
-    lin = lin or LinearOptions()
+    inner = _newton_inner(lin)
     if w0.spec != prob.spec:
         raise ValueError("initial guess lives on the wrong grid")
     spec = prob.spec
     alpha_vals = _alpha_values(prob.alpha)
     phi = prob.phi.values
 
+    def defect(x):
+        return _defect(x, prob, alpha_vals)
+
     w = w0.values.copy()
-    r = _defect(w, prob, alpha_vals)
-    rn2 = float(np.linalg.norm(r.ravel()))
+    r = defect(w)
+    rn2 = _norm2(r)
     trace = [float(np.max(w))]
     status = "max-iter"
     message = ""
@@ -471,36 +478,18 @@ def newton_solve(
             break
         reaction = -_phi_exp(phi, w)
         delta, _stats = _solve_system(
-            spec,
-            prob.alpha,
-            reaction,
-            -r,
-            tol=lin.tol,
-            maxiter=min(lin.maxiter, NEWTON_INNER_MAXITER),
-            restart=lin.restart,
-            precondition=lin.precondition,
-            allow_direct=lin.allow_direct,
-            rtol=NEWTON_INNER_RTOL,
+            spec, prob.alpha, reaction, -r, lin=inner, rtol=NEWTON_INNER_RTOL
         )
         if not np.all(np.isfinite(delta)):
             status = "not-certified"
             message = "linearized solve produced a non-finite step"
             break
-        s = 1.0
-        accepted = False
-        for _ in range(40):
-            w_try = w + s * delta
-            r_try = _defect(w_try, prob, alpha_vals)
-            rn_try = float(np.linalg.norm(r_try.ravel()))
-            if np.isfinite(rn_try) and rn_try < rn2:
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
+        step = _line_search(w, delta, defect, rn2)
+        if step is None:
             status = "not-certified"
             message = "line search stalled"
             break
-        w, r, rn2 = w_try, r_try, rn_try
+        w, r, rn2 = step
         iterations += 1
         trace.append(float(np.max(w)))
     if status == "max-iter":
@@ -528,20 +517,10 @@ def necessary_check(prob: KWProblem, lin: LinearOptions | None = None) -> Necess
     A sign change in phi0 certifies that no solution exists at this c;
     it also forces mean(phi) < 0 when positive.
     """
-    lin = lin or LinearOptions()
     if prob.c >= 0:
         raise SolvabilityError("necessary_check needs c < 0")
     rhs = ScalarField(prob.spec, -prob.phi.values)
-    phi0, _ = solve_shifted(
-        prob.alpha,
-        -prob.c,
-        rhs,
-        tol=lin.tol,
-        maxiter=lin.maxiter,
-        restart=lin.restart,
-        precondition=lin.precondition,
-        allow_direct=lin.allow_direct,
-    )
+    phi0, _ = solve_shifted(prob.alpha, -prob.c, rhs, lin=lin)
     return NecessaryCheck(
         phi0=phi0,
         positive=bool(np.min(phi0.values) > 0.0),
@@ -619,22 +598,12 @@ def asymptotic_suite(
     The deviation shrinks like 1/|c| as c goes to minus infinity and is
     identically zero for constant f.
     """
-    lin = lin or LinearOptions()
     rows = []
     for c in c_list:
         if c >= 0:
             raise ValueError("asymptotic suite needs negative c values")
         rhs = ScalarField(f.spec, -f.values)
-        u, _ = solve_shifted(
-            alpha,
-            -c,
-            rhs,
-            tol=lin.tol,
-            maxiter=lin.maxiter,
-            restart=lin.restart,
-            precondition=lin.precondition,
-            allow_direct=lin.allow_direct,
-        )
+        u, _ = solve_shifted(alpha, -c, rhs, lin=lin)
         dev = float(np.max(np.abs(c * u.values - f.values)))
         rows.append((float(c), dev))
     return rows
@@ -663,7 +632,6 @@ def critical_c_bracket(
     until the positivity test or the solver fails, then bisects to one
     percent relative width.
     """
-    lin = lin or LinearOptions()
     if mean(phi) >= 0:
         raise SolvabilityError("bracketing needs mean(phi) < 0")
     if search_floor >= 0:
@@ -807,17 +775,7 @@ def fixed_point_solve(
         rhs = (2.0 / k) * (
             s_hat.values - s.values - s_hat.values * (1.0 + u - np.exp(u))
         )
-        u_next, stats = _solve_system(
-            spec,
-            alpha,
-            reaction,
-            rhs,
-            tol=lin.tol,
-            maxiter=lin.maxiter,
-            restart=lin.restart,
-            precondition=lin.precondition,
-            allow_direct=lin.allow_direct,
-        )
+        u_next, stats = _solve_system(spec, alpha, reaction, rhs, lin=lin)
         if not stats.converged:
             raise SolverError(
                 f"fixed-point linear solve failed (residual {stats.residual_sup:.3e}); "
@@ -884,7 +842,7 @@ def continuation_solve(
     constant mode by solving the mean equation exactly whenever a shift
     can.  On failure the report carries the tau reached.
     """
-    lin = lin or LinearOptions()
+    inner = _newton_inner(lin)
     if setup.degenerate:
         raise DegenerateError("continuation solver needs a nondegenerate parameter")
     if steps < 1:
@@ -907,6 +865,10 @@ def continuation_solve(
             return _apply(w, spec, alpha_vals, 0.0) + (2.0 * tau / k) * (
                 s.values - s_hat.values * np.exp(w)
             )
+
+        def projected_residual(w):
+            r = residual(w)
+            return r - np.mean(r)
 
         converged = False
         for _ in range(newton_maxiter):
@@ -932,28 +894,14 @@ def continuation_solve(
             reaction = (2.0 * tau / k) * (-s_hat.values) * np.exp(u)
             delta, _stats = _solve_system(
                 spec, alpha, reaction, -r_proj,
-                tol=lin.tol, maxiter=min(lin.maxiter, NEWTON_INNER_MAXITER),
-                restart=lin.restart,
-                precondition=lin.precondition, allow_direct=lin.allow_direct,
-                meanzero=True, rtol=NEWTON_INNER_RTOL,
+                lin=inner, meanzero=True, rtol=NEWTON_INNER_RTOL,
             )
             if not np.all(np.isfinite(delta)):
                 break
-            pn2 = float(np.linalg.norm(r_proj.ravel()))
-            step_size = 1.0
-            accepted = False
-            for _ in range(40):
-                u_try = u + step_size * delta
-                r_try = residual(u_try)
-                p_try = r_try - np.mean(r_try)
-                pn_try = float(np.linalg.norm(p_try.ravel()))
-                if np.isfinite(pn_try) and pn_try < pn2:
-                    accepted = True
-                    break
-                step_size *= 0.5
-            if not accepted:
+            step = _line_search(u, delta, projected_residual, _norm2(r_proj))
+            if step is None:
                 break
-            u = u_try
+            u = step[0]
             iterations += 1
         if not converged:
             r = residual(u)
@@ -1005,7 +953,6 @@ def _solve_negative_c(
     with Newton if the budget runs out; falls back to Newton from the
     averaged-equation constant when no supersolution is certified.
     """
-    lin = lin or LinearOptions()
     budget = maxiter if monotone_budget is None else min(maxiter, monotone_budget)
     w_minus = build_subsolution(prob)
     try:
@@ -1078,9 +1025,10 @@ def solve_prescribed(
     have no general existence theory and run the requested strategy
     (newton, fixed-point, or continuation) with an honest status.
     """
-    lin = lin or LinearOptions()
-    if strategy not in ("auto", "newton", "fixed-point", "continuation"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy not in STRATEGIES:
+        raise ConfigError(
+            f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}"
+        )
 
     if setup.degenerate:
         from .geometry import degenerate_solve
@@ -1097,17 +1045,7 @@ def solve_prescribed(
         )
         return u, report
 
-    red, _ = reduce_problem(
-        s,
-        s_hat,
-        alpha,
-        setup,
-        tol=lin.tol,
-        maxiter=lin.maxiter,
-        restart=lin.restart,
-        precondition=lin.precondition,
-        allow_direct=lin.allow_direct,
-    )
+    red, _ = reduce_problem(s, s_hat, alpha, setup, lin)
     k = setup.k_t
     c = red.c
     spec = s.spec
@@ -1148,15 +1086,7 @@ def solve_prescribed(
 
     if abs(c) <= C_ZERO_TOL and float(np.max(np.abs(s_hat.values))) < 1e-12:
         rhs = ScalarField(spec, -(2.0 / k) * (s.values - float(np.mean(s.values))))
-        u, stats = solve_meanzero(
-            alpha,
-            rhs,
-            tol=lin.tol,
-            maxiter=lin.maxiter,
-            restart=lin.restart,
-            precondition=lin.precondition,
-            allow_direct=lin.allow_direct,
-        )
+        u, stats = solve_meanzero(alpha, rhs, lin=lin)
         report = SolveReport(
             solution=u,
             status="converged",

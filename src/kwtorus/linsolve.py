@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .errors import GauduchonError, SolvabilityError, SolverError
+from .errors import ConfigError, GauduchonError, SolvabilityError, SolverError
 from .grid import GridSpec, OneForm, ScalarField
 from .operators import (
     DEFAULT_GAUDUCHON_TOL,
@@ -37,6 +37,31 @@ from .operators import (
 DEFAULT_TOL = 1e-10
 DEFAULT_MAXITER = 20_000
 DEFAULT_RESTART = 50
+
+
+@dataclass(frozen=True)
+class LinearOptions:
+    """Settings shared by every inner linear solve.
+
+    tol is the sup-norm residual target tol * (1 + sup|rhs|), maxiter the
+    Krylov iteration budget, restart the GMRES cycle length; precondition
+    and allow_direct enable the FFT preconditioner and the FFT direct
+    shortcut for constant coefficients.
+    """
+
+    tol: float = DEFAULT_TOL
+    maxiter: int = DEFAULT_MAXITER
+    restart: int = DEFAULT_RESTART
+    precondition: bool = True
+    allow_direct: bool = True
+
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ConfigError(f"linear tolerance must be positive, got {self.tol!r}")
+        if self.maxiter < 1:
+            raise ConfigError(f"linear maxiter must be at least 1, got {self.maxiter!r}")
+        if self.restart < 1:
+            raise ConfigError(f"linear restart must be at least 1, got {self.restart!r}")
 
 
 @dataclass(frozen=True)
@@ -147,11 +172,7 @@ def _solve_system(
     reaction,
     rhs: np.ndarray,
     *,
-    tol: float = DEFAULT_TOL,
-    maxiter: int = DEFAULT_MAXITER,
-    restart: int = DEFAULT_RESTART,
-    precondition: bool = True,
-    allow_direct: bool = True,
+    lin: LinearOptions | None = None,
     meanzero: bool = False,
     x0: np.ndarray | None = None,
     rtol: float | None = None,
@@ -160,23 +181,24 @@ def _solve_system(
 
     reaction is a scalar or an ndarray; meanzero restricts the solve to
     the mean-zero subspace.  By default the Krylov tolerance is tightened
-    so the sup-norm residual meets tol * (1 + sup|rhs|); passing rtol
+    so the sup-norm residual meets lin.tol * (1 + sup|rhs|); passing rtol
     instead requests a plain relative 2-norm reduction (the inexact-Newton
     mode, where outer iterations absorb the slack).  Never raises on
     non-convergence: inspect stats.converged.
     """
+    lin = lin or LinearOptions()
     alpha_vals = None if alpha is None else [c.values for c in alpha.components]
     alpha_const = (0.0,) * spec.rank if alpha is None else alpha.constant_values()
     scalar_reaction = np.isscalar(reaction)
     rhs_scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
-    target = tol * (1.0 + rhs_scale)
+    target = lin.tol * (1.0 + rhs_scale)
 
     b = rhs - np.mean(rhs) if meanzero else rhs
     if not np.any(b):
         zero = np.zeros(spec.dims)
         return zero, SolveStats(0, 0.0, 0.0, True)
 
-    if scalar_reaction and alpha_const is not None and allow_direct:
+    if scalar_reaction and alpha_const is not None and lin.allow_direct:
         fft_solve = _fft_inverse(spec, alpha_const, float(reaction), meanzero)
         x = fft_solve(b)
         resid = b - _apply(x, spec, alpha_vals, reaction)
@@ -203,7 +225,7 @@ def _solve_system(
     A = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
 
     M = None
-    if precondition:
+    if lin.precondition:
         drift = alpha_const
         if drift is None:
             drift = tuple(float(np.mean(c.values)) for c in alpha.components)
@@ -229,17 +251,17 @@ def _solve_system(
     if rtol is None:
         # tightened by sqrt(n) so the sup-norm residual meets the
         # tol * (1 + sup|rhs|) contract, not just the 2-norm
-        rtol_eff = max(tol / np.sqrt(n), 2e-14)
+        rtol_eff = max(lin.tol / np.sqrt(n), 2e-14)
     else:
         rtol_eff = max(rtol, 2e-14)
-    cycles = max(1, int(np.ceil(maxiter / restart)))
+    cycles = max(1, int(np.ceil(lin.maxiter / lin.restart)))
     x, _info = gmres(
         A,
         b.ravel(),
         x0=None if x0 is None else x0.ravel(),
         rtol=rtol_eff,
         atol=0.0,
-        restart=restart,
+        restart=lin.restart,
         maxiter=cycles,
         M=M,
         callback=callback,
@@ -278,11 +300,7 @@ def solve_meanzero(
     alpha: OneForm,
     f: ScalarField,
     *,
-    tol: float = DEFAULT_TOL,
-    maxiter: int = DEFAULT_MAXITER,
-    restart: int = DEFAULT_RESTART,
-    precondition: bool = True,
-    allow_direct: bool = True,
+    lin: LinearOptions | None = None,
     gauduchon_tol: float = DEFAULT_GAUDUCHON_TOL,
 ) -> tuple[ScalarField, SolveStats]:
     """Mean-zero solution of Delta g + <alpha, dg> = f for mean-zero f.
@@ -303,18 +321,7 @@ def solve_meanzero(
         raise GauduchonError(
             f"one-form is not co-closed: divergence sup-norm {defect:.3e}"
         )
-    x, stats = _solve_system(
-        f.spec,
-        alpha,
-        0.0,
-        f.values,
-        tol=tol,
-        maxiter=maxiter,
-        restart=restart,
-        precondition=precondition,
-        allow_direct=allow_direct,
-        meanzero=True,
-    )
+    x, stats = _solve_system(f.spec, alpha, 0.0, f.values, lin=lin, meanzero=True)
     if not stats.converged:
         raise SolverError(
             f"mean-zero solve did not converge: residual {stats.residual_sup:.3e} "
@@ -328,28 +335,14 @@ def solve_shifted(
     mu: float,
     f: ScalarField,
     *,
-    tol: float = DEFAULT_TOL,
-    maxiter: int = DEFAULT_MAXITER,
-    restart: int = DEFAULT_RESTART,
-    precondition: bool = True,
-    allow_direct: bool = True,
+    lin: LinearOptions | None = None,
 ) -> tuple[ScalarField, SolveStats]:
     """Unique solution of (Delta + <alpha, d.> + mu) u = f for mu > 0."""
     if mu <= 0:
         raise ValueError("shift mu must be positive")
     if f.spec != alpha.spec:
         raise ValueError("field and one-form live on mismatched grids")
-    x, stats = _solve_system(
-        f.spec,
-        alpha,
-        float(mu),
-        f.values,
-        tol=tol,
-        maxiter=maxiter,
-        restart=restart,
-        precondition=precondition,
-        allow_direct=allow_direct,
-    )
+    x, stats = _solve_system(f.spec, alpha, float(mu), f.values, lin=lin)
     if not stats.converged:
         raise SolverError(
             f"shifted solve did not converge: residual {stats.residual_sup:.3e} "
@@ -394,7 +387,7 @@ def estimate_gamma(
     *,
     seed: int = 20240801,
     band: int = 3,
-    tol: float = DEFAULT_TOL,
+    lin: LinearOptions | None = None,
 ) -> float:
     """Probe-based lower bound for the uniform estimate of L = Delta + <alpha,d.> - c.
 
@@ -422,7 +415,7 @@ def estimate_gamma(
         denom = lp_norm(probe, p)
         if denom == 0.0:
             continue
-        u, _ = solve_shifted(alpha, -c, probe, tol=tol)
+        u, _ = solve_shifted(alpha, -c, probe, lin=lin)
         grad_sup = 0.0
         sq = np.zeros(spec.dims)
         for ax, h in enumerate(spec.spacings):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from kwtorus import read_field
 from kwtorus.cli import main
@@ -84,6 +85,23 @@ def test_unknown_identifier_exit_code(tmp_path):
     assert code == 2
 
 
+DRIFT_SOLVE_16 = [
+    "solve", "--dims", "16,16", "--n", "1", "--t", "1", "--s=-1",
+    "--s-hat=-1-0.3*cos(x0)", "--alpha0=0.2*sin(x1)", "--alpha1=0.2*cos(x0)",
+]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["--lin-restart", "0"], ["--lin-restart=-5"], ["--lin-tol=-1"],
+     ["--strategy", "bogus"]],
+)
+def test_bad_options_exit_code(tmp_path, capsys, bad):
+    code = run(DRIFT_SOLVE_16 + bad, tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_degenerate_t_and_rejection(tmp_path):
     good = tmp_path / "ok"
     good.mkdir()
@@ -130,6 +148,20 @@ def test_roundtrip_command(tmp_path):
     assert float(rep["sup_error"]) < 1e-6
 
 
+def test_roundtrip_honours_lambda_override(tmp_path):
+    # an overflowing monotone shift sends both commands to the Newton fallback
+    override = ["--kw-lambda-override", "1e20"]
+    trip = tmp_path / "trip"
+    trip.mkdir()
+    run(["roundtrip", "--dims", "16", "--n", "1", "--t", "1", "--s", "-1",
+         "--u-star", "0.3*sin(x0)"] + override, trip)
+    solve = tmp_path / "solve"
+    solve.mkdir()
+    run(["solve", "--dims", "16", "--n", "1", "--t", "1", "--s", "-1",
+         "--s-hat-file", str(trip / "s_hat.kwf")] + override, solve)
+    assert read_report(trip)["method"] == read_report(solve)["method"] == "newton"
+
+
 def test_transform_command(tmp_path):
     code = run(
         ["transform", "--dims", "64", "--n", "1", "--t", "1",
@@ -159,6 +191,15 @@ def test_sufficient_command(tmp_path):
     assert code == 0
     rep = read_report(tmp_path)
     assert rep["certified"] == "true"
+
+
+@pytest.mark.parametrize("command", ["gamma-estimate", "sufficient"])
+def test_gamma_estimate_uses_linear_options(tmp_path, command):
+    # one unpreconditioned Krylov iteration cannot solve a random probe
+    code = run([command, "--dims", "64", "--phi", "-1", "--c", "-1", "--p", "3",
+                "--samples", "2", "--lin-direct", "0", "--lin-precondition", "0",
+                "--lin-maxiter", "1", "--lin-restart", "1"], tmp_path)
+    assert code == 3
 
 
 def test_critical_c_command(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from kwtorus import (
     GridSpec,
     LinearOperatorSpec,
+    LinearOptions,
     OneForm,
     ScalarField,
     SolvabilityError,
@@ -113,12 +114,17 @@ def test_gmres_matches_direct_path():
     spec = GridSpec((64,))
     alpha = OneForm.constant(spec, (0.4,))
     f = random_smooth_field(spec, rng)
-    x_direct, _ = _solve_system(spec, alpha, 1.3, f.values, allow_direct=True)
-    x_gmres, st = _solve_system(spec, alpha, 1.3, f.values, allow_direct=False)
+    x_direct, _ = _solve_system(
+        spec, alpha, 1.3, f.values, lin=LinearOptions(allow_direct=True)
+    )
+    x_gmres, st = _solve_system(
+        spec, alpha, 1.3, f.values, lin=LinearOptions(allow_direct=False)
+    )
     assert st.converged
     assert np.max(np.abs(x_direct - x_gmres)) < 1e-9
     x_plain, st2 = _solve_system(
-        spec, alpha, 1.3, f.values, allow_direct=False, precondition=False
+        spec, alpha, 1.3, f.values,
+        lin=LinearOptions(allow_direct=False, precondition=False),
     )
     assert st2.converged
     assert np.max(np.abs(x_direct - x_plain)) < 1e-9
