@@ -10,9 +10,13 @@ class KWTorusError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(KWTorusError):
+class ConfigError(KWTorusError, ValueError):
     """Invalid configuration or option value (a bad config key, an
-    unknown strategy, a nonpositive linear tolerance, ...)."""
+    unknown strategy, a nonpositive linear tolerance, a nonnegative c
+    where c < 0 is required, ...).
+
+    It is also a ValueError, so callers that catch ValueError for bad
+    arguments keep working."""
 
 
 class GridError(KWTorusError):

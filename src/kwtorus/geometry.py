@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, GridError
+from .errors import ConfigError, DegenerateError, GridError
 from .grid import GridSpec, OneForm, ScalarField, multi_index
 from .linsolve import LinearOptions, SolveStats, solve_meanzero
 from .operators import chern_laplacian, grad_squared, laplacian, lee_pairing, mean
@@ -32,7 +32,7 @@ DEGENERATE_TOL = 1e-12
 def coefficient(n: int, t: float) -> float:
     """The conformal coupling constant n*t - t + 1."""
     if n < 1:
-        raise ValueError("complex dimension n must be at least 1")
+        raise ConfigError("complex dimension n must be at least 1")
     return n * t - t + 1.0
 
 
@@ -48,7 +48,7 @@ class GeometrySetup:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("complex dimension n must be at least 1")
+            raise ConfigError("complex dimension n must be at least 1")
 
     @property
     def k_t(self) -> float:

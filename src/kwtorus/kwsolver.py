@@ -545,7 +545,7 @@ def sufficient_check(
     if prob.c >= 0:
         raise SolvabilityError("sufficient_check needs c < 0")
     if gamma_hat <= 0:
-        raise ValueError("gamma_hat must be positive")
+        raise ConfigError("gamma_hat must be positive")
     denom = gamma_hat * (1.0 - 2.0 * prob.c)
     best_margin = -np.inf
     best_a = 0.0
@@ -601,7 +601,7 @@ def asymptotic_suite(
     rows = []
     for c in c_list:
         if c >= 0:
-            raise ValueError("asymptotic suite needs negative c values")
+            raise ConfigError("asymptotic suite needs negative c values")
         rhs = ScalarField(f.spec, -f.values)
         u, _ = solve_shifted(alpha, -c, rhs, lin=lin)
         dev = float(np.max(np.abs(c * u.values - f.values)))
@@ -635,7 +635,7 @@ def critical_c_bracket(
     if mean(phi) >= 0:
         raise SolvabilityError("bracketing needs mean(phi) < 0")
     if search_floor >= 0:
-        raise ValueError("search_floor must be negative")
+        raise ConfigError("search_floor must be negative")
     phi_sup = float(np.max(np.abs(phi.values)))
     if phi_sup == 0.0:
         raise SolvabilityError("phi vanishes identically")

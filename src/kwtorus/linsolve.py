@@ -28,10 +28,11 @@ from .errors import ConfigError, GauduchonError, SolvabilityError, SolverError
 from .grid import GridSpec, OneForm, ScalarField
 from .operators import (
     DEFAULT_GAUDUCHON_TOL,
-    _first_derivative,
     _laplacian,
     _lee_pairing,
     gauduchon_defect,
+    grad_squared,
+    lp_norm,
 )
 
 DEFAULT_TOL = 1e-10
@@ -255,30 +256,33 @@ def _solve_system(
     else:
         rtol_eff = max(rtol, 2e-14)
     cycles = max(1, int(np.ceil(lin.maxiter / lin.restart)))
-    x, _info = gmres(
-        A,
-        b.ravel(),
-        x0=None if x0 is None else x0.ravel(),
-        rtol=rtol_eff,
-        atol=0.0,
-        restart=lin.restart,
-        maxiter=cycles,
-        M=M,
-        callback=callback,
-        callback_type="pr_norm",
-    )
-    x = x.reshape(spec.dims)
-    if meanzero:
-        x = x - np.mean(x)
-    resid = b - _apply(x, spec, alpha_vals, reaction)
-    if meanzero:
-        resid = resid - np.mean(resid)
-    resid_sup = float(np.max(np.abs(resid)))
-    resid_l2 = float(np.linalg.norm(resid.ravel()))
-    if rtol is None:
-        converged = resid_sup <= target
-    else:
-        converged = resid_l2 <= 1.01 * rtol_eff * float(np.linalg.norm(b.ravel()))
+    # A right-hand side near the float range overflows the Krylov norms;
+    # the residual then reads inf or nan and is judged not converged.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, _info = gmres(
+            A,
+            b.ravel(),
+            x0=None if x0 is None else x0.ravel(),
+            rtol=rtol_eff,
+            atol=0.0,
+            restart=lin.restart,
+            maxiter=cycles,
+            M=M,
+            callback=callback,
+            callback_type="pr_norm",
+        )
+        x = x.reshape(spec.dims)
+        if meanzero:
+            x = x - np.mean(x)
+        resid = b - _apply(x, spec, alpha_vals, reaction)
+        if meanzero:
+            resid = resid - np.mean(resid)
+        resid_sup = float(np.max(np.abs(resid)))
+        resid_l2 = float(np.linalg.norm(resid.ravel()))
+        if rtol is None:
+            converged = resid_sup <= target
+        else:
+            converged = resid_l2 <= 1.01 * rtol_eff * float(np.linalg.norm(b.ravel()))
     stats = SolveStats(max(iters[0], 1), resid_sup, resid_l2, converged)
     return x, stats
 
@@ -397,13 +401,11 @@ def estimate_gamma(
     estimate only ever under-approximates it up to the safety factor.
     """
     if c >= 0:
-        raise ValueError("estimate_gamma needs c < 0")
+        raise ConfigError("estimate_gamma needs c < 0")
     if samples < 1:
-        raise ValueError("need at least one sample")
+        raise ConfigError("need at least one sample")
     if p <= alpha.spec.rank:
-        raise ValueError("p must exceed the grid rank")
-    from .operators import lp_norm  # local import to avoid cycle at module load
-
+        raise ConfigError("p must exceed the grid rank")
     rng = np.random.default_rng(seed)
     spec = alpha.spec
     best = 0.0
@@ -416,12 +418,7 @@ def estimate_gamma(
         if denom == 0.0:
             continue
         u, _ = solve_shifted(alpha, -c, probe, lin=lin)
-        grad_sup = 0.0
-        sq = np.zeros(spec.dims)
-        for ax, h in enumerate(spec.spacings):
-            g = _first_derivative(u.values, ax, h)
-            sq += g * g
-        grad_sup = float(np.max(np.sqrt(sq)))
+        grad_sup = float(np.max(np.sqrt(grad_squared(u).values)))
         ratio = (float(np.max(np.abs(u.values))) + grad_sup) / denom
         best = max(best, ratio)
     return 2.0 * best

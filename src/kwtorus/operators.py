@@ -9,6 +9,20 @@ The Laplacian follows the geometer's sign convention (positive spectrum,
 constants in the kernel: laplacian of sin(x0) on axis frequency 1 is
 +sin(x0)).  The volume-1 normalization makes integrals plain means.
 
+One ghost-layer kernel serves every stencil.  The operand is copied once
+per axis with two periodic ghost layers on each side (an axis has at
+least grid.MIN_POINTS = 8 points), and f[j-2], ..., f[j+2] are slice
+views of that copy.  The arithmetic runs in place in scratch buffers, in
+a fixed order:
+
+    d2f: (((f[j-1] + f[j+1]) - 2 f[j]) * 16 - ((f[j-2] + f[j+2]) - 2 f[j])) / (12 h^2)
+    df:  ((f[j+1] - f[j-1]) * 8 - (f[j+2] - f[j-2])) / (12 h)
+
+with the axis terms summed in axis order.  The difference-of-differences
+form maps constants to exactly 0, and results match the roll-based
+reference in tests/test_operators.py bit for bit; reordering any of it
+changes the last bits of every solve.
+
 The underscore functions operate on raw ndarrays and are what the solver
 modules use in their inner loops; the public functions wrap them with
 ScalarField validation.
@@ -24,28 +38,58 @@ from .grid import GridSpec, OneForm, ScalarField
 DEFAULT_GAUDUCHON_TOL = 1e-8
 
 
-def _shift(a: np.ndarray, offset: int, axis: int) -> np.ndarray:
-    # value at index j of the result is a[j - offset] with periodic wrap
-    return np.roll(a, offset, axis=axis)
+def _neighbours(a: np.ndarray, axis: int):
+    """Views (f[j-2], f[j-1], f[j+1], f[j+2]) of a along axis, periodic."""
+    n = a.shape[axis]
+
+    def band(lo: int, hi: int, arr: np.ndarray) -> np.ndarray:
+        index = [slice(None)] * arr.ndim
+        index[axis] = slice(lo, hi)
+        return arr[tuple(index)]
+
+    padded = np.concatenate((band(n - 2, n, a), a, band(0, 2, a)), axis=axis)
+    return tuple(band(k, k + n, padded) for k in (0, 1, 3, 4))
+
+
+def _second_difference(a, axis, h, two_a, near, far) -> np.ndarray:
+    # writes d2a/dx2 into near and returns it; far is scratch, two_a = 2.0 * a
+    m2, m1, p1, p2 = _neighbours(a, axis)
+    np.add(m1, p1, out=near)
+    near -= two_a
+    near *= 16.0
+    np.add(m2, p2, out=far)
+    far -= two_a
+    near -= far
+    near /= 12.0 * h * h
+    return near
+
+
+def _first_difference(a, axis, h, near, far) -> np.ndarray:
+    # writes da/dx into near and returns it; far is scratch
+    m2, m1, p1, p2 = _neighbours(a, axis)
+    np.subtract(p1, m1, out=near)
+    near *= 8.0
+    np.subtract(p2, m2, out=far)
+    near -= far
+    near /= 12.0 * h
+    return near
 
 
 def _second_derivative(a: np.ndarray, axis: int, h: float) -> np.ndarray:
-    # difference-of-differences form cancels constants exactly
-    near = _shift(a, 1, axis) + _shift(a, -1, axis) - 2.0 * a
-    far = _shift(a, 2, axis) + _shift(a, -2, axis) - 2.0 * a
-    return (16.0 * near - far) / (12.0 * h * h)
+    return _second_difference(a, axis, h, 2.0 * a, np.empty_like(a), np.empty_like(a))
 
 
 def _first_derivative(a: np.ndarray, axis: int, h: float) -> np.ndarray:
-    near = _shift(a, -1, axis) - _shift(a, 1, axis)
-    far = _shift(a, -2, axis) - _shift(a, 2, axis)
-    return (8.0 * near - far) / (12.0 * h)
+    return _first_difference(a, axis, h, np.empty_like(a), np.empty_like(a))
 
 
 def _laplacian(a: np.ndarray, spacings) -> np.ndarray:
     out = np.zeros_like(a)
+    two_a = 2.0 * a
+    near = np.empty_like(a)
+    far = np.empty_like(a)
     for ax, h in enumerate(spacings):
-        out -= _second_derivative(a, ax, h)
+        out -= _second_difference(a, ax, h, two_a, near, far)
     return out
 
 
@@ -55,8 +99,15 @@ def _gradient(a: np.ndarray, spacings) -> list[np.ndarray]:
 
 def _lee_pairing(alpha_values, a: np.ndarray, spacings) -> np.ndarray:
     out = np.zeros_like(a)
+    near = np.empty_like(a)
+    far = np.empty_like(a)
     for ax, h in enumerate(spacings):
-        out += alpha_values[ax] * _first_derivative(a, ax, h)
+        # an identically zero component would add only zeros
+        if not np.any(alpha_values[ax]):
+            continue
+        term = _first_difference(a, ax, h, near, far)
+        term *= alpha_values[ax]
+        out += term
     return out
 
 

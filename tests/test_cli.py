@@ -93,13 +93,30 @@ DRIFT_SOLVE_16 = [
 
 @pytest.mark.parametrize(
     "bad",
-    [["--lin-restart", "0"], ["--lin-restart=-5"], ["--lin-tol=-1"],
-     ["--strategy", "bogus"]],
+    [DRIFT_SOLVE_16 + opts for opts in (
+        ["--lin-restart", "0"], ["--lin-restart=-5"], ["--lin-tol=-1"],
+        ["--strategy", "bogus"])]
+    + [
+        ["asymptotic", "--dims", "16", "--f=sin(x0)", "--c-list=1"],
+        ["gamma-estimate", "--dims", "16", "--p", "0.5", "--c=-1"],
+        ["solve", "--dims", "16", "--n", "0", "--t", "1", "--s=-1", "--s-hat=-1"],
+        ["critical-c", "--dims", "16", "--phi=sin(x0)-0.5", "--search-floor=1"],
+        ["sufficient", "--dims", "16", "--phi=-1", "--c=-1", "--gamma-hat=-2"],
+    ],
 )
 def test_bad_options_exit_code(tmp_path, capsys, bad):
-    code = run(DRIFT_SOLVE_16 + bad, tmp_path)
+    code = run(bad, tmp_path)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_huge_rhs_is_a_solver_failure(tmp_path):
+    # the Krylov norms overflow; that must read as non-convergence (exit 3),
+    # not leak a RuntimeWarning
+    code = run(["solve", "--dims", "16", "--n", "1", "--t", "1",
+                "--s=1", "--s-hat=-1e300"], tmp_path)
+    assert code == 3
+    assert read_report(tmp_path)["status"] == "not-certified"
 
 
 def test_degenerate_t_and_rejection(tmp_path):

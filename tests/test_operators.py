@@ -146,3 +146,68 @@ def test_lp_norm_normalized():
     f = field_from(spec, lambda x: np.sin(x))
     # ||sin||_2 = sqrt(1/2) under the normalized measure
     assert np.isclose(lp_norm(f, 2.0), np.sqrt(0.5), atol=1e-12)
+
+
+# np.roll reference copies of the stencils as first written; the kernels in
+# operators must reproduce them bit for bit
+def _ref_shift(a, offset, axis):
+    return np.roll(a, offset, axis=axis)
+
+
+def _ref_second_derivative(a, axis, h):
+    near = _ref_shift(a, 1, axis) + _ref_shift(a, -1, axis) - 2.0 * a
+    far = _ref_shift(a, 2, axis) + _ref_shift(a, -2, axis) - 2.0 * a
+    return (16.0 * near - far) / (12.0 * h * h)
+
+
+def _ref_first_derivative(a, axis, h):
+    near = _ref_shift(a, -1, axis) - _ref_shift(a, 1, axis)
+    far = _ref_shift(a, -2, axis) - _ref_shift(a, 2, axis)
+    return (8.0 * near - far) / (12.0 * h)
+
+
+def _ref_laplacian(a, spacings):
+    out = np.zeros_like(a)
+    for ax, h in enumerate(spacings):
+        out -= _ref_second_derivative(a, ax, h)
+    return out
+
+
+def _ref_lee_pairing(alpha_values, a, spacings):
+    out = np.zeros_like(a)
+    for ax, h in enumerate(spacings):
+        out += alpha_values[ax] * _ref_first_derivative(a, ax, h)
+    return out
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(8,), (16,), (98,), (8, 8), (96, 96), (10, 16), (8, 12, 10), (8, 10, 12, 14), (12, 12, 12, 12)],
+)
+def test_stencils_match_roll_reference_bitwise(dims):
+    from kwtorus import operators
+
+    spec = GridSpec(dims)
+    spacings = spec.spacings
+    rng = np.random.default_rng(sum(dims))
+    a = rng.standard_normal(dims) * 10.0 ** rng.integers(-3, 4, size=dims)
+    for ax, h in enumerate(spacings):
+        assert operators._second_derivative(a, ax, h).tobytes() == \
+            _ref_second_derivative(a, ax, h).tobytes()
+        assert operators._first_derivative(a, ax, h).tobytes() == \
+            _ref_first_derivative(a, ax, h).tobytes()
+    for field in (a, np.full(dims, 4.2)):
+        assert operators._laplacian(field, spacings).tobytes() == \
+            _ref_laplacian(field, spacings).tobytes()
+    rank = len(dims)
+    alphas = [
+        [np.zeros(dims)] * rank,
+        [np.full(dims, 0.1 * (ax + 1)) for ax in range(rank)],
+        # variable, constant and zero components mixed
+        [rng.standard_normal(dims) if ax % 3 == 0 else
+         (np.full(dims, -0.05) if ax % 3 == 1 else np.zeros(dims))
+         for ax in range(rank)],
+    ]
+    for alpha in alphas:
+        assert operators._lee_pairing(alpha, a, spacings).tobytes() == \
+            _ref_lee_pairing(alpha, a, spacings).tobytes()
