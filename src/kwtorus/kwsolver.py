@@ -60,6 +60,8 @@ NEWTON_INNER_MAXITER = 2000
 NEWTON_INNER_RTOL = 1e-6
 LINE_SEARCH_HALVINGS = 40
 STRATEGIES = ("auto", "newton", "fixed-point", "continuation")
+# bracket probe outcome of a _solve_negative_c status; the rest are solver-failed
+PROBE_OUTCOMES = {"converged": "solved", "certified-unsolvable": "necessary-failed"}
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,11 @@ class SolveReport:
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+    @classmethod
+    def without_iterates(cls, solution, status, method, message) -> "SolveReport":
+        """Report of a solve that stopped before its first iterate."""
+        return cls(solution, status, [], np.inf, method, message=message)
 
 
 @dataclass
@@ -216,8 +223,6 @@ def build_supersolution(
         )
     phi_max = float(np.max(phi))
     phi_sup = float(np.max(np.abs(phi)))
-    if phi_sup == 0.0:
-        raise CertificateError("phi vanishes identically")
 
     candidates: list[ScalarField] = []
     if phi_max <= 0.0:
@@ -251,8 +256,6 @@ def build_supersolution(
         ok, _ = is_supersolution(cand, prob)
         if ok and (best is None or np.max(cand.values) < np.max(best.values)):
             best = cand
-    if best is None:
-        return None
     return best
 
 
@@ -432,10 +435,29 @@ def _line_search(x: np.ndarray, delta: np.ndarray, merit, merit0: float):
     return None
 
 
-def _newton_inner(lin: LinearOptions | None) -> LinearOptions:
-    """Options of an inexact Newton step: the Krylov budget is capped."""
+def _newton_step(x, r, reaction, alpha, merit, lin, meanzero=False):
+    """Inexact Newton step from x with residual r: a capped Krylov solve
+    of (A + reaction) delta = -r, then the line search along delta.
+
+    Returns (step, failure, inner_converged), where step is the line
+    search's (trial, residual, norm) or None and failure names the reason.
+    """
     lin = lin or LinearOptions()
-    return replace(lin, maxiter=min(lin.maxiter, NEWTON_INNER_MAXITER))
+    inner = replace(lin, maxiter=min(lin.maxiter, NEWTON_INNER_MAXITER))
+    delta, stats = _solve_system(
+        alpha.spec, alpha, reaction, -r,
+        lin=inner, meanzero=meanzero, rtol=NEWTON_INNER_RTOL,
+    )
+    if not np.all(np.isfinite(delta)):
+        return None, "linearized solve produced a non-finite step", stats.converged
+    step = _line_search(x, delta, merit, _norm2(r))
+    return step, "line search stalled", stats.converged
+
+
+def _failure_message(message: str, unconverged: int) -> str:
+    """A failed report's message, with the count of unconverged inner solves."""
+    note = f"unconverged inner solves: {unconverged}" if unconverged else ""
+    return "; ".join(part for part in (message, note) if part)
 
 
 def newton_solve(
@@ -451,58 +473,50 @@ def newton_solve(
     Each step solves the linearization A - phi e^w through the Krylov
     solver and backtracks by halving until the 2-norm of F decreases.
     Stops when the sup-norm residual falls below tol times the problem
-    scale.  A stalled line search or failed inner solve reports status
-    not-certified; the budget running out reports max-iter.
+    scale.  A stalled line search or non-finite step reports status
+    not-certified; the budget running out reports max-iter.  A report
+    that did not converge counts its unconverged inner solves.
     """
-    inner = _newton_inner(lin)
     if w0.spec != prob.spec:
         raise ValueError("initial guess lives on the wrong grid")
-    spec = prob.spec
-    alpha_vals = _alpha_values(prob.alpha)
     phi = prob.phi.values
+    alpha_vals = _alpha_values(prob.alpha)
 
     def defect(x):
         return _defect(x, prob, alpha_vals)
 
     w = w0.values.copy()
     r = defect(w)
-    rn2 = _norm2(r)
     trace = [float(np.max(w))]
     status = "max-iter"
     message = ""
-    iterations = 0
-    for _ in range(maxiter):
+    unconverged = 0
+    for i in range(maxiter + 1):
         scale = 1.0 + abs(prob.c) + float(np.max(np.abs(_phi_exp(phi, w))))
         if float(np.max(np.abs(r))) <= tol * scale:
             status = "converged"
             break
-        reaction = -_phi_exp(phi, w)
-        delta, _stats = _solve_system(
-            spec, prob.alpha, reaction, -r, lin=inner, rtol=NEWTON_INNER_RTOL
-        )
-        if not np.all(np.isfinite(delta)):
-            status = "not-certified"
-            message = "linearized solve produced a non-finite step"
+        if i == maxiter:
             break
-        step = _line_search(w, delta, defect, rn2)
+        step, failure, inner_ok = _newton_step(
+            w, r, -_phi_exp(phi, w), prob.alpha, defect, lin
+        )
+        unconverged += not inner_ok
         if step is None:
             status = "not-certified"
-            message = "line search stalled"
+            message = failure
             break
-        w, r, rn2 = step
-        iterations += 1
+        w, r, _ = step
         trace.append(float(np.max(w)))
-    if status == "max-iter":
-        scale = 1.0 + abs(prob.c) + float(np.max(np.abs(_phi_exp(phi, w))))
-        if float(np.max(np.abs(r))) <= tol * scale:
-            status = "converged"
+    if status != "converged":
+        message = _failure_message(message, unconverged)
     return SolveReport(
-        solution=ScalarField(spec, w),
+        solution=ScalarField(prob.spec, w),
         status=status,
         trace=trace,
         residual_sup=float(np.max(np.abs(r))),
         method="newton",
-        iterations=iterations,
+        iterations=len(trace) - 1,
         message=message,
     )
 
@@ -630,40 +644,40 @@ def critical_c_bracket(
     probes down to search_floor is solved and the floor is returned as
     the minus-infinity sentinel.  Otherwise a geometric descent runs
     until the positivity test or the solver fails, then bisects to one
-    percent relative width.
+    percent relative width.  search_floor must lie below the first probe
+    -eps, so every bracket holds at least one probe at each end.
     """
     if mean(phi) >= 0:
         raise SolvabilityError("bracketing needs mean(phi) < 0")
-    if search_floor >= 0:
-        raise ConfigError("search_floor must be negative")
-    phi_sup = float(np.max(np.abs(phi.values)))
-    if phi_sup == 0.0:
-        raise SolvabilityError("phi vanishes identically")
+    if search_floor >= -eps:
+        raise ConfigError(f"search_floor must lie below -eps = {-eps:g}")
+    if not tol > 0:
+        raise ConfigError(f"kw tolerance must be positive, got {tol!r}")
     probes: list[tuple[float, str]] = []
-    warm: list[ScalarField | None] = [None]
+    warm = last_solved = first_failed = None
+    fail_kind = "solver-failed"
 
-    def attempt(c: float) -> str:
-        prob = KWProblem(alpha, c, phi)
-        nec = necessary_check(prob, lin)
-        if not nec.positive:
-            outcome = "necessary-failed"
+    def solved(c: float) -> bool:
+        """Probe c and record it as the last solved or the latest failed point."""
+        nonlocal warm, last_solved, first_failed, fail_kind
+        report = _solve_negative_c(
+            KWProblem(alpha, c, phi), tol=tol, maxiter=maxiter, lin=lin, initial_guess=warm
+        )
+        outcome = PROBE_OUTCOMES.get(report.status, "solver-failed")
+        if report.converged:
+            warm, last_solved = report.solution, c
         else:
-            report = _solve_negative_c(
-                prob, tol=tol, maxiter=maxiter, lin=lin, initial_guess=warm[0]
-            )
-            outcome = "solved" if report.converged else "solver-failed"
-            if report.converged:
-                warm[0] = report.solution
+            first_failed, fail_kind = c, outcome
         probes.append((c, outcome))
-        return outcome
+        return report.converged
 
     if float(np.max(phi.values)) <= 0.0:
         # solvable for every negative c; walk the ladder as evidence
         c = -eps
         while c > search_floor:
-            attempt(c)
+            solved(c)
             c *= 10.0
-        attempt(search_floor)
+        solved(search_floor)
         return Bracket(
             c_lo=search_floor,
             c_hi=-eps,
@@ -672,23 +686,13 @@ def critical_c_bracket(
             probes=probes,
         )
 
-    last_solved = None
-    first_failed = None
-    fail_kind = "solver-failed"
     c = -eps
-    while c > search_floor:
-        outcome = attempt(c)
-        if outcome == "solved":
-            last_solved = c
-            c *= 2.0
-        else:
-            first_failed = c
-            fail_kind = outcome
-            break
+    while c > search_floor and solved(c):
+        c *= 2.0
     if first_failed is None:
         return Bracket(
             c_lo=search_floor,
-            c_hi=last_solved if last_solved is not None else -eps,
+            c_hi=last_solved,
             lo_evidence="search-limit",
             hi_evidence="solved",
             probes=probes,
@@ -696,13 +700,7 @@ def critical_c_bracket(
     if last_solved is None:
         # even the first rung failed; walk toward zero for a solvable point
         c = first_failed / 2.0
-        while abs(c) > eps * 2.0**-20:
-            outcome = attempt(c)
-            if outcome == "solved":
-                last_solved = c
-                break
-            first_failed = c
-            fail_kind = outcome
+        while abs(c) > eps * 2.0**-20 and not solved(c):
             c /= 2.0
         if last_solved is None:
             return Bracket(
@@ -713,13 +711,7 @@ def critical_c_bracket(
                 probes=probes,
             )
     while abs(first_failed - last_solved) > rel_width * abs(last_solved):
-        mid = 0.5 * (first_failed + last_solved)
-        outcome = attempt(mid)
-        if outcome == "solved":
-            last_solved = mid
-        else:
-            first_failed = mid
-            fail_kind = outcome
+        solved(0.5 * (first_failed + last_solved))
     return Bracket(
         c_lo=first_failed,
         c_hi=last_solved,
@@ -814,11 +806,15 @@ def fixed_point_solve(
     )
 
 
-def _unreduced_residual(u, s, s_hat, alpha_vals, k, spec) -> float:
-    resid = _apply(u, spec, alpha_vals, 0.0) + (2.0 / k) * (
+def _unreduced_defect(u, s, s_hat, alpha_vals, k, spec, tau=1.0) -> np.ndarray:
+    # A u + (2 tau / k)(s - s_hat e^u): the unreduced equation scaled by tau
+    return _apply(u, spec, alpha_vals, 0.0) + (2.0 * tau / k) * (
         s.values - s_hat.values * np.exp(u)
     )
-    return float(np.max(np.abs(resid)))
+
+
+def _unreduced_residual(u, s, s_hat, alpha_vals, k, spec) -> float:
+    return float(np.max(np.abs(_unreduced_defect(u, s, s_hat, alpha_vals, k, spec))))
 
 
 def continuation_solve(
@@ -840,13 +836,13 @@ def continuation_solve(
     equation admits spurious almost-solutions escaping to minus infinity,
     so the corrector works in the mean-zero subspace and fixes the
     constant mode by solving the mean equation exactly whenever a shift
-    can.  On failure the report carries the tau reached.
+    can.  On failure the report carries the tau reached and the count of
+    unconverged inner solves.
     """
-    inner = _newton_inner(lin)
     if setup.degenerate:
         raise DegenerateError("continuation solver needs a nondegenerate parameter")
     if steps < 1:
-        raise ValueError("need at least one continuation step")
+        raise ConfigError("need at least one continuation step")
     if s.spec != s_hat.spec or s.spec != alpha.spec:
         raise ValueError("fields live on mismatched grids")
     k = setup.k_t
@@ -858,13 +854,12 @@ def continuation_solve(
     u = np.zeros(spec.dims)
     trace = [0.0]
     iterations = 0
+    unconverged = 0
     for j in range(1, steps + 1):
         tau = j / steps
 
         def residual(w):
-            return _apply(w, spec, alpha_vals, 0.0) + (2.0 * tau / k) * (
-                s.values - s_hat.values * np.exp(w)
-            )
+            return _unreduced_defect(w, s, s_hat, alpha_vals, k, spec, tau)
 
         def projected_residual(w):
             r = residual(w)
@@ -892,42 +887,32 @@ def continuation_solve(
             # the linearization stays uniformly invertible; the escape
             # family u -> -inf of the c = 0 regime is invisible there
             reaction = (2.0 * tau / k) * (-s_hat.values) * np.exp(u)
-            delta, _stats = _solve_system(
-                spec, alpha, reaction, -r_proj,
-                lin=inner, meanzero=True, rtol=NEWTON_INNER_RTOL,
+            step, _, inner_ok = _newton_step(
+                u, r_proj, reaction, alpha, projected_residual, lin, meanzero=True
             )
-            if not np.all(np.isfinite(delta)):
-                break
-            step = _line_search(u, delta, projected_residual, _norm2(r_proj))
+            unconverged += not inner_ok
             if step is None:
                 break
             u = step[0]
             iterations += 1
         if not converged:
-            r = residual(u)
             return SolveReport(
                 solution=ScalarField(spec, u),
                 status="not-certified",
                 trace=trace,
-                residual_sup=float(np.max(np.abs(r))),
+                residual_sup=float(np.max(np.abs(residual(u)))),
                 method="continuation",
                 iterations=iterations,
-                message=f"newton correction failed at tau = {tau:.6g}",
+                message=_failure_message(
+                    f"newton correction failed at tau = {tau:.6g}", unconverged
+                ),
             )
         trace.append(float(np.max(u)))
-    residual_final = float(
-        np.max(
-            np.abs(
-                _apply(u, spec, alpha_vals, 0.0)
-                + (2.0 / k) * (s.values - s_hat.values * np.exp(u))
-            )
-        )
-    )
     return SolveReport(
         solution=ScalarField(spec, u),
         status="converged",
         trace=trace,
-        residual_sup=residual_final,
+        residual_sup=_unreduced_residual(u, s, s_hat, alpha_vals, k, spec),
         method="continuation",
         iterations=iterations,
     )
@@ -947,12 +932,20 @@ def _solve_negative_c(
     lin: LinearOptions | None = None,
     initial_guess: ScalarField | None = None,
 ) -> SolveReport:
-    """Certificate-first solve for c < 0, assuming the positivity test passed.
+    """Certificate-first solve for c < 0.
 
-    Runs the monotone iteration when an ordered pair exists, polishing
-    with Newton if the budget runs out; falls back to Newton from the
+    Runs the positivity test first; its failure is reported as
+    certified-unsolvable, the only such report in the package.  Then runs
+    the monotone iteration when an ordered pair exists, polishing with
+    Newton if the budget runs out, and falls back to Newton from the
     averaged-equation constant when no supersolution is certified.
     """
+    nec = necessary_check(prob, lin)
+    if not nec.positive:
+        message = f"positivity test failed: min phi0 = {float(np.min(nec.phi0.values)):.3e}"
+        return SolveReport.without_iterates(
+            make_field(prob.spec, 0.0), "certified-unsolvable", "necessary", message
+        )
     budget = maxiter if monotone_budget is None else min(maxiter, monotone_budget)
     w_minus = build_subsolution(prob)
     try:
@@ -974,14 +967,7 @@ def _solve_negative_c(
                 lin=lin,
             )
         except SolverError as e:
-            report = SolveReport(
-                solution=w_minus,
-                status="not-certified",
-                trace=[],
-                residual_sup=np.inf,
-                method="monotone",
-                message=str(e),
-            )
+            report = SolveReport.without_iterates(w_minus, "not-certified", "monotone", str(e))
         if report.converged:
             return report
         polish = newton_solve(prob, report.solution, tol=tol, lin=lin)
@@ -1029,6 +1015,8 @@ def solve_prescribed(
         raise ConfigError(
             f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}"
         )
+    if not tol > 0:
+        raise ConfigError(f"kw tolerance must be positive, got {tol!r}")
 
     if setup.degenerate:
         from .geometry import degenerate_solve
@@ -1058,22 +1046,8 @@ def solve_prescribed(
         return u, report
 
     if c < -C_ZERO_TOL:
-        prob = KWProblem(alpha, c, red.phi)
-        nec = necessary_check(prob, lin)
-        if not nec.positive:
-            report = SolveReport(
-                solution=make_field(spec, 0.0),
-                status="certified-unsolvable",
-                trace=[],
-                residual_sup=np.inf,
-                method="necessary",
-                message=(
-                    f"positivity test failed: min phi0 = {float(np.min(nec.phi0.values)):.3e}"
-                ),
-            )
-            return make_field(spec, 0.0), report
         report = _solve_negative_c(
-            prob,
+            KWProblem(alpha, c, red.phi),
             tol=tol,
             maxiter=maxiter,
             monotone_budget=monotone_budget,
@@ -1081,8 +1055,9 @@ def solve_prescribed(
             lin=lin,
             initial_guess=initial_guess,
         )
-        u = recover_metric(report.solution, red)
-        return finish(u, report)
+        if report.status == "certified-unsolvable":
+            return report.solution, report
+        return finish(recover_metric(report.solution, red), report)
 
     if abs(c) <= C_ZERO_TOL and float(np.max(np.abs(s_hat.values))) < 1e-12:
         rhs = ScalarField(spec, -(2.0 / k) * (s.values - float(np.mean(s.values))))
@@ -1112,12 +1087,7 @@ def solve_prescribed(
         u = recover_metric(report.solution, red)
         return finish(u, report)
     except SolverError as e:
-        report = SolveReport(
-            solution=make_field(spec, 0.0),
-            status="not-certified",
-            trace=[],
-            residual_sup=np.inf,
-            method=chosen,
-            message=str(e),
+        report = SolveReport.without_iterates(
+            make_field(spec, 0.0), "not-certified", chosen, str(e)
         )
-        return make_field(spec, 0.0), report
+        return report.solution, report

@@ -282,7 +282,10 @@ def _solve_system(
         if rtol is None:
             converged = resid_sup <= target
         else:
-            converged = resid_l2 <= 1.01 * rtol_eff * float(np.linalg.norm(b.ravel()))
+            # after an overflow both norms read inf, and inf <= inf would pass
+            converged = bool(np.isfinite(resid_l2)) and (
+                resid_l2 <= 1.01 * rtol_eff * float(np.linalg.norm(b.ravel()))
+            )
     stats = SolveStats(max(iters[0], 1), resid_sup, resid_l2, converged)
     return x, stats
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridError
+from .errors import ConfigError, GridError
 from .grid import GridSpec, OneForm, ScalarField
 
 DEFAULT_GAUDUCHON_TOL = 1e-8
@@ -172,5 +172,5 @@ def sup_norm(f: ScalarField) -> float:
 def lp_norm(f: ScalarField, p: float) -> float:
     """Discrete L^p norm under the normalized (volume 1) measure."""
     if p <= 0:
-        raise ValueError("p must be positive")
+        raise ConfigError("p must be positive")
     return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))

@@ -102,6 +102,13 @@ DRIFT_SOLVE_16 = [
         ["solve", "--dims", "16", "--n", "0", "--t", "1", "--s=-1", "--s-hat=-1"],
         ["critical-c", "--dims", "16", "--phi=sin(x0)-0.5", "--search-floor=1"],
         ["sufficient", "--dims", "16", "--phi=-1", "--c=-1", "--gamma-hat=-2"],
+        ["solve", "--dims", "16", "--n", "1", "--t", "1", "--s=1",
+         "--s-hat=1+0.3*sin(x0)", "--strategy", "continuation", "--steps", "0"],
+        ["sufficient", "--dims", "16", "--phi=-1", "--c=-1", "--gamma-hat", "1",
+         "--p", "0"],
+        ["critical-c", "--dims", "16", "--phi=-1", "--search-floor=-0.001"],
+        DRIFT_SOLVE_16 + ["--kw-tol=-1"],
+        ["critical-c", "--dims", "16", "--phi=-1-0.5*sin(x0)", "--kw-tol=-1"],
     ],
 )
 def test_bad_options_exit_code(tmp_path, capsys, bad):

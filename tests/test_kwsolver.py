@@ -6,6 +6,7 @@ from kwtorus import (
     GeometrySetup,
     GridSpec,
     KWProblem,
+    LinearOptions,
     OneForm,
     ScalarField,
     SolvabilityError,
@@ -175,6 +176,20 @@ def test_newton_reports_failure_on_unsolvable():
     prob = KWProblem(OneForm.zero(spec), -1.0, phi)
     rep = newton_solve(prob, make_field(spec, 0.0), maxiter=25)
     assert rep.status != "converged"
+
+
+# one unpreconditioned Krylov iteration misses the Newton inner tolerance
+STARVED = LinearOptions(maxiter=1, restart=1, precondition=False)
+
+
+def test_newton_reports_unconverged_inner_solves():
+    spec = GridSpec((64,))
+    phi = field_from(spec, lambda x: -1 - 0.3 * np.cos(x))
+    prob = KWProblem(OneForm.zero(spec), -1.0, phi)
+    rep = newton_solve(prob, make_field(spec, 0.3), lin=STARVED)
+    assert rep.status == "max-iter"
+    assert rep.iterations == 50
+    assert rep.message == "unconverged inner solves: 50"
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +376,18 @@ def test_continuation_failure_reports_tau():
         assert "tau" in rep.message
     else:
         assert rep.residual_sup < 1e-6
+
+
+def test_continuation_failure_reports_unconverged_inner_solves():
+    spec = GridSpec((64,))
+    setup = GeometrySetup(1, 1.0)
+    s = make_field(spec, 0.3)
+    s_hat = field_from(spec, lambda x: 0.3 + 0.02 * np.sin(x))
+    rep = continuation_solve(s, s_hat, OneForm.zero(spec), setup, 10, lin=STARVED)
+    assert rep.status == "not-certified"
+    assert rep.message == (
+        "newton correction failed at tau = 0.1; unconverged inner solves: 30"
+    )
 
 
 # ---------------------------------------------------------------------------

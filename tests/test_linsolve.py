@@ -130,6 +130,18 @@ def test_gmres_matches_direct_path():
     assert np.max(np.abs(x_direct - x_plain)) < 1e-9
 
 
+def test_overflowed_newton_inner_solve_is_not_converged():
+    # a residual near the float range overflows its 2-norm and the norm of
+    # the right-hand side alike; inf <= rtol * inf must not pass as converged
+    spec = GridSpec((16,))
+    rhs = 1e300 * np.where(np.arange(16) % 2, 1.0, -1.0)
+    _, st = _solve_system(
+        spec, OneForm.zero(spec), np.full(16, -2.0), rhs, rtol=1e-6
+    )
+    assert not st.converged
+    assert st.residual_sup > 1e299
+
+
 def test_variable_alpha_meanzero():
     rng = np.random.default_rng(14)
     spec = GridSpec((32, 32))
