@@ -3,6 +3,7 @@
 Every command reads a flat ``key = value`` config file (``#`` comments)
 with command-line flags overriding file keys.  Fields are defined either
 by an expression (key ``s``) or a field file (key ``s_file``), never both.
+Numeric keys must hold finite numbers.
 Artifacts land in the output directory (flag ``--out``, else the
 KW_OUTPUT_DIR environment variable, else the working directory):
 
@@ -18,6 +19,7 @@ non-convergence, 4 certified unsolvable.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -33,7 +35,7 @@ from .geometry import (
     transform_s,
     transform_s2,
 )
-from .grid import GridSpec, OneForm, ScalarField, read_field, write_field
+from .grid import MAX_RANK, GridSpec, OneForm, ScalarField, read_field, write_field
 from .kwsolver import (
     DEFAULT_KW_MAXITER,
     DEFAULT_KW_TOL,
@@ -48,12 +50,14 @@ from .kwsolver import (
     sufficient_check,
 )
 from .linsolve import estimate_gamma
-from .operators import gauduchon_defect, mean
+from .operators import gauduchon_defect, gauduchon_scale, mean
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_UNSOLVABLE = 4
+# exit code of a solve's status; every other status is a solver failure
+SOLVE_EXITS = {"converged": EXIT_OK, "certified-unsolvable": EXIT_UNSOLVABLE}
 
 FIELD_KEYS = ("s", "s_hat", "s2", "phi", "psi", "f", "u", "u_star")
 
@@ -62,52 +66,109 @@ FIELD_KEYS = ("s", "s_hat", "s2", "phi", "psi", "f", "u", "u_star")
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _boolean(text: str) -> bool:
+    val = text.strip().lower()
+    if val in ("1", "true", "yes", "on"):
+        return True
+    if val in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+def _finite_list(text: str) -> list[float]:
+    values = [_finite(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(text)
+    return values
+
+
+# kind of RunConfig.get -> (what its text must be, parser raising ValueError)
+_KINDS = {
+    str: ("a string", str),
+    float: ("a finite number", _finite),
+    int: ("an integer", int),
+    bool: ("a boolean", _boolean),
+    list: ("a comma list of finite numbers", _finite_list),
+}
+
+
 class RunConfig:
-    """Resolved key/value configuration with typed accessors."""
+    """Resolved key/value configuration: typed values, the grid and the fields.
 
-    def __init__(self, raw: dict[str, str]):
+    paths lists the extra field files that validate checks.
+    """
+
+    def __init__(self, raw: dict[str, str], paths: list[str] = ()):
         self.raw = raw
+        self.paths = list(paths)
+        dims = raw.get("dims")
+        self.spec: GridSpec | None = None
+        if dims:
+            try:
+                self.spec = GridSpec(tuple(int(tok) for tok in dims.split(",")))
+            except ValueError:
+                raise ConfigError(f"dims is not a comma list of integers: {dims!r}")
 
-    def has(self, key: str) -> bool:
-        return key in self.raw
-
-    def get_str(self, key: str, default: str | None = None) -> str | None:
-        return self.raw.get(key, default)
-
-    def get_float(self, key: str, default: float | None = None) -> float | None:
+    def get(self, key: str, default=None, kind=str):
+        """Value of key parsed as kind (str, float, int, bool or list, a
+        list of floats), or default when the key is unset."""
         if key not in self.raw:
             return default
+        what, parse = _KINDS[kind]
         try:
-            return float(self.raw[key])
+            return parse(self.raw[key])
         except ValueError:
-            raise ConfigError(f"key {key} is not a number: {self.raw[key]!r}")
+            raise ConfigError(f"key {key} is not {what}: {self.raw[key]!r}")
 
-    def get_int(self, key: str, default: int | None = None) -> int | None:
+    def need(self, key: str, kind=float):
+        """Value of a key the command cannot run without."""
         if key not in self.raw:
-            return default
-        try:
-            return int(self.raw[key])
-        except ValueError:
-            raise ConfigError(f"key {key} is not an integer: {self.raw[key]!r}")
+            raise ConfigError(f"missing required key {key}")
+        return self.get(key, kind=kind)
 
-    def get_bool(self, key: str, default: bool) -> bool:
-        if key not in self.raw:
-            return default
-        val = self.raw[key].strip().lower()
-        if val in ("1", "true", "yes", "on"):
-            return True
-        if val in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"key {key} is not a boolean: {self.raw[key]!r}")
+    def _adopt(self, spec: GridSpec):
+        if self.spec is None:
+            self.spec = spec
+        elif self.spec != spec:
+            raise ConfigError(
+                f"field grid {spec.dims} conflicts with configured grid {self.spec.dims}"
+            )
 
-    def get_floats(self, key: str) -> list[float]:
-        text = self.raw.get(key, "")
-        if not text:
-            return []
-        try:
-            return [float(tok) for tok in text.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"key {key} is not a comma list of numbers: {text!r}")
+    def field(self, key: str, default: str | None = None) -> ScalarField:
+        """Field from key's expression or key_file; default is an expression."""
+        expr = self.get(key)
+        path = self.get(key + "_file")
+        if expr is not None and path is not None:
+            raise ConfigError(f"field {key}: give an expression or a file, not both")
+        if path is not None:
+            if not Path(path).exists():
+                raise ConfigError(f"field {key}: file not found: {path}")
+            fld = read_field(path)
+            self._adopt(fld.spec)
+            return fld
+        if expr is None:
+            if default is None:
+                raise ConfigError(f"missing required field {key} (or {key}_file)")
+            expr = default
+        if self.spec is None:
+            raise ConfigError("dims must be set to evaluate field expressions")
+        return fieldexpr.evaluate(fieldexpr.parse(expr), self.spec)
+
+    def one_form(self) -> OneForm:
+        if self.spec is None:
+            raise ConfigError("dims must be set before building the one-form")
+        comps = [self.field(f"alpha{ax}", default="0") for ax in range(self.spec.rank)]
+        return OneForm(self.spec, tuple(comps))
+
+    def setup(self) -> GeometrySetup:
+        return GeometrySetup(n=self.need("n", int), t=self.need("t"))
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -124,90 +185,27 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Field resolution
-# ---------------------------------------------------------------------------
-
-class FieldResolver:
-    """Builds fields from expressions or files and keeps grids consistent."""
-
-    def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
-        dims = cfg.get_str("dims")
-        self.spec: GridSpec | None = None
-        if dims:
-            try:
-                self.spec = GridSpec(tuple(int(tok) for tok in dims.split(",")))
-            except ValueError:
-                raise ConfigError(f"dims is not a comma list of integers: {dims!r}")
-
-    def _adopt(self, spec: GridSpec):
-        if self.spec is None:
-            self.spec = spec
-        elif self.spec != spec:
-            raise ConfigError(
-                f"field grid {spec.dims} conflicts with configured grid {self.spec.dims}"
-            )
-
-    def field(self, key: str, required: bool = True, default: str | None = None) -> ScalarField | None:
-        expr = self.cfg.get_str(key)
-        path = self.cfg.get_str(key + "_file")
-        if expr is not None and path is not None:
-            raise ConfigError(f"field {key}: give an expression or a file, not both")
-        if path is not None:
-            if not Path(path).exists():
-                raise ConfigError(f"field {key}: file not found: {path}")
-            fld = read_field(path)
-            self._adopt(fld.spec)
-            return fld
-        if expr is None:
-            if default is not None:
-                expr = default
-            elif required:
-                raise ConfigError(f"missing required field {key} (or {key}_file)")
-            else:
-                return None
-        if self.spec is None:
-            raise ConfigError("dims must be set to evaluate field expressions")
-        return fieldexpr.evaluate(fieldexpr.parse(expr), self.spec)
-
-    def one_form(self) -> OneForm:
-        if self.spec is None:
-            raise ConfigError("dims must be set before building the one-form")
-        comps = []
-        for ax in range(self.spec.rank):
-            comp = self.field(f"alpha{ax}", required=False, default="0")
-            comps.append(comp)
-        return OneForm(self.spec, tuple(comps))
-
-    def setup(self) -> GeometrySetup:
-        n = self.cfg.get_int("n")
-        t = self.cfg.get_float("t")
-        if n is None or t is None:
-            raise ConfigError("commands using geometry need both n and t")
-        return GeometrySetup(n=n, t=t)
-
-
 def linear_options(cfg: RunConfig) -> LinearOptions:
     default = LinearOptions()
     return LinearOptions(
-        tol=cfg.get_float("lin_tol", default.tol),
-        maxiter=cfg.get_int("lin_maxiter", default.maxiter),
-        restart=cfg.get_int("lin_restart", default.restart),
-        precondition=cfg.get_bool("lin_precondition", default.precondition),
-        allow_direct=cfg.get_bool("lin_direct", default.allow_direct),
+        tol=cfg.get("lin_tol", default.tol, float),
+        maxiter=cfg.get("lin_maxiter", default.maxiter, int),
+        restart=cfg.get("lin_restart", default.restart, int),
+        precondition=cfg.get("lin_precondition", default.precondition, bool),
+        allow_direct=cfg.get("lin_direct", default.allow_direct, bool),
     )
 
 
 def solve_options(cfg: RunConfig) -> dict:
-    """Keyword arguments of solve_prescribed, shared by solve and roundtrip."""
+    """Keyword arguments of solve_prescribed, shared by solve and roundtrip;
+    critical-c takes its tol, maxiter and lin."""
     return dict(
-        strategy=cfg.get_str("strategy", "auto"),
-        steps=cfg.get_int("steps", 10),
-        tol=cfg.get_float("kw_tol", DEFAULT_KW_TOL),
-        maxiter=cfg.get_int("kw_maxiter", DEFAULT_KW_MAXITER),
-        monotone_budget=cfg.get_int("monotone_budget", None),
-        lambda_override=cfg.get_float("kw_lambda_override", None),
+        strategy=cfg.get("strategy", "auto"),
+        steps=cfg.get("steps", 10, int),
+        tol=cfg.get("kw_tol", DEFAULT_KW_TOL, float),
+        maxiter=cfg.get("kw_maxiter", DEFAULT_KW_MAXITER, int),
+        monotone_budget=cfg.get("monotone_budget", None, int),
+        lambda_override=cfg.get("kw_lambda_override", None, float),
         lin=linear_options(cfg),
     )
 
@@ -216,19 +214,22 @@ def solve_options(cfg: RunConfig) -> dict:
 # Artifact writers
 # ---------------------------------------------------------------------------
 
+def _text(value) -> str:
+    """Text of a report or CSV value; floats keep all 17 significant digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
 class Reporter:
     def __init__(self, outdir: Path):
         self.outdir = outdir
         self.entries: list[tuple[str, str]] = []
 
     def add(self, key: str, value) -> None:
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = format(value, ".17g")
-        else:
-            text = str(value)
-        self.entries.append((key, text))
+        self.entries.append((key, _text(value)))
 
     def field_stats(self, name: str, f: ScalarField) -> None:
         self.add(f"{name}_min", float(np.min(f.values)))
@@ -242,22 +243,11 @@ class Reporter:
             self.add(f"{name}_pgm_min", lo)
             self.add(f"{name}_pgm_max", hi)
 
-    def save_trace(self, name: str, report: SolveReport) -> None:
-        path = self.outdir / f"{name}.csv"
-        with open(path, "w") as fh:
-            if report.min_step_trace is not None:
-                fh.write("iteration,sup_w,min_step\n")
-                for i, sup in enumerate(report.trace):
-                    step = (
-                        format(report.min_step_trace[i - 1], ".17g")
-                        if 1 <= i <= len(report.min_step_trace)
-                        else ""
-                    )
-                    fh.write(f"{i},{sup:.17g},{step}\n")
-            else:
-                fh.write("iteration,sup_w\n")
-                for i, sup in enumerate(report.trace):
-                    fh.write(f"{i},{sup:.17g}\n")
+    def save_csv(self, name: str, header, rows) -> None:
+        with open(self.outdir / f"{name}.csv", "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_text(cell) for cell in row) + "\n")
 
     def write(self) -> None:
         with open(self.outdir / "report.kv", "w") as fh:
@@ -291,52 +281,53 @@ def report_solve(rep: Reporter, report: SolveReport) -> None:
         rep.add("message", report.message)
 
 
-def solve_exit_code(report: SolveReport) -> int:
-    if report.status == "converged":
-        return EXIT_OK
-    if report.status == "certified-unsolvable":
-        return EXIT_UNSOLVABLE
-    return EXIT_NO_CONVERGENCE
+def finish_solve(rep: Reporter, u: ScalarField, report: SolveReport) -> int:
+    """Save u and the iterate trace; return the exit code of the solve."""
+    rep.save_field("u", u)
+    header, rows = ["iteration", "sup_w"], list(enumerate(report.trace))
+    if report.min_step_trace is not None:
+        # min_step_trace[i - 1] is the smallest update into iterate i
+        steps = ["", *report.min_step_trace]
+        header.append("min_step")
+        rows = [(i, sup, steps[i] if i < len(steps) else "") for i, sup in rows]
+    rep.save_csv("trace", header, rows)
+    return SOLVE_EXITS.get(report.status, EXIT_NO_CONVERGENCE)
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(cfg: RunConfig, rep: Reporter, extra_paths: list[str]) -> int:
-    res = FieldResolver(cfg)
+def cmd_validate(cfg: RunConfig, rep: Reporter) -> int:
     code = EXIT_OK
     for key in FIELD_KEYS:
-        if cfg.has(key) or cfg.has(key + "_file"):
-            fld = res.field(key)
-            rep.field_stats(key, fld)
-    if res.spec is not None:
-        alpha = res.one_form()
+        if key in cfg.raw or key + "_file" in cfg.raw:
+            rep.field_stats(key, cfg.field(key))
+    if cfg.spec is not None:
+        alpha = cfg.one_form()
         defect = gauduchon_defect(alpha)
-        tol = cfg.get_float("gauduchon_tol", 1e-8)
-        scale = 1.0 + max(float(np.max(np.abs(c.values))) for c in alpha.components)
-        ok = defect <= tol * scale
+        tol = cfg.get("gauduchon_tol", 1e-8, float)
+        ok = defect <= tol * gauduchon_scale(alpha)
         rep.add("alpha_divergence_sup", defect)
         rep.add("alpha_gauduchon", ok)
         if not ok:
             code = EXIT_INVALID
-    for path in extra_paths:
+    for path in cfg.paths:
         name = Path(path).stem
         fld = read_field(path)
         rep.add(f"{name}_ok", True)
         rep.field_stats(name, fld)
-    if res.spec is not None:
-        rep.add("dims", ",".join(str(n) for n in res.spec.dims))
+    if cfg.spec is not None:
+        rep.add("dims", ",".join(str(n) for n in cfg.spec.dims))
     return code
 
 
 def cmd_transform(cfg: RunConfig, rep: Reporter) -> int:
-    res = FieldResolver(cfg)
-    setup = res.setup()
-    s = res.field("s")
-    u = res.field("u")
-    s2 = res.field("s2", required=False, default="0")
-    alpha = res.one_form()
+    setup = cfg.setup()
+    s = cfg.field("s")
+    u = cfg.field("u")
+    s2 = cfg.field("s2", default="0")
+    alpha = cfg.one_form()
     s_hat = transform_s(s, u, alpha, setup)
     half = ScalarField(u.spec, 0.5 * u.values)
     s2_hat = transform_s2(s2, half, alpha, setup)
@@ -349,11 +340,10 @@ def cmd_transform(cfg: RunConfig, rep: Reporter) -> int:
 
 
 def cmd_reduce(cfg: RunConfig, rep: Reporter) -> int:
-    res = FieldResolver(cfg)
-    setup = res.setup()
-    s = res.field("s")
-    s_hat = res.field("s_hat")
-    alpha = res.one_form()
+    setup = cfg.setup()
+    s = cfg.field("s")
+    s_hat = cfg.field("s_hat")
+    alpha = cfg.one_form()
     red, stats = reduce_problem(s, s_hat, alpha, setup, linear_options(cfg))
     rep.add("k_t", setup.k_t)
     rep.add("c", red.c)
@@ -366,27 +356,21 @@ def cmd_reduce(cfg: RunConfig, rep: Reporter) -> int:
 
 
 def cmd_solve(cfg: RunConfig, rep: Reporter) -> int:
-    res = FieldResolver(cfg)
-    setup = res.setup()
-    s = res.field("s")
-    s_hat = res.field("s_hat")
-    alpha = res.one_form()
+    setup = cfg.setup()
+    s = cfg.field("s")
+    s_hat = cfg.field("s_hat")
+    alpha = cfg.one_form()
     u, report = solve_prescribed(s, s_hat, alpha, setup, **solve_options(cfg))
     rep.add("k_t", setup.k_t)
     report_solve(rep, report)
     rep.field_stats("u", u)
-    rep.save_field("u", u)
-    rep.save_trace("trace", report)
-    return solve_exit_code(report)
+    return finish_solve(rep, u, report)
 
 
 def cmd_necessary(cfg: RunConfig, rep: Reporter) -> int:
-    res = FieldResolver(cfg)
-    phi = res.field("phi")
-    alpha = res.one_form()
-    c = cfg.get_float("c")
-    if c is None:
-        raise ConfigError("necessary needs the constant c")
+    phi = cfg.field("phi")
+    alpha = cfg.one_form()
+    c = cfg.need("c")
     prob = KWProblem(alpha, c, phi)
     nec = necessary_check(prob, linear_options(cfg))
     rep.add("c", c)
@@ -399,16 +383,13 @@ def cmd_necessary(cfg: RunConfig, rep: Reporter) -> int:
 
 
 def cmd_sufficient(cfg: RunConfig, rep: Reporter) -> int:
-    res = FieldResolver(cfg)
-    phi = res.field("phi")
-    alpha = res.one_form()
-    c = cfg.get_float("c")
-    if c is None:
-        raise ConfigError("sufficient needs the constant c")
-    p = cfg.get_float("p", float(phi.spec.rank + 1))
-    gamma_hat = cfg.get_float("gamma_hat", None)
+    phi = cfg.field("phi")
+    alpha = cfg.one_form()
+    c = cfg.need("c")
+    p = cfg.get("p", float(phi.spec.rank + 1), float)
+    gamma_hat = cfg.get("gamma_hat", None, float)
     if gamma_hat is None:
-        samples = cfg.get_int("samples", 8)
+        samples = cfg.get("samples", 8, int)
         gamma_hat = estimate_gamma(alpha, c, p, samples, lin=linear_options(cfg))
         rep.add("gamma_source", "estimated")
     else:
@@ -425,55 +406,37 @@ def cmd_sufficient(cfg: RunConfig, rep: Reporter) -> int:
 
 
 def cmd_critical_c(cfg: RunConfig, rep: Reporter) -> int:
-    res = FieldResolver(cfg)
-    phi = res.field("phi")
-    alpha = res.one_form()
-    floor = cfg.get_float("search_floor", -1e6)
+    phi = cfg.field("phi")
+    alpha = cfg.one_form()
+    floor = cfg.get("search_floor", -1e6, float)
+    opts = solve_options(cfg)
     bracket = critical_c_bracket(
-        phi,
-        alpha,
-        floor,
-        tol=cfg.get_float("kw_tol", DEFAULT_KW_TOL),
-        maxiter=cfg.get_int("kw_maxiter", DEFAULT_KW_MAXITER),
-        lin=linear_options(cfg),
+        phi, alpha, floor, tol=opts["tol"], maxiter=opts["maxiter"], lin=opts["lin"]
     )
     rep.add("c_lo", bracket.c_lo)
     rep.add("c_hi", bracket.c_hi)
     rep.add("lo_evidence", bracket.lo_evidence)
     rep.add("hi_evidence", bracket.hi_evidence)
     rep.add("probes", len(bracket.probes))
-    with open(rep.outdir / "probes.csv", "w") as fh:
-        fh.write("c,outcome\n")
-        for c, outcome in bracket.probes:
-            fh.write(f"{c:.17g},{outcome}\n")
+    rep.save_csv("probes", ("c", "outcome"), bracket.probes)
     return EXIT_OK
 
 
 def cmd_asymptotic(cfg: RunConfig, rep: Reporter) -> int:
-    res = FieldResolver(cfg)
-    f = res.field("f")
-    alpha = res.one_form()
-    c_list = cfg.get_floats("c_list")
-    if not c_list:
-        raise ConfigError("asymptotic needs c_list")
-    rows = asymptotic_suite(f, alpha, c_list, linear_options(cfg))
-    with open(rep.outdir / "asymptotic.csv", "w") as fh:
-        fh.write("c,deviation\n")
-        for c, dev in rows:
-            fh.write(f"{c:.17g},{dev:.17g}\n")
+    f = cfg.field("f")
+    alpha = cfg.one_form()
+    rows = asymptotic_suite(f, alpha, cfg.need("c_list", list), linear_options(cfg))
+    rep.save_csv("asymptotic", ("c", "deviation"), rows)
     rep.add("entries", len(rows))
     rep.add("max_deviation", max(dev for _, dev in rows))
     return EXIT_OK
 
 
 def cmd_construct_unsolvable(cfg: RunConfig, rep: Reporter) -> int:
-    res = FieldResolver(cfg)
-    psi = res.field("psi")
-    alpha = res.one_form()
-    c = cfg.get_float("c")
-    alpha_const = cfg.get_float("alpha_const")
-    if c is None or alpha_const is None:
-        raise ConfigError("construct-unsolvable needs c and alpha_const")
+    psi = cfg.field("psi")
+    alpha = cfg.one_form()
+    c = cfg.need("c")
+    alpha_const = cfg.need("alpha_const")
     phi = construct_unsolvable(psi, alpha_const, c, alpha)
     rep.add("c", c)
     rep.add("alpha_const", alpha_const)
@@ -483,32 +446,23 @@ def cmd_construct_unsolvable(cfg: RunConfig, rep: Reporter) -> int:
 
 
 def cmd_roundtrip(cfg: RunConfig, rep: Reporter) -> int:
-    res = FieldResolver(cfg)
-    setup = res.setup()
-    s = res.field("s")
-    u_star = res.field("u_star")
-    alpha = res.one_form()
+    setup = cfg.setup()
+    s = cfg.field("s")
+    u_star = cfg.field("u_star")
+    alpha = cfg.one_form()
     s_hat = transform_s(s, u_star, alpha, setup)
     rep.save_field("s_hat", s_hat)
     u, report = solve_prescribed(s, s_hat, alpha, setup, **solve_options(cfg))
     report_solve(rep, report)
-    sup_err = float(np.max(np.abs(u.values - u_star.values)))
-    rep.add("sup_error", sup_err)
-    rep.save_field("u", u)
-    rep.save_trace("trace", report)
-    return solve_exit_code(report)
+    rep.add("sup_error", float(np.max(np.abs(u.values - u_star.values))))
+    return finish_solve(rep, u, report)
 
 
 def cmd_gamma_estimate(cfg: RunConfig, rep: Reporter) -> int:
-    res = FieldResolver(cfg)
-    if res.spec is None:
-        raise ConfigError("gamma-estimate needs dims")
-    alpha = res.one_form()
-    c = cfg.get_float("c")
-    if c is None:
-        raise ConfigError("gamma-estimate needs the constant c")
-    p = cfg.get_float("p", float(res.spec.rank + 1))
-    samples = cfg.get_int("samples", 8)
+    alpha = cfg.one_form()
+    c = cfg.need("c")
+    p = cfg.get("p", float(cfg.spec.rank + 1), float)
+    samples = cfg.get("samples", 8, int)
     gamma_hat = estimate_gamma(alpha, c, p, samples, lin=linear_options(cfg))
     rep.add("c", c)
     rep.add("p", p)
@@ -519,14 +473,12 @@ def cmd_gamma_estimate(cfg: RunConfig, rep: Reporter) -> int:
 
 
 def cmd_degenerate_t(cfg: RunConfig, rep: Reporter) -> int:
-    res = FieldResolver(cfg)
-    s = res.field("s")
-    s_hat = res.field("s_hat")
+    s = cfg.field("s")
+    s_hat = cfg.field("s_hat")
     u = degenerate_solve(s, s_hat)
     resid = float(np.max(np.abs(np.exp(u.values) * s_hat.values - s.values)))
-    if cfg.has("n") and cfg.has("t"):
-        setup = res.setup()
-        rep.add("k_t", setup.k_t)
+    if "n" in cfg.raw and "t" in cfg.raw:
+        rep.add("k_t", cfg.setup().k_t)
     rep.add("residual_sup", resid)
     rep.field_stats("u", u)
     rep.save_field("u", u)
@@ -554,11 +506,9 @@ COMMANDS = {
 
 _FLAG_KEYS = [
     "dims", "n", "t",
-    "s", "s_file", "s_hat", "s_hat_file", "s2", "s2_file",
-    "phi", "phi_file", "psi", "psi_file", "f", "f_file",
-    "u", "u_file", "u_star", "u_star_file",
-    "alpha0", "alpha1", "alpha2", "alpha3",
-    "alpha0_file", "alpha1_file", "alpha2_file", "alpha3_file",
+    *(key + suffix
+      for key in (*FIELD_KEYS, *(f"alpha{ax}" for ax in range(MAX_RANK)))
+      for suffix in ("", "_file")),
     "c", "c_list", "alpha_const", "p", "samples", "gamma_hat",
     "search_floor", "steps", "strategy",
     "lin_tol", "lin_maxiter", "lin_restart", "lin_precondition", "lin_direct",
@@ -591,23 +541,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             raw.update(parse_config_file(args.config))
         for key in _FLAG_KEYS:
-            val = getattr(args, key, None)
+            val = getattr(args, key)
             if val is not None:
                 raw[key] = val
-        cfg = RunConfig(raw)
         outdir = Path(args.out or os.environ.get("KW_OUTPUT_DIR") or ".")
         outdir.mkdir(parents=True, exist_ok=True)
         rep = Reporter(outdir)
         rep.add("command", args.command)
-        command = COMMANDS[args.command]
         try:
-            if "paths" in args:
-                code = command(cfg, rep, args.paths)
-            else:
-                code = command(cfg, rep)
+            cfg = RunConfig(raw, getattr(args, "paths", []))
+            return COMMANDS[args.command](cfg, rep)
         finally:
             rep.write()
-        return code
     except SolverError as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -44,6 +44,7 @@ from .linsolve import (
 from .operators import (
     DEFAULT_GAUDUCHON_TOL,
     gauduchon_defect,
+    gauduchon_scale,
     lp_norm,
     mean,
 )
@@ -76,10 +77,7 @@ class KWProblem:
         if self.phi.spec != self.alpha.spec:
             raise GauduchonError("phi and alpha live on mismatched grids")
         defect = gauduchon_defect(self.alpha)
-        scale = 1.0 + max(
-            float(np.max(np.abs(comp.values))) for comp in self.alpha.components
-        )
-        if defect > DEFAULT_GAUDUCHON_TOL * scale:
+        if defect > DEFAULT_GAUDUCHON_TOL * gauduchon_scale(self.alpha):
             raise GauduchonError(
                 f"one-form is not co-closed: divergence sup-norm {defect:.3e}"
             )
@@ -594,10 +592,13 @@ def construct_unsolvable(
         raise CertificateError("psi must not vanish identically")
     if c >= 0:
         raise CertificateError("construction needs c < 0")
-    shifted = psi.values + alpha_const
-    if not (float(np.min(shifted)) < 0.0 < float(np.max(shifted))):
-        raise CertificateError("psi + alpha_const must change sign")
-    vals = -_apply(psi.values, psi.spec, _alpha_values(lee), 0.0) + c * shifted
+    # extreme inputs overflow to inf: shifted then fails the sign test,
+    # and ScalarField rejects vals
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = psi.values + alpha_const
+        if not (float(np.min(shifted)) < 0.0 < float(np.max(shifted))):
+            raise CertificateError("psi + alpha_const must change sign")
+        vals = -_apply(psi.values, psi.spec, _alpha_values(lee), 0.0) + c * shifted
     return ScalarField(psi.spec, vals)
 
 

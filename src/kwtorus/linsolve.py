@@ -31,6 +31,7 @@ from .operators import (
     _laplacian,
     _lee_pairing,
     gauduchon_defect,
+    gauduchon_scale,
     grad_squared,
     lp_norm,
 )
@@ -200,15 +201,18 @@ def _solve_system(
         return zero, SolveStats(0, 0.0, 0.0, True)
 
     if scalar_reaction and alpha_const is not None and lin.allow_direct:
-        fft_solve = _fft_inverse(spec, alpha_const, float(reaction), meanzero)
-        x = fft_solve(b)
-        resid = b - _apply(x, spec, alpha_vals, reaction)
-        stats = SolveStats(
-            1,
-            float(np.max(np.abs(resid))),
-            float(np.linalg.norm(resid.ravel())),
-            True,
-        )
+        # a reaction near the float minimum overflows the zero mode's
+        # division; the residual then reads inf or nan and is judged not converged
+        with np.errstate(over="ignore", invalid="ignore"):
+            fft_solve = _fft_inverse(spec, alpha_const, float(reaction), meanzero)
+            x = fft_solve(b)
+            resid = b - _apply(x, spec, alpha_vals, reaction)
+            stats = SolveStats(
+                1,
+                float(np.max(np.abs(resid))),
+                float(np.linalg.norm(resid.ravel())),
+                True,
+            )
         stats.converged = stats.residual_sup <= target
         return x, stats
 
@@ -324,7 +328,7 @@ def solve_meanzero(
             f"solvability violated: right-hand side has mean {np.mean(f.values):.3e}"
         )
     defect = gauduchon_defect(alpha)
-    if defect > gauduchon_tol * (1.0 + _alpha_scale(alpha)):
+    if defect > gauduchon_tol * gauduchon_scale(alpha):
         raise GauduchonError(
             f"one-form is not co-closed: divergence sup-norm {defect:.3e}"
         )
@@ -356,10 +360,6 @@ def solve_shifted(
             f"after {stats.iterations} iterations"
         )
     return ScalarField(f.spec, x), stats
-
-
-def _alpha_scale(alpha: OneForm) -> float:
-    return max(float(np.max(np.abs(c.values))) for c in alpha.components)
 
 
 # ---------------------------------------------------------------------------

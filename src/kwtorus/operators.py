@@ -152,6 +152,12 @@ def gauduchon_defect(alpha: OneForm) -> float:
     return float(np.max(np.abs(divergence(alpha).values)))
 
 
+def gauduchon_scale(alpha: OneForm) -> float:
+    """1 + max_i sup|alpha_i|: alpha counts as co-closed when
+    gauduchon_defect(alpha) <= tol * gauduchon_scale(alpha)."""
+    return 1.0 + max(float(np.max(np.abs(c.values))) for c in alpha.components)
+
+
 def mean(f: ScalarField) -> float:
     """Normalized integral: on a periodic grid the trapezoid rule is the mean."""
     return float(np.mean(f.values))

@@ -1,8 +1,14 @@
+import math
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwtorus import read_field
-from kwtorus.cli import main
+from kwtorus.cli import RunConfig, main
+from kwtorus.errors import ConfigError
 
 
 def run(args, outdir):
@@ -109,12 +115,142 @@ DRIFT_SOLVE_16 = [
         ["critical-c", "--dims", "16", "--phi=-1", "--search-floor=-0.001"],
         DRIFT_SOLVE_16 + ["--kw-tol=-1"],
         ["critical-c", "--dims", "16", "--phi=-1-0.5*sin(x0)", "--kw-tol=-1"],
+        ["necessary", "--dims", "16", "--phi=-1", "--c=nan"],
+        ["necessary", "--dims", "16", "--phi=-1", "--c=-inf"],
+        ["asymptotic", "--dims", "16", "--f=sin(x0)", "--c-list=-inf"],
+        ["critical-c", "--dims", "16", "--phi=-1-0.5*sin(x0)", "--search-floor=nan"],
+        ["sufficient", "--dims", "16", "--phi=-1", "--c=nan", "--gamma-hat=1"],
+        ["sufficient", "--dims", "16", "--phi=-1", "--c=-1", "--gamma-hat=inf"],
+        ["gamma-estimate", "--dims", "16", "--c=-1", "--p=nan"],
+        ["construct-unsolvable", "--dims", "16", "--psi=sin(x0)", "--alpha-const=0.1",
+         "--c=-1.7976931348623157e308"],
+        ["construct-unsolvable", "--dims", "16", "--psi=1e308*sin(x0)",
+         "--alpha-const=1e308", "--c=-1"],
     ],
 )
 def test_bad_options_exit_code(tmp_path, capsys, bad):
     code = run(bad, tmp_path)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["necessary", "--dims", "16", "--phi=-1", "--c=-5e-324"],
+        ["necessary", "--dims", "16", "--phi=-1", "--c=-2.2250738585072014e-308"],
+        ["asymptotic", "--dims", "16", "--f=sin(x0)", "--c-list=-5e-324"],
+    ],
+)
+def test_subnormal_shift_is_a_solver_failure(tmp_path, capsys, argv):
+    # the FFT solve's zero mode overflows; that must read as
+    # non-convergence (exit 3), not leak a RuntimeWarning
+    assert run(argv, tmp_path) == 3
+    assert capsys.readouterr().err.startswith("solver failure: ")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    text=st.one_of(st.text(), st.floats().map(repr), st.integers().map(str),
+                   st.lists(st.floats().map(repr)).map(",".join)),
+    kind=st.sampled_from([str, float, int, bool, list]),
+)
+def test_config_get_returns_finite_values_or_config_error(text, kind):
+    try:
+        value = RunConfig({"key": text}).get("key", None, kind)
+    except ConfigError:
+        return
+    for item in value if kind is list else [value]:
+        assert isinstance(item, float if kind is list else kind)
+        assert not isinstance(item, float) or math.isfinite(item)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(c=st.floats())
+def test_necessary_exit_code_for_any_c(c):
+    with tempfile.TemporaryDirectory() as out:
+        code = main(["necessary", "--dims", "16", "--phi=-1", f"--c={c!r}", "--out", out])
+    assert code in (0, 2, 3, 4)
+
+
+REPORT_LAYOUT = {
+    "validate": (
+        ["--dims", "16", "--s", "1", "--phi=sin(x0)"],
+        ["s_min", "s_max", "s_mean", "phi_min", "phi_max", "phi_mean",
+         "alpha_divergence_sup", "alpha_gauduchon", "dims"],
+        [],
+    ),
+    "transform": (
+        ["--dims", "16,16", "--n", "1", "--t", "1", "--s", "0", "--u", "sin(x0)"],
+        ["k_t", "s_hat_min", "s_hat_max", "s_hat_mean", "s2_hat_min", "s2_hat_max",
+         "s2_hat_mean", "s_hat_pgm_min", "s_hat_pgm_max", "s2_hat_pgm_min",
+         "s2_hat_pgm_max"],
+        ["s2_hat.kwf", "s2_hat.pgm", "s_hat.kwf", "s_hat.pgm"],
+    ),
+    "reduce": (
+        ["--dims", "16,16", "--n", "1", "--t", "1", "--s=-1+0.1*sin(x0)", "--s-hat", "-1"],
+        ["k_t", "c", "g_mean", "g_residual_sup", "phi_min", "phi_max", "phi_mean",
+         "g_pgm_min", "g_pgm_max", "phi_pgm_min", "phi_pgm_max"],
+        ["g.kwf", "g.pgm", "phi.kwf", "phi.pgm"],
+    ),
+    "solve": (
+        DRIFT_SOLVE_16[1:],
+        ["k_t", "status", "method", "iterations", "residual_sup", "u_min", "u_max",
+         "u_mean", "u_pgm_min", "u_pgm_max"],
+        ["trace.csv", "u.kwf", "u.pgm"],
+    ),
+    "necessary": (
+        ["--dims", "16", "--phi=-1", "--c=-1"],
+        ["c", "phi_mean", "mean_negative", "phi0_min", "positive"],
+        ["phi0.kwf"],
+    ),
+    "sufficient": (
+        ["--dims", "16", "--phi=-1", "--c=-1", "--p", "3", "--samples", "2"],
+        ["gamma_source", "gamma_is_heuristic", "c", "p", "gamma_hat", "certified",
+         "alpha_star"],
+        [],
+    ),
+    "critical-c": (
+        ["--dims", "16", "--phi=-1-0.5*sin(x0)", "--search-floor=-1000"],
+        ["c_lo", "c_hi", "lo_evidence", "hi_evidence", "probes"],
+        ["probes.csv"],
+    ),
+    "asymptotic": (
+        ["--dims", "16", "--f=sin(x0)", "--c-list=-9,-99"],
+        ["entries", "max_deviation"],
+        ["asymptotic.csv"],
+    ),
+    "construct-unsolvable": (
+        ["--dims", "16", "--psi=sin(x0)", "--alpha-const=0.1", "--c=-1"],
+        ["c", "alpha_const", "phi_min", "phi_max", "phi_mean"],
+        ["phi.kwf"],
+    ),
+    "roundtrip": (
+        ["--dims", "16,16", "--n", "1", "--t", "1", "--s=-1", "--u-star=0.3*sin(x0)"],
+        ["s_hat_pgm_min", "s_hat_pgm_max", "status", "method", "iterations",
+         "residual_sup", "sup_error", "u_pgm_min", "u_pgm_max"],
+        ["s_hat.kwf", "s_hat.pgm", "trace.csv", "u.kwf", "u.pgm"],
+    ),
+    "gamma-estimate": (
+        ["--dims", "16", "--c=-1", "--p", "3", "--samples", "4"],
+        ["c", "p", "samples", "gamma_hat", "gamma_is_heuristic"],
+        [],
+    ),
+    "degenerate-t": (
+        ["--dims", "16,16", "--s=-2", "--s-hat=-1", "--n", "2", "--t=-1"],
+        ["k_t", "residual_sup", "u_min", "u_max", "u_mean", "u_pgm_min", "u_pgm_max"],
+        ["u.kwf", "u.pgm"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(REPORT_LAYOUT))
+def test_report_key_order_and_artifacts(tmp_path, command):
+    # pins the layout of every command's output, not its values
+    flags, keys, files = REPORT_LAYOUT[command]
+    assert run([command] + flags, tmp_path) == 0
+    assert list(read_report(tmp_path)) == ["command"] + keys
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["report.kv"] + files)
 
 
 def test_huge_rhs_is_a_solver_failure(tmp_path):
