@@ -148,9 +148,7 @@ class RunConfig:
         if expr is not None and path is not None:
             raise ConfigError(f"field {key}: give an expression or a file, not both")
         if path is not None:
-            if not Path(path).exists():
-                raise ConfigError(f"field {key}: file not found: {path}")
-            fld = read_field(path)
+            fld = read_field_file(path, f"field {key}")
             self._adopt(fld.spec)
             return fld
         if expr is None:
@@ -171,17 +169,33 @@ class RunConfig:
         return GeometrySetup(n=self.need("n", int), t=self.need("t"))
 
 
+def read_field_file(path, what: str) -> ScalarField:
+    """Field file at path; what names it in the error when it cannot be opened."""
+    try:
+        return read_field(path)
+    except FileNotFoundError:
+        raise ConfigError(f"{what}: file not found: {path}")
+    except OSError as e:
+        raise ConfigError(f"{what}: cannot read {path}: {e.strerror}")
+
+
 def parse_config_file(path) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as e:
+        raise ConfigError(f"config file {path}: {e.strerror}")
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text")
     out: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = stripped.partition("=")
-            out[key.strip()] = value.strip()
+    for lineno, line in enumerate(lines, 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = stripped.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -234,7 +248,7 @@ class Reporter:
     def field_stats(self, name: str, f: ScalarField) -> None:
         self.add(f"{name}_min", float(np.min(f.values)))
         self.add(f"{name}_max", float(np.max(f.values)))
-        self.add(f"{name}_mean", float(np.mean(f.values)))
+        self.add(f"{name}_mean", mean(f))
 
     def save_field(self, name: str, f: ScalarField) -> None:
         write_field(f, self.outdir / f"{name}.kwf")
@@ -314,7 +328,7 @@ def cmd_validate(cfg: RunConfig, rep: Reporter) -> int:
             code = EXIT_INVALID
     for path in cfg.paths:
         name = Path(path).stem
-        fld = read_field(path)
+        fld = read_field_file(path, "validate")
         rep.add(f"{name}_ok", True)
         rep.field_stats(name, fld)
     if cfg.spec is not None:
@@ -545,7 +559,10 @@ def main(argv: list[str] | None = None) -> int:
             if val is not None:
                 raw[key] = val
         outdir = Path(args.out or os.environ.get("KW_OUTPUT_DIR") or ".")
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"output directory {outdir}: {e.strerror}")
         rep = Reporter(outdir)
         rep.add("command", args.command)
         try:

@@ -129,9 +129,14 @@ def reduce_problem(
         )
     k = setup.k_t
     c = (2.0 / k) * mean(s)
-    rhs = ScalarField(s.spec, (2.0 / k) * (mean(s) - s.values))
+    if not np.isfinite(c):
+        raise ConfigError(f"reduced constant (2/k) mean(s) overflows: {c}")
+    # data near the float limit overflows to inf, which ScalarField rejects
+    with np.errstate(over="ignore"):
+        rhs = ScalarField(s.spec, (2.0 / k) * (mean(s) - s.values))
     g, stats = solve_meanzero(alpha, rhs, lin=lin)
-    phi = ScalarField(s.spec, (2.0 / k) * np.exp(g.values) * s_hat.values)
+    with np.errstate(over="ignore"):
+        phi = ScalarField(s.spec, (2.0 / k) * np.exp(g.values) * s_hat.values)
     return ReducedProblem(c, g, phi, setup), stats
 
 

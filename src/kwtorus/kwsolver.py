@@ -60,6 +60,10 @@ C_ZERO_TOL = 1e-12
 NEWTON_INNER_MAXITER = 2000
 NEWTON_INNER_RTOL = 1e-6
 LINE_SEARCH_HALVINGS = 40
+# the monotone iteration contracts like lambda / (lambda + gap), near 1 for a
+# loose supersolution; once a step shrinks the update by less than this
+# factor, _solve_negative_c hands the iterate to Newton
+HANDOFF_RATIO = 0.5
 STRATEGIES = ("auto", "newton", "fixed-point", "continuation")
 # bracket probe outcome of a _solve_negative_c status; the rest are solver-failed
 PROBE_OUTCOMES = {"converged": "solved", "certified-unsolvable": "necessary-failed"}
@@ -344,6 +348,14 @@ def monotone_solve(
     drop below tolerance.  lambda exceeds sup(-phi e^w) over all states
     between the bounds, which makes the updates pointwise nonnegative.
     """
+    return _monotone(prob, w_minus, w_plus, tol, maxiter, lambda_override, lin)
+
+
+def _monotone(prob, w_minus, w_plus, tol, maxiter, lambda_override, lin, handoff=None):
+    """monotone_solve that offers its iterate to handoff once, at the first
+    step that shrinks the update by less than HANDOFF_RATIO.  A Newton
+    report that handoff returns finishes the solve; None lets the
+    iteration go on."""
     lin = lin or LinearOptions()
     ok, margin = is_subsolution(w_minus, prob)
     if not ok:
@@ -357,12 +369,11 @@ def monotone_solve(
     spec = prob.spec
     alpha_vals = _alpha_values(prob.alpha)
     phi = prob.phi.values
-    phi_neg = np.maximum(-phi, 0.0)
     if lambda_override is not None:
         lam = float(lambda_override)
     else:
         with np.errstate(over="ignore"):
-            lam = 1.0 + float(np.max(phi_neg * np.exp(w_plus.values)))
+            lam = 1.0 + float(np.max(np.maximum(-phi, 0.0) * np.exp(w_plus.values)))
     if not np.isfinite(lam) or lam > 1e14:
         raise SolverError(
             f"iteration shift overflow (lambda = {lam:.3e}); supersolution too large"
@@ -374,6 +385,8 @@ def monotone_solve(
     residual = float(np.max(np.abs(_defect(w, prob, alpha_vals))))
     status = "max-iter"
     iterations = 0
+    prev_step = np.inf
+    tail = None
     for _ in range(maxiter):
         rhs = _phi_exp(phi, w) - prob.c + lam * w
         w_next, stats = _solve_system(spec, prob.alpha, lam, rhs, lin=lin)
@@ -388,10 +401,18 @@ def monotone_solve(
         trace.append(float(np.max(w)))
         residual = float(np.max(np.abs(_defect(w, prob, alpha_vals))))
         scale = 1.0 + abs(prob.c) + float(np.max(np.abs(_phi_exp(phi, w))))
-        if float(np.max(np.abs(step))) <= tol and residual <= 10.0 * lin.tol * scale:
+        step_sup = float(np.max(np.abs(step)))
+        if step_sup <= tol and residual <= 10.0 * lin.tol * scale:
             status = "converged"
             break
-    return SolveReport(
+        if handoff is not None and step_sup > HANDOFF_RATIO * prev_step:
+            del rhs, step  # two fields fewer beside Newton's Krylov basis
+            tail = handoff(ScalarField(spec, w))
+            handoff = None  # at most once per solve
+            if tail is not None:
+                break
+        prev_step = step_sup
+    report = SolveReport(
         solution=ScalarField(spec, w),
         status=status,
         trace=trace,
@@ -400,6 +421,17 @@ def monotone_solve(
         iterations=iterations,
         min_step_trace=min_steps,
     )
+    return report if tail is None else _chain(report, tail)
+
+
+def _chain(head: SolveReport, newton: SolveReport) -> SolveReport:
+    """newton, a Newton solve from head's last iterate, with head's
+    iterates and monotone steps put in front of its own."""
+    if head.trace:
+        newton.trace = head.trace + newton.trace[1:]
+    newton.min_step_trace = head.min_step_trace
+    newton.iterations += head.iterations
+    return newton
 
 
 # ---------------------------------------------------------------------------
@@ -937,9 +969,13 @@ def _solve_negative_c(
 
     Runs the positivity test first; its failure is reported as
     certified-unsolvable, the only such report in the package.  Then runs
-    the monotone iteration when an ordered pair exists, polishing with
-    Newton if the budget runs out, and falls back to Newton from the
-    averaged-equation constant when no supersolution is certified.
+    the monotone iteration when an ordered pair exists.  As soon as it
+    contracts slowly it hands its iterate to Newton, whose answer is
+    accepted only if it converged inside the certified enclosure;
+    otherwise the iteration resumes with the same shift and the remaining
+    budget, and Newton polishes if that budget runs out.  Without a
+    certified supersolution, Newton starts from the averaged-equation
+    constant.
     """
     nec = necessary_check(prob, lin)
     if not nec.positive:
@@ -957,26 +993,25 @@ def _solve_negative_c(
     if w_plus is not None:
         low = min(float(w_minus.values.flat[0]), float(np.min(w_plus.values)) - 0.1)
         w_minus = make_field(prob.spec, low)
+
+        def newton_inside(w: ScalarField) -> SolveReport | None:
+            # the pair certifies a solution in [w_minus, w_plus] and c < 0
+            # makes it unique, so a converged Newton iterate there is it
+            fast = newton_solve(prob, w, tol=tol, lin=lin)
+            slack = tol * (1.0 + float(np.max(np.abs(w_plus.values))))
+            u = fast.solution.values
+            inside = np.all(u >= w_minus.values - slack) and np.all(u <= w_plus.values + slack)
+            return fast if fast.converged and inside else None
+
         try:
-            report = monotone_solve(
-                prob,
-                w_minus,
-                w_plus,
-                tol=tol,
-                maxiter=budget,
-                lambda_override=lambda_override,
-                lin=lin,
+            report = _monotone(
+                prob, w_minus, w_plus, tol, budget, lambda_override, lin, newton_inside
             )
         except SolverError as e:
             report = SolveReport.without_iterates(w_minus, "not-certified", "monotone", str(e))
         if report.converged:
             return report
-        polish = newton_solve(prob, report.solution, tol=tol, lin=lin)
-        if report.trace:
-            polish.trace = report.trace + polish.trace[1:]
-        polish.min_step_trace = report.min_step_trace
-        polish.iterations += report.iterations
-        return polish
+        return _chain(report, newton_solve(prob, report.solution, tol=tol, lin=lin))
 
     phi_bar = mean(prob.phi)
     if initial_guess is not None:

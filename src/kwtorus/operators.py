@@ -159,8 +159,17 @@ def gauduchon_scale(alpha: OneForm) -> float:
 
 
 def mean(f: ScalarField) -> float:
-    """Normalized integral: on a periodic grid the trapezoid rule is the mean."""
-    return float(np.mean(f.values))
+    """Normalized integral: on a periodic grid the trapezoid rule is the mean.
+
+    Fields near the float limit can overflow the sum although their mean
+    is finite; those are averaged again after scaling by their sup.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = float(np.mean(f.values))
+    if not np.isfinite(m):
+        peak = sup_norm(f)
+        m = peak * float(np.mean(f.values / peak))
+    return m
 
 
 def grad_squared(f: ScalarField) -> ScalarField:
@@ -179,4 +188,10 @@ def lp_norm(f: ScalarField, p: float) -> float:
     """Discrete L^p norm under the normalized (volume 1) measure."""
     if p <= 0:
         raise ConfigError("p must be positive")
-    return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        norm = float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
+    if not np.isfinite(norm):
+        # |f|^p overflowed: the norm of f / sup|f| cannot
+        peak = sup_norm(f)
+        norm = peak * float(np.mean((np.abs(f.values) / peak) ** p) ** (1.0 / p))
+    return norm

@@ -126,10 +126,20 @@ DRIFT_SOLVE_16 = [
          "--c=-1.7976931348623157e308"],
         ["construct-unsolvable", "--dims", "16", "--psi=1e308*sin(x0)",
          "--alpha-const=1e308", "--c=-1"],
+        ["solve", "--config", "{tmp}/nope.cfg"],
+        ["solve", "--config", "{tmp}/latin1.cfg"],
+        ["validate", "{tmp}/nope.kwf"],
+        ["validate", "--dims", "16", "--s=1", "--out", "{tmp}/taken"],
+        ["solve", "--dims", "16", "--n", "1", "--t", "1", "--s=1e308", "--s-hat=1"],
     ],
 )
 def test_bad_options_exit_code(tmp_path, capsys, bad):
-    code = run(bad, tmp_path)
+    # {tmp} names tmp_path, which holds a config file that is not UTF-8
+    # and a plain file in the way of an output directory
+    (tmp_path / "latin1.cfg").write_bytes(b"dims = 16\nphi = -1  # \xe9t\xe9\n")
+    (tmp_path / "taken").write_text("")
+    bad = [arg.replace("{tmp}", str(tmp_path)) for arg in bad]
+    code = main(bad) if "--out" in bad else run(bad, tmp_path)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
 

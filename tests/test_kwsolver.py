@@ -10,6 +10,7 @@ from kwtorus import (
     OneForm,
     ScalarField,
     SolvabilityError,
+    SolveReport,
     SolverError,
     asymptotic_suite,
     build_subsolution,
@@ -30,6 +31,7 @@ from kwtorus import (
     sufficient_check,
     transform_s,
 )
+from kwtorus import kwsolver
 from helpers import divergence_free_form, field_from, manufactured_negative_phi
 
 
@@ -145,6 +147,74 @@ def test_monotone_ordering_precondition():
     prob = KWProblem(OneForm.zero(spec), -1.0, make_field(spec, -1.0))
     with pytest.raises(CertificateError, match="ordering|subsolution|supersolution"):
         monotone_solve(prob, make_field(spec, 0.05), make_field(spec, -0.05))
+
+
+# ---------------------------------------------------------------------------
+# handoff from the monotone iteration to Newton
+# ---------------------------------------------------------------------------
+
+def _variable_drift_problem(n=48):
+    # the reduced form of solve --n 1 --t 1 --s=-1 --s-hat='-1 - 0.3*cos(x0)'
+    # with drift (0.2 sin x1, 0.2 cos x0): its monotone iteration contracts
+    # by about 0.6-0.7 per step
+    spec = GridSpec((n, n))
+    alpha = OneForm(spec, (
+        field_from(spec, lambda x0, x1: 0.2 * np.sin(x1)),
+        field_from(spec, lambda x0, x1: 0.2 * np.cos(x0)),
+    ))
+    phi = field_from(spec, lambda x0, x1: -2.0 - 0.6 * np.cos(x0))
+    return KWProblem(alpha, -2.0, phi)
+
+
+def test_handoff_to_newton_inside_enclosure():
+    prob = _variable_drift_problem()
+    rep = kwsolver._solve_negative_c(prob)
+    assert rep.status == "converged"
+    assert rep.method == "newton"
+    assert 1 <= len(rep.min_step_trace) <= 5
+    assert min(rep.min_step_trace) >= -1e-10
+    full = monotone_solve(prob, build_subsolution(prob), build_supersolution(prob))
+    assert full.status == "converged"
+    assert len(full.min_step_trace) > 5
+    assert np.max(np.abs(rep.solution.values - full.solution.values)) <= 1e-8
+
+
+def test_handoff_outside_enclosure_resumes_monotone(monkeypatch):
+    prob = _variable_drift_problem()
+    calls = []
+
+    def escaping_newton(prob, w0, **kwargs):
+        # a converged answer above every supersolution must be rejected
+        calls.append(w0)
+        far = ScalarField(prob.spec, w0.values + 100.0)
+        return SolveReport(far, "converged", [0.0], 0.0, "newton", iterations=1)
+
+    monkeypatch.setattr(kwsolver, "newton_solve", escaping_newton)
+    rep = kwsolver._solve_negative_c(prob)
+    assert len(calls) == 1
+    assert rep.status == "converged"
+    assert rep.method == "monotone"
+    assert rep.iterations == len(rep.min_step_trace) == len(rep.trace) - 1
+    assert min(rep.min_step_trace) >= -1e-10
+    full = monotone_solve(prob, build_subsolution(prob), build_supersolution(prob))
+    assert np.max(np.abs(rep.solution.values - full.solution.values)) <= 1e-8
+
+
+def test_fast_contraction_needs_no_handoff(monkeypatch):
+    # phi = c: the pair is the constants -0.1 and 0.1 around the solution 0,
+    # and lambda = 1 + 1.1 |c| against a gap of |c| shrinks each update by
+    # about 0.17
+    spec = GridSpec((32, 32))
+    prob = KWProblem(OneForm.zero(spec), -10.0, make_field(spec, -10.0))
+
+    def no_newton(*args, **kwargs):
+        raise AssertionError("Newton ran on a fast-contracting iteration")
+
+    monkeypatch.setattr(kwsolver, "newton_solve", no_newton)
+    rep = kwsolver._solve_negative_c(prob)
+    assert rep.status == "converged"
+    assert rep.method == "monotone"
+    assert np.max(np.abs(rep.solution.values)) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwtorus import (
     GridError,
@@ -17,7 +19,7 @@ from kwtorus import (
     mean,
 )
 from helpers import divergence_free_form, field_from
-from kwtorus.linsolve import random_smooth_field
+from kwtorus.linsolve import _apply, _rfft_symbols, random_smooth_field
 
 
 def test_laplacian_kills_constants_exactly():
@@ -211,3 +213,66 @@ def test_stencils_match_roll_reference_bitwise(dims):
     for alpha in alphas:
         assert operators._lee_pairing(alpha, a, spacings).tobytes() == \
             _ref_lee_pairing(alpha, a, spacings).tobytes()
+
+
+def test_mean_and_lp_norm_of_huge_fields_stay_finite():
+    # the sums overflow although the results are finite
+    f = make_field(GridSpec((16,)), 1e308)
+    assert mean(f) == 1e308
+    assert lp_norm(f, 4.0) == pytest.approx(1e308)
+
+
+# ---------------------------------------------------------------------------
+# stencil properties on grids of every rank
+# ---------------------------------------------------------------------------
+
+@st.composite
+def grids(draw):
+    rank = draw(st.integers(1, 4))
+    sizes = (8, 10) if rank == 4 else (8, 10, 12, 16)
+    return GridSpec(tuple(draw(st.sampled_from(sizes)) for _ in range(rank)))
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(derandomize=True, deadline=None)
+@given(spec=grids(), level=st.floats(-1e300, 1e300), seed=seeds)
+def test_stencils_map_constants_to_zero(spec, level, seed):
+    rng = np.random.default_rng(seed)
+    alpha_vals = [random_smooth_field(spec, rng).values for _ in range(spec.rank)]
+    out = _apply(np.full(spec.dims, level), spec, alpha_vals, 0.0)
+    assert np.all(out == 0.0)
+
+
+@settings(derandomize=True, deadline=None)
+@given(spec=grids(), data=st.data())
+def test_apply_on_fourier_mode_is_symbol_times_mode(spec, data):
+    # rfftn layout: signed wave numbers on every axis but the last, which
+    # holds 0..n/2
+    mode = [data.draw(st.integers(-(n // 2) + 1, n // 2)) for n in spec.dims[:-1]]
+    mode.append(data.draw(st.integers(0, spec.dims[-1] // 2)))
+    drift = [data.draw(st.floats(-2.0, 2.0)) for _ in range(spec.rank)]
+    reaction = data.draw(st.floats(0.0, 10.0))
+    lap, derivs = _rfft_symbols(spec)
+    index = tuple(k % n for k, n in zip(mode, spec.dims))
+    symbol = complex(lap[index]) + reaction
+    for ax, (a, d) in enumerate(zip(drift, derivs)):
+        symbol += 1j * a * complex(d[tuple(k if i == ax else 0 for i, k in enumerate(index))])
+    phase = sum(k * x for k, x in zip(mode, spec.coords()))
+    alpha_vals = [np.full(spec.dims, a) for a in drift]
+    # the operator is real: A cos = Re(symbol e^{i phase})
+    out = _apply(np.cos(phase) + np.zeros(spec.dims), spec, alpha_vals, reaction)
+    expect = symbol.real * np.cos(phase) - symbol.imag * np.sin(phase)
+    assert np.max(np.abs(out - expect)) <= 1e-11 * (1.0 + abs(symbol))
+
+
+@settings(derandomize=True, deadline=None)
+@given(spec=grids(), seed=seeds, amplitude=st.floats(0.0, 5.0))
+def test_co_closed_drift_operator_image_has_mean_zero(spec, seed, amplitude):
+    rng = np.random.default_rng(seed)
+    alpha = divergence_free_form(spec, rng, amplitude)
+    assert gauduchon_defect(alpha) == 0.0
+    f = random_smooth_field(spec, rng, band=3)
+    out = _apply(f.values, spec, [c.values for c in alpha.components], 0.0)
+    assert abs(float(np.mean(out))) <= 1e-13 * (1.0 + float(np.max(np.abs(out))))
