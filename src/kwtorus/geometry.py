@@ -77,7 +77,9 @@ def transform_s(
     _same_form(s, alpha)
     k = setup.k_t
     ch = chern_laplacian(alpha, u)
-    vals = np.exp(-u.values) * (s.values + 0.5 * k * ch.values)
+    # e^{-u} overflows for u below about -709; ScalarField rejects the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.exp(-u.values) * (s.values + 0.5 * k * ch.values)
     return ScalarField(s.spec, vals)
 
 
@@ -95,12 +97,13 @@ def transform_s2(
     a_lap = n * (1.0 - t) + t
     a_grad = (1.0 - t) ** 2 * (1.0 - n * n) / 2.0
     a_lee = a_lap - (n + 1) * (1.0 - t) ** 2 / 2.0
-    vals = np.exp(-2.0 * f.values) * (
-        s2.values
-        + a_lap * laplacian(f).values
-        + a_grad * grad_squared(f).values
-        + a_lee * lee_pairing(alpha, f).values
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.exp(-2.0 * f.values) * (
+            s2.values
+            + a_lap * laplacian(f).values
+            + a_grad * grad_squared(f).values
+            + a_lee * lee_pairing(alpha, f).values
+        )
     return ScalarField(s2.spec, vals)
 
 

@@ -58,12 +58,17 @@ C_ZERO_TOL = 1e-12
 # inexact Newton steps cap the inner Krylov work; stagnating past this
 # point never helps because the line search judges the step anyway
 NEWTON_INNER_MAXITER = 2000
+# fixed relative 2-norm tolerance of the continuation corrector's inner
+# solves; newton_solve picks its own per step (see _forcing)
 NEWTON_INNER_RTOL = 1e-6
 LINE_SEARCH_HALVINGS = 40
 # the monotone iteration contracts like lambda / (lambda + gap), near 1 for a
 # loose supersolution; once a step shrinks the update by less than this
 # factor, _solve_negative_c hands the iterate to Newton
 HANDOFF_RATIO = 0.5
+# largest forcing term of newton_solve's inner solves, also its first one
+# (Eisenstat & Walker 1996, choice 2 with eta_0 = eta_max)
+FORCING_MAX = 0.1
 STRATEGIES = ("auto", "newton", "fixed-point", "continuation")
 # bracket probe outcome of a _solve_negative_c status; the rest are solver-failed
 PROBE_OUTCOMES = {"converged": "solved", "certified-unsolvable": "necessary-failed"}
@@ -439,9 +444,16 @@ def _chain(head: SolveReport, newton: SolveReport) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 def _norm2(r: np.ndarray) -> float:
-    # an overflowed residual reads as inf, which every caller rejects
+    # a residual whose plain norm overflows is measured again after scaling
+    # by its sup; one that still overflows reads as inf, which every caller
+    # rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.linalg.norm(r.ravel()))
+        norm = float(np.linalg.norm(r.ravel()))
+        if np.isinf(norm):
+            peak = float(np.max(np.abs(r)))
+            if np.isfinite(peak):
+                norm = peak * float(np.linalg.norm((r / peak).ravel()))
+    return norm
 
 
 def _line_search(x: np.ndarray, delta: np.ndarray, merit, merit0: float):
@@ -465,9 +477,12 @@ def _line_search(x: np.ndarray, delta: np.ndarray, merit, merit0: float):
     return None
 
 
-def _newton_step(x, r, reaction, alpha, merit, lin, meanzero=False):
+def _newton_step(
+    x, r, reaction, alpha, merit, lin, meanzero=False, rtol=NEWTON_INNER_RTOL
+):
     """Inexact Newton step from x with residual r: a capped Krylov solve
-    of (A + reaction) delta = -r, then the line search along delta.
+    of (A + reaction) delta = -r to the relative 2-norm tolerance rtol,
+    then the line search along delta.
 
     Returns (step, failure, inner_converged), where step is the line
     search's (trial, residual, norm) or None and failure names the reason.
@@ -476,12 +491,33 @@ def _newton_step(x, r, reaction, alpha, merit, lin, meanzero=False):
     inner = replace(lin, maxiter=min(lin.maxiter, NEWTON_INNER_MAXITER))
     delta, stats = _solve_system(
         alpha.spec, alpha, reaction, -r,
-        lin=inner, meanzero=meanzero, rtol=NEWTON_INNER_RTOL,
+        lin=inner, meanzero=meanzero, rtol=rtol,
     )
     if not np.all(np.isfinite(delta)):
         return None, "linearized solve produced a non-finite step", stats.converged
     step = _line_search(x, delta, merit, _norm2(r))
     return step, "line search stalled", stats.converged
+
+
+def _forcing(norm: float, prev_norm: float | None, prev_eta: float, floor: float) -> float:
+    """Eisenstat-Walker forcing term (choice 2) for a Newton step whose
+    residual has 2-norm norm, after one of prev_norm (None at the first
+    step) solved to prev_eta.
+
+    eta = 0.9 (norm / prev_norm)^2, raised to 0.9 prev_eta^2 when that
+    exceeds 0.1 (which FORCING_MAX = 0.1 never allows, but a larger cap
+    would), raised to floor and capped at FORCING_MAX.  floor keeps the
+    last step from solving far below what the outer test needs.  A
+    non-finite ratio gives FORCING_MAX.
+    """
+    if prev_norm is None:
+        eta = FORCING_MAX
+    else:
+        eta = 0.9 * (norm / prev_norm) ** 2
+        if 0.9 * prev_eta**2 > 0.1:
+            eta = max(eta, 0.9 * prev_eta**2)
+    # min and max keep their first argument against a nan
+    return min(FORCING_MAX, max(eta, floor))
 
 
 def _failure_message(message: str, unconverged: int) -> str:
@@ -501,11 +537,12 @@ def newton_solve(
     """Damped Newton iteration on F(w) = A w + c - phi e^w.
 
     Each step solves the linearization A - phi e^w through the Krylov
-    solver and backtracks by halving until the 2-norm of F decreases.
-    Stops when the sup-norm residual falls below tol times the problem
-    scale.  A stalled line search or non-finite step reports status
-    not-certified; the budget running out reports max-iter.  A report
-    that did not converge counts its unconverged inner solves.
+    solver to an Eisenstat-Walker forcing term (_forcing) and backtracks
+    by halving until the 2-norm of F decreases.  Stops when the sup-norm
+    residual falls below tol times the problem scale.  A stalled line
+    search or non-finite step reports status not-certified; the budget
+    running out reports max-iter.  A report that did not converge counts
+    its inner solves that missed their forcing term.
     """
     if w0.spec != prob.spec:
         raise ValueError("initial guess lives on the wrong grid")
@@ -517,26 +554,30 @@ def newton_solve(
 
     w = w0.values.copy()
     r = defect(w)
+    norm, prev_norm, eta = _norm2(r), None, FORCING_MAX
     trace = [float(np.max(w))]
     status = "max-iter"
     message = ""
     unconverged = 0
     for i in range(maxiter + 1):
         scale = 1.0 + abs(prob.c) + float(np.max(np.abs(_phi_exp(phi, w))))
-        if float(np.max(np.abs(r))) <= tol * scale:
+        r_sup = float(np.max(np.abs(r)))
+        if r_sup <= tol * scale:
             status = "converged"
             break
         if i == maxiter:
             break
+        eta = _forcing(norm, prev_norm, eta, 0.5 * tol * scale / r_sup)
         step, failure, inner_ok = _newton_step(
-            w, r, -_phi_exp(phi, w), prob.alpha, defect, lin
+            w, r, -_phi_exp(phi, w), prob.alpha, defect, lin, rtol=eta
         )
         unconverged += not inner_ok
         if step is None:
             status = "not-certified"
             message = failure
             break
-        w, r, _ = step
+        w, r, rn = step
+        norm, prev_norm = rn, norm
         trace.append(float(np.max(w)))
     if status != "converged":
         message = _failure_message(message, unconverged)

@@ -25,7 +25,10 @@ changes the last bits of every solve.
 
 The underscore functions operate on raw ndarrays and are what the solver
 modules use in their inner loops; the public functions wrap them with
-ScalarField validation.
+ScalarField validation.  Fields near the float limit overflow the
+stencils (2 f[j] exceeds the float range above about 9e307); the public
+functions silence that overflow and ScalarField rejects the non-finite
+result.
 """
 
 from __future__ import annotations
@@ -119,22 +122,26 @@ def _check_same_spec(spec: GridSpec, *others) -> None:
 
 def laplacian(f: ScalarField) -> ScalarField:
     """Hodge Laplacian on functions, positive spectrum convention."""
-    return ScalarField(f.spec, _laplacian(f.values, f.spec.spacings))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _laplacian(f.values, f.spec.spacings)
+    return ScalarField(f.spec, vals)
 
 
 def lee_pairing(alpha: OneForm, f: ScalarField) -> ScalarField:
     """Pointwise pairing of a one-form with the differential of f."""
     _check_same_spec(f.spec, alpha)
-    vals = _lee_pairing([c.values for c in alpha.components], f.values, f.spec.spacings)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _lee_pairing([c.values for c in alpha.components], f.values, f.spec.spacings)
     return ScalarField(f.spec, vals)
 
 
 def chern_laplacian(alpha: OneForm, f: ScalarField) -> ScalarField:
     """laplacian(f) + lee_pairing(alpha, f)."""
     _check_same_spec(f.spec, alpha)
-    vals = _laplacian(f.values, f.spec.spacings) + _lee_pairing(
-        [c.values for c in alpha.components], f.values, f.spec.spacings
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _laplacian(f.values, f.spec.spacings) + _lee_pairing(
+            [c.values for c in alpha.components], f.values, f.spec.spacings
+        )
     return ScalarField(f.spec, vals)
 
 
@@ -142,8 +149,9 @@ def divergence(alpha: OneForm) -> ScalarField:
     """Sum of axis derivatives of the components."""
     spec = alpha.spec
     out = np.zeros(spec.dims)
-    for ax, h in enumerate(spec.spacings):
-        out += _first_derivative(alpha.components[ax].values, ax, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ax, h in enumerate(spec.spacings):
+            out += _first_derivative(alpha.components[ax].values, ax, h)
     return ScalarField(spec, out)
 
 
@@ -175,8 +183,9 @@ def mean(f: ScalarField) -> float:
 def grad_squared(f: ScalarField) -> ScalarField:
     """Pointwise squared gradient magnitude."""
     out = np.zeros(f.spec.dims)
-    for g in _gradient(f.values, f.spec.spacings):
-        out += g * g
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in _gradient(f.values, f.spec.spacings):
+            out += g * g
     return ScalarField(f.spec, out)
 
 

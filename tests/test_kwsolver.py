@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwtorus import (
     CertificateError,
@@ -246,6 +248,53 @@ def test_newton_reports_failure_on_unsolvable():
     prob = KWProblem(OneForm.zero(spec), -1.0, phi)
     rep = newton_solve(prob, make_field(spec, 0.0), maxiter=25)
     assert rep.status != "converged"
+
+
+def test_newton_forcing_term_saves_krylov_iterations(monkeypatch):
+    # the forcing term solves early steps loosely; the fixed 1e-6 of the
+    # continuation corrector is the reference
+    prob = _variable_drift_problem()
+    full = monotone_solve(prob, build_subsolution(prob), build_supersolution(prob))
+    w0 = make_field(prob.spec, 0.0)
+    krylov = []
+    real = kwsolver._solve_system
+
+    def counting(*args, **kwargs):
+        x, stats = real(*args, **kwargs)
+        krylov.append(stats.iterations)
+        return x, stats
+
+    monkeypatch.setattr(kwsolver, "_solve_system", counting)
+    rep = newton_solve(prob, w0)
+    forced = sum(krylov)
+    krylov.clear()
+    monkeypatch.setattr(kwsolver, "_forcing", lambda *args: kwsolver.NEWTON_INNER_RTOL)
+    fixed_rep = newton_solve(prob, w0)
+    fixed = sum(krylov)
+    assert rep.converged and fixed_rep.converged
+    assert forced < fixed
+    assert np.max(np.abs(rep.solution.values - full.solution.values)) <= 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    ratio=st.floats(0.0, 1.0),
+    prev_norm=st.floats(1e-300, 1e300),
+    prev_eta=st.floats(0.0, 1.0),
+    floor=st.floats(0.0, 1e3),
+)
+def test_forcing_term_stays_between_floor_and_cap(ratio, prev_norm, prev_eta, floor):
+    # the line search only accepts a smaller residual norm, so ratio <= 1
+    eta = kwsolver._forcing(ratio * prev_norm, prev_norm, prev_eta, floor)
+    assert min(floor, kwsolver.FORCING_MAX) <= eta <= kwsolver.FORCING_MAX
+
+
+def test_forcing_term_values():
+    cap = kwsolver.FORCING_MAX
+    assert kwsolver._forcing(5.0, None, cap, 1e-12) == cap
+    assert kwsolver._forcing(1.0, 10.0, cap, 1e-12) == pytest.approx(0.9 * 0.01)
+    assert kwsolver._forcing(1e-6, 1.0, cap, 1e-5) == 1e-5
+    assert kwsolver._forcing(float("inf"), float("inf"), cap, 1e-5) == cap
 
 
 # one unpreconditioned Krylov iteration misses the Newton inner tolerance
