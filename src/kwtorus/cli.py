@@ -219,7 +219,6 @@ def solve_options(cfg: RunConfig) -> dict:
         tol=cfg.get("kw_tol", DEFAULT_KW_TOL, float),
         maxiter=cfg.get("kw_maxiter", DEFAULT_KW_MAXITER, int),
         monotone_budget=cfg.get("monotone_budget", None, int),
-        lambda_override=cfg.get("kw_lambda_override", None, float),
         lin=linear_options(cfg),
     )
 
@@ -526,7 +525,7 @@ _FLAG_KEYS = [
     "c", "c_list", "alpha_const", "p", "samples", "gamma_hat",
     "search_floor", "steps", "strategy",
     "lin_tol", "lin_maxiter", "lin_restart", "lin_precondition", "lin_direct",
-    "kw_tol", "kw_maxiter", "kw_lambda_override", "monotone_budget",
+    "kw_tol", "kw_maxiter", "monotone_budget",
     "gauduchon_tol",
 ]
 

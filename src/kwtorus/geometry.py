@@ -27,6 +27,8 @@ from .linsolve import LinearOptions, SolveStats, solve_meanzero
 from .operators import chern_laplacian, grad_squared, laplacian, lee_pairing, mean
 
 DEGENERATE_TOL = 1e-12
+# degenerate_solve rejects |s_hat| below this
+DEGENERATE_FLOOR = 1e-10
 
 
 def coefficient(n: int, t: float) -> float:
@@ -149,21 +151,19 @@ def recover_metric(w: ScalarField, problem: ReducedProblem) -> ScalarField:
     return ScalarField(w.spec, w.values + problem.g.values)
 
 
-def degenerate_solve(
-    s: ScalarField, s_hat: ScalarField, *, floor: float = 1e-10
-) -> ScalarField:
+def degenerate_solve(s: ScalarField, s_hat: ScalarField) -> ScalarField:
     """Pointwise solve e^u s_hat = s for the degenerate parameter value.
 
     Requires s_hat bounded away from zero and a positive ratio s / s_hat
     everywhere; reports the first violating grid point otherwise.
     """
     _same_spec(s, s_hat)
-    small = np.abs(s_hat.values) < floor
+    small = np.abs(s_hat.values) < DEGENERATE_FLOOR
     if np.any(small):
         where = _first_true(s.spec, small)
         raise DegenerateError(
             f"prescribed curvature vanishes at grid point {where}: "
-            f"|s_hat| < {floor:g}"
+            f"|s_hat| < {DEGENERATE_FLOOR:g}"
         )
     ratio = s.values / s_hat.values
     bad = ratio <= 0.0

@@ -69,6 +69,14 @@ HANDOFF_RATIO = 0.5
 # largest forcing term of newton_solve's inner solves, also its first one
 # (Eisenstat & Walker 1996, choice 2 with eta_0 = eta_max)
 FORCING_MAX = 0.1
+# sufficient_check tries a = -SUFFICIENT_EPS * 2^k for k < SUFFICIENT_KMAX
+SUFFICIENT_EPS = 1e-3
+SUFFICIENT_KMAX = 40
+# critical_c_bracket probes -BRACKET_EPS first and bisects to this relative width
+BRACKET_EPS = 0.01
+BRACKET_REL_WIDTH = 0.01
+# Picard steps of fixed_point_solve
+FIXED_POINT_MAXITER = 200
 STRATEGIES = ("auto", "newton", "fixed-point", "continuation")
 # bracket probe outcome of a _solve_negative_c status; the rest are solver-failed
 PROBE_OUTCOMES = {"converged": "solved", "certified-unsolvable": "necessary-failed"}
@@ -343,20 +351,20 @@ def monotone_solve(
     *,
     tol: float = DEFAULT_KW_TOL,
     maxiter: int = DEFAULT_KW_MAXITER,
-    lambda_override: float | None = None,
     lin: LinearOptions | None = None,
 ) -> SolveReport:
     """Monotone iteration between an ordered sub/super-solution pair.
 
     Starts at w_minus and solves (A + lambda) w_{i+1} = phi e^{w_i} - c
     + lambda w_i until the sup-norm update and the equation residual both
-    drop below tolerance.  lambda exceeds sup(-phi e^w) over all states
-    between the bounds, which makes the updates pointwise nonnegative.
+    drop below tolerance.  lambda = 1 + sup(max(-phi, 0) e^{w_plus})
+    exceeds sup(-phi e^w) over all states between the bounds, which makes
+    the updates pointwise nonnegative.
     """
-    return _monotone(prob, w_minus, w_plus, tol, maxiter, lambda_override, lin)
+    return _monotone(prob, w_minus, w_plus, tol, maxiter, lin)
 
 
-def _monotone(prob, w_minus, w_plus, tol, maxiter, lambda_override, lin, handoff=None):
+def _monotone(prob, w_minus, w_plus, tol, maxiter, lin, handoff=None):
     """monotone_solve that offers its iterate to handoff once, at the first
     step that shrinks the update by less than HANDOFF_RATIO.  A Newton
     report that handoff returns finishes the solve; None lets the
@@ -374,11 +382,8 @@ def _monotone(prob, w_minus, w_plus, tol, maxiter, lambda_override, lin, handoff
     spec = prob.spec
     alpha_vals = _alpha_values(prob.alpha)
     phi = prob.phi.values
-    if lambda_override is not None:
-        lam = float(lambda_override)
-    else:
-        with np.errstate(over="ignore"):
-            lam = 1.0 + float(np.max(np.maximum(-phi, 0.0) * np.exp(w_plus.values)))
+    with np.errstate(over="ignore"):
+        lam = 1.0 + float(np.max(np.maximum(-phi, 0.0) * np.exp(w_plus.values)))
     if not np.isfinite(lam) or lam > 1e14:
         raise SolverError(
             f"iteration shift overflow (lambda = {lam:.3e}); supersolution too large"
@@ -617,9 +622,6 @@ def sufficient_check(
     prob: KWProblem,
     gamma_hat: float,
     p: float,
-    *,
-    eps: float = 1e-3,
-    kmax: int = 40,
 ) -> tuple[bool, float]:
     """Search for a constant a < 0 with ||phi - a||_p < -a / gamma (1 - 2c).
 
@@ -635,8 +637,8 @@ def sufficient_check(
     best_margin = -np.inf
     best_a = 0.0
     certified = False
-    for k in range(kmax):
-        a = -eps * 2.0**k
+    for k in range(SUFFICIENT_KMAX):
+        a = -SUFFICIENT_EPS * 2.0**k
         lhs = lp_norm(ScalarField(prob.spec, prob.phi.values - a), p)
         margin = (-a) / denom - lhs
         if margin > best_margin:
@@ -706,8 +708,6 @@ def critical_c_bracket(
     alpha: OneForm,
     search_floor: float = -1e6,
     *,
-    eps: float = 0.01,
-    rel_width: float = 0.01,
     tol: float = DEFAULT_KW_TOL,
     maxiter: int = DEFAULT_KW_MAXITER,
     lin: LinearOptions | None = None,
@@ -717,14 +717,14 @@ def critical_c_bracket(
     Nonpositive nonzero phi is solvable at every c < 0: the ladder of
     probes down to search_floor is solved and the floor is returned as
     the minus-infinity sentinel.  Otherwise a geometric descent runs
-    until the positivity test or the solver fails, then bisects to one
-    percent relative width.  search_floor must lie below the first probe
-    -eps, so every bracket holds at least one probe at each end.
+    until the positivity test or the solver fails, then bisects to
+    BRACKET_REL_WIDTH.  search_floor must lie below the first probe
+    -BRACKET_EPS, so every bracket holds at least one probe at each end.
     """
     if mean(phi) >= 0:
         raise SolvabilityError("bracketing needs mean(phi) < 0")
-    if search_floor >= -eps:
-        raise ConfigError(f"search_floor must lie below -eps = {-eps:g}")
+    if search_floor >= -BRACKET_EPS:
+        raise ConfigError(f"search_floor must lie below -eps = {-BRACKET_EPS:g}")
     if not tol > 0:
         raise ConfigError(f"kw tolerance must be positive, got {tol!r}")
     probes: list[tuple[float, str]] = []
@@ -747,20 +747,20 @@ def critical_c_bracket(
 
     if float(np.max(phi.values)) <= 0.0:
         # solvable for every negative c; walk the ladder as evidence
-        c = -eps
+        c = -BRACKET_EPS
         while c > search_floor:
             solved(c)
             c *= 10.0
         solved(search_floor)
         return Bracket(
             c_lo=search_floor,
-            c_hi=-eps,
+            c_hi=-BRACKET_EPS,
             lo_evidence="search-limit",
             hi_evidence=probes[0][1],
             probes=probes,
         )
 
-    c = -eps
+    c = -BRACKET_EPS
     while c > search_floor and solved(c):
         c *= 2.0
     if first_failed is None:
@@ -774,7 +774,7 @@ def critical_c_bracket(
     if last_solved is None:
         # even the first rung failed; walk toward zero for a solvable point
         c = first_failed / 2.0
-        while abs(c) > eps * 2.0**-20 and not solved(c):
+        while abs(c) > BRACKET_EPS * 2.0**-20 and not solved(c):
             c /= 2.0
         if last_solved is None:
             return Bracket(
@@ -784,7 +784,7 @@ def critical_c_bracket(
                 hi_evidence="search-limit",
                 probes=probes,
             )
-    while abs(first_failed - last_solved) > rel_width * abs(last_solved):
+    while abs(first_failed - last_solved) > BRACKET_REL_WIDTH * abs(last_solved):
         solved(0.5 * (first_failed + last_solved))
     return Bracket(
         c_lo=first_failed,
@@ -806,7 +806,6 @@ def fixed_point_solve(
     setup: GeometrySetup,
     *,
     tol: float = DEFAULT_KW_TOL,
-    maxiter: int = 200,
     lin: LinearOptions | None = None,
 ) -> SolveReport:
     """Small-oscillation Picard iteration on the unreduced equation.
@@ -837,7 +836,7 @@ def fixed_point_solve(
     status = "max-iter"
     message = ""
     iterations = 0
-    for _ in range(maxiter):
+    for _ in range(FIXED_POINT_MAXITER):
         rhs = (2.0 / k) * (
             s_hat.values - s.values - s_hat.values * (1.0 + u - np.exp(u))
         )
@@ -1002,7 +1001,6 @@ def _solve_negative_c(
     tol: float = DEFAULT_KW_TOL,
     maxiter: int = DEFAULT_KW_MAXITER,
     monotone_budget: int | None = None,
-    lambda_override: float | None = None,
     lin: LinearOptions | None = None,
     initial_guess: ScalarField | None = None,
 ) -> SolveReport:
@@ -1045,9 +1043,7 @@ def _solve_negative_c(
             return fast if fast.converged and inside else None
 
         try:
-            report = _monotone(
-                prob, w_minus, w_plus, tol, budget, lambda_override, lin, newton_inside
-            )
+            report = _monotone(prob, w_minus, w_plus, tol, budget, lin, newton_inside)
         except SolverError as e:
             report = SolveReport.without_iterates(w_minus, "not-certified", "monotone", str(e))
         if report.converged:
@@ -1074,9 +1070,7 @@ def solve_prescribed(
     tol: float = DEFAULT_KW_TOL,
     maxiter: int = DEFAULT_KW_MAXITER,
     monotone_budget: int | None = None,
-    lambda_override: float | None = None,
     lin: LinearOptions | None = None,
-    initial_guess: ScalarField | None = None,
 ) -> tuple[ScalarField, SolveReport]:
     """Full prescription pipeline from curvature data to the log factor u.
 
@@ -1128,9 +1122,7 @@ def solve_prescribed(
             tol=tol,
             maxiter=maxiter,
             monotone_budget=monotone_budget,
-            lambda_override=lambda_override,
             lin=lin,
-            initial_guess=initial_guess,
         )
         if report.status == "certified-unsolvable":
             return report.solution, report
@@ -1159,8 +1151,7 @@ def solve_prescribed(
             report = continuation_solve(s, s_hat, alpha, setup, steps, tol=tol, lin=lin)
             return finish(report.solution, report)
         prob = KWProblem(alpha, c, red.phi)
-        w0 = initial_guess if initial_guess is not None else make_field(spec, 0.0)
-        report = newton_solve(prob, w0, tol=tol, lin=lin)
+        report = newton_solve(prob, make_field(spec, 0.0), tol=tol, lin=lin)
         u = recover_metric(report.solution, red)
         return finish(u, report)
     except SolverError as e:

@@ -49,6 +49,9 @@ DEFAULT_RESTART = 50
 # smallest relative 2-norm reduction asked of GMRES, near what double
 # precision can reach
 RTOL_FLOOR = 2e-14
+# estimate_gamma draws its probes from this seed, up to this Fourier band
+GAMMA_SEED = 20240801
+GAMMA_BAND = 3
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,7 @@ def apply_operator(op: LinearOperatorSpec, u: ScalarField) -> ScalarField:
 
 def _apply(arr: np.ndarray, spec: GridSpec, alpha_vals, reaction) -> np.ndarray:
     out = _laplacian(arr, spec.spacings)
-    if alpha_vals is not None:
-        out += _lee_pairing(alpha_vals, arr, spec.spacings)
+    out += _lee_pairing(alpha_vals, arr, spec.spacings)
     if np.isscalar(reaction):
         if reaction != 0.0:
             out += reaction * arr
@@ -180,13 +182,12 @@ def _fft_inverse(spec: GridSpec, alpha_const, shift: float, zero_mode_null: bool
 
 def _solve_system(
     spec: GridSpec,
-    alpha: OneForm | None,
+    alpha: OneForm,
     reaction,
     rhs: np.ndarray,
     *,
     lin: LinearOptions | None = None,
     meanzero: bool = False,
-    x0: np.ndarray | None = None,
     rtol: float | None = None,
 ) -> tuple[np.ndarray, SolveStats]:
     """Solve (Delta + <alpha, d.> + reaction) x = rhs.
@@ -196,16 +197,17 @@ def _solve_system(
     a sup-norm residual of at most lin.tol * (1 + sup|rhs|): GMRES asks
     first for a 2-norm reduction by lin.tol, and while the true sup
     residual misses the target it restarts from its last iterate with a
-    tighter rtol (never below RTOL_FLOOR), all restarts sharing the
-    lin.maxiter budget; stats.iterations counts every Krylov iteration.
-    Passing rtol instead requests one plain relative 2-norm reduction
-    (the inexact-Newton mode, where the outer iteration absorbs the
-    slack) and judges convergence by it.  Never raises on
+    tighter rtol (never below RTOL_FLOOR).  Passing rtol instead requests
+    a plain relative 2-norm reduction (the inexact-Newton mode, where the
+    outer iteration absorbs the slack) and judges convergence by it.
+    Either way GMRES is called again until the target is met or the
+    lin.maxiter budget is spent; no call runs past that budget, and
+    stats.iterations counts every Krylov iteration.  Never raises on
     non-convergence: inspect stats.converged.
     """
     lin = lin or LinearOptions()
-    alpha_vals = None if alpha is None else [c.values for c in alpha.components]
-    alpha_const = (0.0,) * spec.rank if alpha is None else alpha.constant_values()
+    alpha_vals = [c.values for c in alpha.components]
+    alpha_const = alpha.constant_values()
     scalar_reaction = np.isscalar(reaction)
     rhs_scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
     target = lin.tol * (1.0 + rhs_scale)
@@ -269,19 +271,22 @@ def _solve_system(
         iters[0] += 1
 
     rtol_eff = max(lin.tol if rtol is None else rtol, RTOL_FLOOR)
-    guess = None if x0 is None else x0.ravel()
+    guess = None
     # A right-hand side near the float range overflows the Krylov norms;
     # the residual then reads inf or nan and is judged not converged.
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
+            # whole cycles of at most lin.restart that fit the remaining budget
+            done = iters[0]
+            restart = min(lin.restart, lin.maxiter - done)
             x, _info = gmres(
                 A,
                 b.ravel(),
                 x0=guess,
                 rtol=rtol_eff,
                 atol=0.0,
-                restart=lin.restart,
-                maxiter=max(1, -(-(lin.maxiter - iters[0]) // lin.restart)),
+                restart=restart,
+                maxiter=(lin.maxiter - done) // restart,
                 M=M,
                 callback=callback,
                 callback_type="pr_norm",
@@ -294,19 +299,23 @@ def _solve_system(
                 resid = resid - np.mean(resid)
             resid_sup = float(np.max(np.abs(resid)))
             resid_l2 = float(np.linalg.norm(resid.ravel()))
-            if rtol is not None:
+            if rtol is None:
+                converged = resid_sup <= target
+            else:
                 # after an overflow both norms read inf, and inf <= inf would pass
                 converged = bool(np.isfinite(resid_l2)) and (
                     resid_l2 <= 1.01 * rtol_eff * float(np.linalg.norm(b.ravel()))
                 )
+            if converged or not np.isfinite(resid_sup) or iters[0] >= lin.maxiter:
                 break
-            converged = resid_sup <= target
-            if (converged or not np.isfinite(resid_sup) or iters[0] >= lin.maxiter
-                    or rtol_eff == RTOL_FLOOR):
-                break
-            # cut rtol in proportion to the miss, by 10 to 10^4
-            cut = float(np.clip(0.5 * target / resid_sup, 1e-4, 0.1))
-            rtol_eff = max(rtol_eff * cut, RTOL_FLOOR)
+            if rtol is None:
+                if rtol_eff == RTOL_FLOOR:
+                    break
+                # cut rtol in proportion to the miss, by 10 to 10^4
+                cut = float(np.clip(0.5 * target / resid_sup, 1e-4, 0.1))
+                rtol_eff = max(rtol_eff * cut, RTOL_FLOOR)
+            elif iters[0] == done:
+                break  # GMRES already holds x converged; another call cannot move it
             guess = x.ravel()
     stats = SolveStats(max(iters[0], 1), resid_sup, resid_l2, converged)
     return x, stats
@@ -330,7 +339,6 @@ def solve_meanzero(
     f: ScalarField,
     *,
     lin: LinearOptions | None = None,
-    gauduchon_tol: float = DEFAULT_GAUDUCHON_TOL,
 ) -> tuple[ScalarField, SolveStats]:
     """Mean-zero solution of Delta g + <alpha, dg> = f for mean-zero f.
 
@@ -346,7 +354,7 @@ def solve_meanzero(
             f"solvability violated: right-hand side has mean {np.mean(f.values):.3e}"
         )
     defect = gauduchon_defect(alpha)
-    if defect > gauduchon_tol * gauduchon_scale(alpha):
+    if defect > DEFAULT_GAUDUCHON_TOL * gauduchon_scale(alpha):
         raise GauduchonError(
             f"one-form is not co-closed: divergence sup-norm {defect:.3e}"
         )
@@ -410,8 +418,6 @@ def estimate_gamma(
     p: float,
     samples: int,
     *,
-    seed: int = 20240801,
-    band: int = 3,
     lin: LinearOptions | None = None,
 ) -> float:
     """Probe-based lower bound for the uniform estimate of L = Delta + <alpha,d.> - c.
@@ -427,14 +433,14 @@ def estimate_gamma(
         raise ConfigError("need at least one sample")
     if p <= alpha.spec.rank:
         raise ConfigError("p must exceed the grid rank")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(GAMMA_SEED)
     spec = alpha.spec
     best = 0.0
     for k in range(samples):
         if k == 0:
             probe = ScalarField(spec, np.ones(spec.dims))
         else:
-            probe = random_smooth_field(spec, rng, band=band)
+            probe = random_smooth_field(spec, rng, band=GAMMA_BAND)
         denom = lp_norm(probe, p)
         if denom == 0.0:
             continue

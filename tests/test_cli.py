@@ -324,18 +324,24 @@ def test_roundtrip_command(tmp_path):
     assert float(rep["sup_error"]) < 1e-6
 
 
-def test_roundtrip_honours_lambda_override(tmp_path):
-    # an overflowing monotone shift sends both commands to the Newton fallback
-    override = ["--kw-lambda-override", "1e20"]
-    trip = tmp_path / "trip"
-    trip.mkdir()
-    run(["roundtrip", "--dims", "16", "--n", "1", "--t", "1", "--s", "-1",
-         "--u-star", "0.3*sin(x0)"] + override, trip)
-    solve = tmp_path / "solve"
-    solve.mkdir()
-    run(["solve", "--dims", "16", "--n", "1", "--t", "1", "--s", "-1",
-         "--s-hat-file", str(trip / "s_hat.kwf")] + override, solve)
-    assert read_report(trip)["method"] == read_report(solve)["method"] == "newton"
+def test_shift_overflow_falls_back_to_newton(tmp_path):
+    # c = -2e14 puts the monotone shift at 4.1e14, past its 1e14 guard; the
+    # solve falls back to Newton, and its failure is no certificate (exit 3)
+    code = run(["solve", "--dims", "16", "--n", "1", "--t", "1", "--s=-1e14",
+                "--s-hat=-1-0.3*cos(x0)"], tmp_path)
+    assert code == 3
+    rep = read_report(tmp_path)
+    assert rep["status"] == "not-certified"
+    assert rep["method"] == "newton"
+    assert rep["iterations"] == "0"
+
+
+def test_monotone_shift_is_not_an_option(tmp_path):
+    # the shift is computed from the supersolution; there is no flag for it
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--dims", "16", "--n", "1", "--t", "1", "--s=-1", "--s-hat=-1",
+             "--kw-lambda-override", "1"], tmp_path)
+    assert exc.value.code == 2
 
 
 def test_transform_command(tmp_path):

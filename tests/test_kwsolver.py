@@ -144,6 +144,16 @@ def test_monotone_manufactured():
     assert rep.solution.values.max() <= build_supersolution(prob).values.max() + 1e-10
 
 
+def test_monotone_shift_overflow_is_a_solver_error():
+    # the shift 1 + sup(-phi e^{w_plus}) grows like |c|; past 1e14 the
+    # shifted solves lose every digit, so the iteration refuses to start
+    spec = GridSpec((16,))
+    phi = field_from(spec, lambda x: 2.0 * (-1.0 - 0.3 * np.cos(x)))
+    prob = KWProblem(OneForm.zero(spec), -2e14, phi)
+    with pytest.raises(SolverError, match=r"iteration shift overflow \(lambda = 4\.105e\+14\)"):
+        monotone_solve(prob, build_subsolution(prob), build_supersolution(prob))
+
+
 def test_monotone_ordering_precondition():
     spec = GridSpec((64,))
     prob = KWProblem(OneForm.zero(spec), -1.0, make_field(spec, -1.0))

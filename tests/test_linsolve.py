@@ -206,6 +206,24 @@ def test_sup_norm_stop_restarts_warm_until_the_contract_holds(monkeypatch):
     assert stats.iterations == inner[0]
 
 
+@pytest.mark.parametrize("rtol", [None, 1e-12])
+@pytest.mark.parametrize("budget", [1, 3, 51])
+def test_krylov_budget_is_honoured_exactly(budget, rtol):
+    # unpreconditioned GMRES on a noisy right-hand side needs well over 51
+    # iterations, so every budget binds: in both stop modes the solve
+    # spends its budget, in cycles shortened to fit, and never exceeds it
+    spec = GridSpec((32, 32))
+    alpha = OneForm(spec, (
+        field_from(spec, lambda x0, x1: 0.2 * np.sin(x1)),
+        field_from(spec, lambda x0, x1: 0.2 * np.cos(x0)),
+    ))
+    rhs = np.random.default_rng(3).standard_normal(spec.dims)
+    lin = LinearOptions(maxiter=budget, precondition=False)
+    _, stats = _solve_system(spec, alpha, 1.0, rhs, lin=lin, rtol=rtol)
+    assert not stats.converged
+    assert stats.iterations == budget
+
+
 def test_overflowed_newton_inner_solve_is_not_converged():
     # a residual near the float range overflows its 2-norm and the norm of
     # the right-hand side alike; inf <= rtol * inf must not pass as converged
