@@ -19,6 +19,7 @@ non-convergence, 4 certified unsolvable.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -530,6 +531,7 @@ _FLAG_KEYS = [
 ]
 
 
+@functools.cache  # parse_args keeps no state, so every main call shares one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kwtorus",

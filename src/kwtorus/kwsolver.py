@@ -43,6 +43,7 @@ from .linsolve import (
 )
 from .operators import (
     DEFAULT_GAUDUCHON_TOL,
+    _drift_coefficients,
     gauduchon_defect,
     gauduchon_scale,
     lp_norm,
@@ -175,17 +176,13 @@ def _defect(w: np.ndarray, prob: KWProblem, alpha_vals) -> np.ndarray:
     return _apply(w, prob.spec, alpha_vals, 0.0) + prob.c - _phi_exp(prob.phi.values, w)
 
 
-def _alpha_values(alpha: OneForm):
-    return [c.values for c in alpha.components]
-
-
 def is_subsolution(
     w: ScalarField, prob: KWProblem, tol: float = CERT_TOL
 ) -> tuple[bool, float]:
     """True when the defining field is <= tol everywhere; margin is its max."""
     if w.spec != prob.spec:
         raise ValueError("field and problem live on mismatched grids")
-    d = _defect(w.values, prob, _alpha_values(prob.alpha))
+    d = _defect(w.values, prob, _drift_coefficients(prob.alpha))
     margin = float(np.max(d))
     return margin <= tol, margin
 
@@ -196,7 +193,7 @@ def is_supersolution(
     """True when the defining field is >= -tol everywhere; margin is its min."""
     if w.spec != prob.spec:
         raise ValueError("field and problem live on mismatched grids")
-    d = _defect(w.values, prob, _alpha_values(prob.alpha))
+    d = _defect(w.values, prob, _drift_coefficients(prob.alpha))
     margin = float(np.min(d))
     return margin >= -tol, margin
 
@@ -380,7 +377,7 @@ def _monotone(prob, w_minus, w_plus, tol, maxiter, lin, handoff=None):
         raise CertificateError("ordering violated: w_minus > w_plus somewhere")
 
     spec = prob.spec
-    alpha_vals = _alpha_values(prob.alpha)
+    alpha_vals = _drift_coefficients(prob.alpha)
     phi = prob.phi.values
     with np.errstate(over="ignore"):
         lam = 1.0 + float(np.max(np.maximum(-phi, 0.0) * np.exp(w_plus.values)))
@@ -552,7 +549,7 @@ def newton_solve(
     if w0.spec != prob.spec:
         raise ValueError("initial guess lives on the wrong grid")
     phi = prob.phi.values
-    alpha_vals = _alpha_values(prob.alpha)
+    alpha_vals = _drift_coefficients(prob.alpha)
 
     def defect(x):
         return _defect(x, prob, alpha_vals)
@@ -673,7 +670,7 @@ def construct_unsolvable(
         shifted = psi.values + alpha_const
         if not (float(np.min(shifted)) < 0.0 < float(np.max(shifted))):
             raise CertificateError("psi + alpha_const must change sign")
-        vals = -_apply(psi.values, psi.spec, _alpha_values(lee), 0.0) + c * shifted
+        vals = -_apply(psi.values, psi.spec, _drift_coefficients(lee), 0.0) + c * shifted
     return ScalarField(psi.spec, vals)
 
 
@@ -724,7 +721,7 @@ def critical_c_bracket(
     if mean(phi) >= 0:
         raise SolvabilityError("bracketing needs mean(phi) < 0")
     if search_floor >= -BRACKET_EPS:
-        raise ConfigError(f"search_floor must lie below -eps = {-BRACKET_EPS:g}")
+        raise ConfigError(f"search_floor must lie below the first probe c = {-BRACKET_EPS:g}")
     if not tol > 0:
         raise ConfigError(f"kw tolerance must be positive, got {tol!r}")
     probes: list[tuple[float, str]] = []
@@ -827,7 +824,7 @@ def fixed_point_solve(
             "fixed-point operator is singular: s_hat vanishes identically"
         )
     reaction = -(2.0 / k) * s_hat.values
-    alpha_vals = _alpha_values(alpha)
+    alpha_vals = _drift_coefficients(alpha)
 
     u = np.zeros(spec.dims)
     trace = [0.0]
@@ -920,7 +917,7 @@ def continuation_solve(
         raise ValueError("fields live on mismatched grids")
     k = setup.k_t
     spec = s.spec
-    alpha_vals = _alpha_values(alpha)
+    alpha_vals = _drift_coefficients(alpha)
     scale = 1.0 + float(np.max(np.abs(s.values))) + float(np.max(np.abs(s_hat.values)))
     s_mean = float(np.mean(s.values))
 
@@ -1045,7 +1042,9 @@ def _solve_negative_c(
         try:
             report = _monotone(prob, w_minus, w_plus, tol, budget, lin, newton_inside)
         except SolverError as e:
-            report = SolveReport.without_iterates(w_minus, "not-certified", "monotone", str(e))
+            # Newton starts from the certified supersolution; w_minus lies
+            # below min(w_plus) - 0.1, where its first line search can stall
+            report = SolveReport.without_iterates(w_plus, "not-certified", "monotone", str(e))
         if report.converged:
             return report
         return _chain(report, newton_solve(prob, report.solution, tol=tol, lin=lin))
@@ -1108,7 +1107,7 @@ def solve_prescribed(
     k = setup.k_t
     c = red.c
     spec = s.spec
-    alpha_vals = _alpha_values(alpha)
+    alpha_vals = _drift_coefficients(alpha)
 
     def finish(u: ScalarField, report: SolveReport) -> tuple[ScalarField, SolveReport]:
         resid = _unreduced_residual(u.values, s, s_hat, alpha_vals, k, spec)

@@ -35,6 +35,7 @@ from .errors import ConfigError, GauduchonError, SolvabilityError, SolverError
 from .grid import GridSpec, OneForm, ScalarField
 from .operators import (
     DEFAULT_GAUDUCHON_TOL,
+    _drift_coefficients,
     _laplacian,
     _lee_pairing,
     gauduchon_defect,
@@ -107,12 +108,12 @@ def apply_operator(op: LinearOperatorSpec, u: ScalarField) -> ScalarField:
     """Apply the operator to a field."""
     if u.spec != op.alpha.spec:
         raise ValueError("operator and field live on mismatched grids")
-    alpha_vals = [c.values for c in op.alpha.components]
-    out = _apply(u.values, u.spec, alpha_vals, op.shift)
+    out = _apply(u.values, u.spec, _drift_coefficients(op.alpha), op.shift)
     return ScalarField(u.spec, out)
 
 
 def _apply(arr: np.ndarray, spec: GridSpec, alpha_vals, reaction) -> np.ndarray:
+    # alpha_vals as operators._lee_pairing takes them (see _drift_coefficients)
     out = _laplacian(arr, spec.spacings)
     out += _lee_pairing(alpha_vals, arr, spec.spacings)
     if np.isscalar(reaction):
@@ -156,6 +157,9 @@ def _fft_inverse(spec: GridSpec, alpha_const, shift: float, zero_mode_null: bool
 
     With zero_mode_null the constant mode of the input is discarded and
     the output has zero mean (pseudo-inverse on the mean-zero subspace).
+    Each solve runs in one complex spectrum owned by the closure: the
+    same transforms, in the same order, as np.fft.irfftn(np.fft.rfftn(b)
+    / denom), without their temporaries.
     """
     lap, derivs = _rfft_symbols(spec)
     denom = lap + shift
@@ -166,12 +170,16 @@ def _fft_inverse(spec: GridSpec, alpha_const, shift: float, zero_mode_null: bool
     if zero_mode_null:
         denom[zero] = 1.0
     axes = tuple(range(spec.rank))
+    spectrum = np.empty_like(denom)
 
     def solve(b: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.rfftn(b, axes=axes)
+        np.fft.rfftn(b, axes=axes, out=spectrum)
         if zero_mode_null:
             spectrum[zero] = 0.0
-        return np.fft.irfftn(spectrum / denom, s=spec.dims, axes=axes)
+        np.divide(spectrum, denom, out=spectrum)
+        for ax in axes[:-1]:
+            np.fft.ifft(spectrum, spec.dims[ax], ax, out=spectrum)
+        return np.fft.irfft(spectrum, spec.dims[-1], axes[-1])
 
     return solve
 
@@ -206,8 +214,10 @@ def _solve_system(
     non-convergence: inspect stats.converged.
     """
     lin = lin or LinearOptions()
-    alpha_vals = [c.values for c in alpha.components]
-    alpha_const = alpha.constant_values()
+    alpha_vals = _drift_coefficients(alpha)
+    alpha_const = None
+    if not any(isinstance(v, np.ndarray) for v in alpha_vals):
+        alpha_const = tuple(0.0 if v is None else v for v in alpha_vals)
     scalar_reaction = np.isscalar(reaction)
     rhs_scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
     target = lin.tol * (1.0 + rhs_scale)

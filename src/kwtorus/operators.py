@@ -9,11 +9,11 @@ The Laplacian follows the geometer's sign convention (positive spectrum,
 constants in the kernel: laplacian of sin(x0) on axis frequency 1 is
 +sin(x0)).  The volume-1 normalization makes integrals plain means.
 
-One ghost-layer kernel serves every stencil.  The operand is copied once
-per axis with two periodic ghost layers on each side (an axis has at
-least grid.MIN_POINTS = 8 points), and f[j-2], ..., f[j+2] are slice
-views of that copy.  The arithmetic runs in place in scratch buffers, in
-a fixed order:
+One ghost-layer kernel serves every stencil.  Each axis gets two
+periodic ghost layers on each side (an axis has at least
+grid.MIN_POINTS = 8 points), and f[j-2], ..., f[j+2] are slice views of
+the padded copy.  The arithmetic runs in place in scratch buffers, in a
+fixed order:
 
     d2f: (((f[j-1] + f[j+1]) - 2 f[j]) * 16 - ((f[j-2] + f[j+2]) - 2 f[j])) / (12 h^2)
     df:  ((f[j+1] - f[j-1]) * 8 - (f[j+2] - f[j-2])) / (12 h)
@@ -22,6 +22,16 @@ with the axis terms summed in axis order.  The difference-of-differences
 form maps constants to exactly 0, and results match the roll-based
 reference in tests/test_operators.py bit for bit; reordering any of it
 changes the last bits of every solve.
+
+_laplacian and _lee_pairing, the solver's hot loop, run that sequence
+slab by slab: the grid is cut along axis 0 into slabs of whole rows
+whose scratch buffers fit SLAB_BYTES, about half a core's L2 cache.  The
+axis-0 neighbours of a slab are views of the operand (a copy only where
+they wrap), and the ghost layers of the other axes are built from the
+slab itself, so every pass over a slab hits cache.  Every element gets
+the same operations in the same order as in one whole-grid sweep, so
+the slab cut changes no bit.  A grid within the budget, such as any
+rank-1 grid, is one slab.
 
 The underscore functions operate on raw ndarrays and are what the solver
 modules use in their inner loops; the public functions wrap them with
@@ -33,12 +43,22 @@ result.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, GridError
 from .grid import GridSpec, OneForm, ScalarField
 
 DEFAULT_GAUDUCHON_TOL = 1e-8
+
+
+# Scratch budget of one slab (see the module docstring): half of the 2 MiB
+# per-core L2 cache, leaving the other half to the operand and result rows
+SLAB_BYTES = 1 << 20
+# slab-sized buffers a kernel keeps at once: 2 f[j] (or nothing), near,
+# far and the ghost-layer copy of one axis
+SLAB_BUFFERS = 4
 
 
 def _neighbours(a: np.ndarray, axis: int):
@@ -54,9 +74,9 @@ def _neighbours(a: np.ndarray, axis: int):
     return tuple(band(k, k + n, padded) for k in (0, 1, 3, 4))
 
 
-def _second_difference(a, axis, h, two_a, near, far) -> np.ndarray:
+def _second_difference(nbrs, h, two_a, near, far) -> np.ndarray:
     # writes d2a/dx2 into near and returns it; far is scratch, two_a = 2.0 * a
-    m2, m1, p1, p2 = _neighbours(a, axis)
+    m2, m1, p1, p2 = nbrs
     np.add(m1, p1, out=near)
     near -= two_a
     near *= 16.0
@@ -67,9 +87,9 @@ def _second_difference(a, axis, h, two_a, near, far) -> np.ndarray:
     return near
 
 
-def _first_difference(a, axis, h, near, far) -> np.ndarray:
+def _first_difference(nbrs, h, near, far) -> np.ndarray:
     # writes da/dx into near and returns it; far is scratch
-    m2, m1, p1, p2 = _neighbours(a, axis)
+    m2, m1, p1, p2 = nbrs
     np.subtract(p1, m1, out=near)
     near *= 8.0
     np.subtract(p2, m2, out=far)
@@ -79,20 +99,61 @@ def _first_difference(a, axis, h, near, far) -> np.ndarray:
 
 
 def _second_derivative(a: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return _second_difference(a, axis, h, 2.0 * a, np.empty_like(a), np.empty_like(a))
+    return _second_difference(
+        _neighbours(a, axis), h, 2.0 * a, np.empty_like(a), np.empty_like(a)
+    )
 
 
 def _first_derivative(a: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return _first_difference(a, axis, h, np.empty_like(a), np.empty_like(a))
+    return _first_difference(_neighbours(a, axis), h, np.empty_like(a), np.empty_like(a))
+
+
+def _slab_rows(shape) -> int:
+    """Axis-0 rows per slab: all of a rank-1 grid, else as many as keep
+    SLAB_BUFFERS slab-sized buffers within SLAB_BYTES (at least one)."""
+    if len(shape) == 1:
+        return shape[0]
+    row_bytes = 8 * math.prod(shape[1:])
+    return min(shape[0], max(1, SLAB_BYTES // (SLAB_BUFFERS * row_bytes)))
+
+
+def _slabs(shape):
+    """Slices of axis 0, one per slab, in order."""
+    step = _slab_rows(shape)
+    return [slice(s0, min(s0 + step, shape[0])) for s0 in range(0, shape[0], step)]
+
+
+def _slab_neighbours(a: np.ndarray, rows: slice, axis: int):
+    """_neighbours(a, axis)[k][rows] without padding all of a: along axis 0
+    views of a, or of a copy of the rows' periodic ghost rows where they
+    wrap around; along the other axes built from a[rows] alone."""
+    if axis > 0:
+        return _neighbours(a[rows], axis)
+    n0 = a.shape[0]
+    lo, hi = rows.start - 2, rows.stop + 2
+    ext = a[max(lo, 0) : min(hi, n0)]
+    if lo < 0 or hi > n0:
+        ext = np.concatenate((a[lo:] if lo < 0 else a[:0], ext, a[: max(hi - n0, 0)]))
+    r = rows.stop - rows.start
+    return ext[0:r], ext[1 : r + 1], ext[3 : r + 3], ext[4 : r + 4]
+
+
+def _slab_scratch(a: np.ndarray, count: int):
+    """count buffers shaped like the largest slab of a."""
+    shape = (_slab_rows(a.shape),) + a.shape[1:]
+    return [np.empty(shape) for _ in range(count)]
 
 
 def _laplacian(a: np.ndarray, spacings) -> np.ndarray:
     out = np.zeros_like(a)
-    two_a = 2.0 * a
-    near = np.empty_like(a)
-    far = np.empty_like(a)
-    for ax, h in enumerate(spacings):
-        out -= _second_difference(a, ax, h, two_a, near, far)
+    two_a, near, far = _slab_scratch(a, 3)
+    for rows in _slabs(a.shape):
+        r = rows.stop - rows.start
+        np.multiply(2.0, a[rows], out=two_a[:r])
+        acc = out[rows]
+        for ax, h in enumerate(spacings):
+            nbrs = _slab_neighbours(a, rows, ax)
+            acc -= _second_difference(nbrs, h, two_a[:r], near[:r], far[:r])
     return out
 
 
@@ -100,17 +161,40 @@ def _gradient(a: np.ndarray, spacings) -> list[np.ndarray]:
     return [_first_derivative(a, ax, h) for ax, h in enumerate(spacings)]
 
 
+def _drift_coefficients(alpha: OneForm) -> list:
+    """alpha's components as _lee_pairing takes them: None where one is
+    identically zero, a float where it is constant, else its values."""
+    out = []
+    for c in alpha.components:
+        v = c.values
+        first = v.flat[0]
+        if not np.all(v == first):
+            out.append(v)
+        elif first == 0.0:
+            out.append(None)
+        else:
+            out.append(float(first))
+    return out
+
+
 def _lee_pairing(alpha_values, a: np.ndarray, spacings) -> np.ndarray:
+    """sum_i alpha_i da/dx_i.  Each alpha_i is None (identically zero:
+    skipped), a float (constant: multiplied as a scalar, which rounds as
+    the constant array would) or an array."""
     out = np.zeros_like(a)
-    near = np.empty_like(a)
-    far = np.empty_like(a)
-    for ax, h in enumerate(spacings):
-        # an identically zero component would add only zeros
-        if not np.any(alpha_values[ax]):
-            continue
-        term = _first_difference(a, ax, h, near, far)
-        term *= alpha_values[ax]
-        out += term
+    axes = [ax for ax, alpha in enumerate(alpha_values) if alpha is not None]
+    if not axes:
+        return out
+    near, far = _slab_scratch(a, 2)
+    for rows in _slabs(a.shape):
+        r = rows.stop - rows.start
+        acc = out[rows]
+        for ax in axes:
+            nbrs = _slab_neighbours(a, rows, ax)
+            term = _first_difference(nbrs, spacings[ax], near[:r], far[:r])
+            alpha = alpha_values[ax]
+            term *= alpha if isinstance(alpha, float) else alpha[rows]
+            acc += term
     return out
 
 
@@ -131,7 +215,7 @@ def lee_pairing(alpha: OneForm, f: ScalarField) -> ScalarField:
     """Pointwise pairing of a one-form with the differential of f."""
     _check_same_spec(f.spec, alpha)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _lee_pairing([c.values for c in alpha.components], f.values, f.spec.spacings)
+        vals = _lee_pairing(_drift_coefficients(alpha), f.values, f.spec.spacings)
     return ScalarField(f.spec, vals)
 
 
@@ -140,7 +224,7 @@ def chern_laplacian(alpha: OneForm, f: ScalarField) -> ScalarField:
     _check_same_spec(f.spec, alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = _laplacian(f.values, f.spec.spacings) + _lee_pairing(
-            [c.values for c in alpha.components], f.values, f.spec.spacings
+            _drift_coefficients(alpha), f.values, f.spec.spacings
         )
     return ScalarField(f.spec, vals)
 

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kwtorus import read_field
-from kwtorus.cli import RunConfig, main
+from kwtorus.cli import RunConfig, build_parser, main
 from kwtorus.errors import ConfigError
 
 
@@ -326,14 +330,33 @@ def test_roundtrip_command(tmp_path):
 
 def test_shift_overflow_falls_back_to_newton(tmp_path):
     # c = -2e14 puts the monotone shift at 4.1e14, past its 1e14 guard; the
-    # solve falls back to Newton, and its failure is no certificate (exit 3)
+    # solve falls back to Newton from the certified supersolution
     code = run(["solve", "--dims", "16", "--n", "1", "--t", "1", "--s=-1e14",
                 "--s-hat=-1-0.3*cos(x0)"], tmp_path)
-    assert code == 3
+    assert code == 0
     rep = read_report(tmp_path)
-    assert rep["status"] == "not-certified"
+    assert rep["status"] == "converged"
     assert rep["method"] == "newton"
-    assert rep["iterations"] == "0"
+
+
+def test_parser_is_built_once_and_keeps_no_flags_between_calls(tmp_path):
+    assert build_parser() is build_parser()
+    calls = [
+        ["solve", "--dims", "16", "--n", "1", "--t", "1", "--s=-1",
+         "--s-hat=-1-0.3*cos(x0)", "--kw-tol=1e-3", "--lin-tol=1e-4"],
+        # reads kw_tol and lin_tol too: a leaked flag would change its report
+        ["roundtrip", "--dims", "16", "--n", "1", "--t", "1", "--s=-1",
+         "--u-star=0.3*sin(x0)"],
+    ]
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    for k, argv in enumerate(calls):
+        assert run(argv, tmp_path / f"shared{k}") == 0
+        alone = tmp_path / f"alone{k}"
+        subprocess.run([sys.executable, "-m", "kwtorus", *argv, "--out", str(alone)],
+                       env=env, check=True)
+        shared = (tmp_path / f"shared{k}" / "report.kv").read_bytes()
+        assert shared == (alone / "report.kv").read_bytes()
 
 
 def test_monotone_shift_is_not_an_option(tmp_path):

@@ -215,6 +215,75 @@ def test_stencils_match_roll_reference_bitwise(dims):
             _ref_lee_pairing(alpha, a, spacings).tobytes()
 
 
+def _multi_slab_dims(rank):
+    """Dims of the given rank that the blocked kernels cut into at least
+    three slabs along axis 0, the last one partial; sized from the slab
+    budget, so they follow it."""
+    from kwtorus import operators
+
+    points = operators.SLAB_BYTES // (operators.SLAB_BUFFERS * 8 * 3)
+    tail = (max(8, int(points ** (1.0 / (rank - 1)))),) * (rank - 1)
+    rows = operators._slab_rows((10**6,) + tail)
+    return (3 * rows + 1,) + tail
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_blocked_stencils_match_roll_reference_bitwise(rank):
+    from kwtorus import operators
+
+    dims = _multi_slab_dims(rank)
+    slabs = operators._slabs(dims)
+    assert len(slabs) >= 3
+    assert slabs[-1].stop - slabs[-1].start < slabs[0].stop - slabs[0].start
+    spec = GridSpec(dims)
+    spacings = spec.spacings
+    rng = np.random.default_rng(rank)
+    a = rng.standard_normal(dims) * 10.0 ** rng.integers(-3, 4, size=dims)
+    lap = _ref_laplacian(a, spacings)
+    assert operators._laplacian(a, spacings).tobytes() == lap.tobytes()
+    # drift components of every kind: zero (None), constant (float) and
+    # variable (array), in every position
+    values = [np.zeros(dims), np.full(dims, -0.3), rng.standard_normal(dims)]
+    kinds = [type(None), float, np.ndarray]
+    for shift in range(3):
+        comps = [values[(ax + shift) % 3] for ax in range(rank)]
+        alpha = OneForm(spec, tuple(ScalarField(spec, v) for v in comps))
+        coeffs = operators._drift_coefficients(alpha)
+        assert [type(c) for c in coeffs] == [kinds[(ax + shift) % 3] for ax in range(rank)]
+        pairing = _ref_lee_pairing(comps, a, spacings)
+        assert operators._lee_pairing(coeffs, a, spacings).tobytes() == pairing.tobytes()
+        for reaction in (0.0, 1.7, rng.uniform(0.5, 2.0, size=dims)):
+            expect = lap + pairing
+            expect += reaction * a
+            assert _apply(a, spec, coeffs, reaction).tobytes() == expect.tobytes()
+
+
+def test_apply_and_fft_solve_allocate_few_fields():
+    # 24^4 fields exceed a core's L2 cache; the blocked stencils keep slab
+    # scratch only, and an FFT solve transforms in its closure's spectrum
+    import tracemalloc
+
+    from kwtorus.linsolve import _fft_inverse
+    from kwtorus.operators import _drift_coefficients
+
+    spec = GridSpec((24, 24, 24, 24))
+    a = np.random.default_rng(0).standard_normal(spec.dims)
+    drift = (0.1, 0.0, 0.05, 0.0)
+    coeffs = _drift_coefficients(OneForm.constant(spec, drift))
+    solve = _fft_inverse(spec, drift, 1.3, False)
+    tracemalloc.start()
+    try:
+        _apply(a, spec, coeffs, np.full(spec.dims, 1.3))
+        apply_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        solve(a)
+        fft_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert apply_peak <= 4.0 * a.nbytes
+    assert fft_peak <= 1.5 * a.nbytes
+
+
 def test_mean_and_lp_norm_of_huge_fields_stay_finite():
     # the sums overflow although the results are finite
     f = make_field(GridSpec((16,)), 1e308)
