@@ -59,10 +59,8 @@ from .kwsolver import (
     sufficient_check,
 )
 from .linsolve import (
-    LinearOperatorSpec,
     LinearOptions,
     SolveStats,
-    apply_operator,
     estimate_gamma,
     random_smooth_field,
     solve_meanzero,

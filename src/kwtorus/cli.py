@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Every command reads a flat ``key = value`` config file (``#`` comments)
-with command-line flags overriding file keys.  Fields are defined either
-by an expression (key ``s``) or a field file (key ``s_file``), never both.
-Numeric keys must hold finite numbers.
+with command-line flags overriding file keys.  A file key must be one of
+the flag keys (``_FLAG_KEYS``); any other key is rejected (exit 2), as an
+unknown flag is.  Fields are defined either by an expression (key ``s``)
+or a field file (key ``s_file``), never both.  Numeric keys must hold
+finite numbers.
 Artifacts land in the output directory (flag ``--out``, else the
 KW_OUTPUT_DIR environment variable, else the working directory):
 
@@ -74,15 +76,6 @@ def _finite(text: str) -> float:
     return value
 
 
-def _boolean(text: str) -> bool:
-    val = text.strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
-
-
 def _finite_list(text: str) -> list[float]:
     values = [_finite(tok) for tok in text.split(",") if tok.strip()]
     if not values:
@@ -95,7 +88,6 @@ _KINDS = {
     str: ("a string", str),
     float: ("a finite number", _finite),
     int: ("an integer", int),
-    bool: ("a boolean", _boolean),
     list: ("a comma list of finite numbers", _finite_list),
 }
 
@@ -118,8 +110,8 @@ class RunConfig:
                 raise ConfigError(f"dims is not a comma list of integers: {dims!r}")
 
     def get(self, key: str, default=None, kind=str):
-        """Value of key parsed as kind (str, float, int, bool or list, a
-        list of floats), or default when the key is unset."""
+        """Value of key parsed as kind (str, float, int or list, a list of
+        floats), or default when the key is unset."""
         if key not in self.raw:
             return default
         what, parse = _KINDS[kind]
@@ -205,9 +197,6 @@ def linear_options(cfg: RunConfig) -> LinearOptions:
     return LinearOptions(
         tol=cfg.get("lin_tol", default.tol, float),
         maxiter=cfg.get("lin_maxiter", default.maxiter, int),
-        restart=cfg.get("lin_restart", default.restart, int),
-        precondition=cfg.get("lin_precondition", default.precondition, bool),
-        allow_direct=cfg.get("lin_direct", default.allow_direct, bool),
     )
 
 
@@ -525,7 +514,7 @@ _FLAG_KEYS = [
       for suffix in ("", "_file")),
     "c", "c_list", "alpha_const", "p", "samples", "gamma_hat",
     "search_floor", "steps", "strategy",
-    "lin_tol", "lin_maxiter", "lin_restart", "lin_precondition", "lin_direct",
+    "lin_tol", "lin_maxiter",
     "kw_tol", "kw_maxiter", "monotone_budget",
     "gauduchon_tol",
 ]
@@ -555,6 +544,9 @@ def main(argv: list[str] | None = None) -> int:
         raw: dict[str, str] = {}
         if args.config:
             raw.update(parse_config_file(args.config))
+            for key in raw:
+                if key not in _FLAG_KEYS:
+                    raise ConfigError(f"config file {args.config}: unknown key {key}")
         for key in _FLAG_KEYS:
             val = getattr(args, key)
             if val is not None:

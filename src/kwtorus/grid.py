@@ -133,17 +133,6 @@ class OneForm:
             raise GridError("constant one-form needs one value per axis")
         return cls(spec, tuple(make_field(spec, float(v)) for v in values))
 
-    def constant_values(self) -> tuple[float, ...] | None:
-        """Per-axis constants if every component is exactly constant, else None."""
-        out = []
-        for c in self.components:
-            v = c.values
-            first = v.flat[0]
-            if not np.all(v == first):
-                return None
-            out.append(float(first))
-        return tuple(out)
-
 
 def make_field(spec: GridSpec, fill: float) -> ScalarField:
     """Constant field with the given fill value."""

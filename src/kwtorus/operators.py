@@ -98,12 +98,6 @@ def _first_difference(nbrs, h, near, far) -> np.ndarray:
     return near
 
 
-def _second_derivative(a: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return _second_difference(
-        _neighbours(a, axis), h, 2.0 * a, np.empty_like(a), np.empty_like(a)
-    )
-
-
 def _first_derivative(a: np.ndarray, axis: int, h: float) -> np.ndarray:
     return _first_difference(_neighbours(a, axis), h, np.empty_like(a), np.empty_like(a))
 

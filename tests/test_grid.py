@@ -125,10 +125,6 @@ def test_one_form_validation():
     other = GridSpec((32,))
     with pytest.raises(GridError):
         OneForm(spec, (make_field(other, 0.0),))
-    form = OneForm.constant(spec, (0.5,))
-    assert form.constant_values() == (0.5,)
-    varying = OneForm(spec, (ScalarField(spec, np.sin(spec.axis_coords(0))),))
-    assert varying.constant_values() is None
 
 
 def test_refine_field_exact_on_band_limited():

@@ -307,14 +307,23 @@ def test_forcing_term_values():
     assert kwsolver._forcing(float("inf"), float("inf"), cap, 1e-5) == cap
 
 
-# one unpreconditioned Krylov iteration misses the Newton inner tolerance
-STARVED = LinearOptions(maxiter=1, restart=1, precondition=False)
+# one Krylov iteration misses the Newton inner tolerance under a drift this
+# strong, which the FFT preconditioner (built from the mean drift, zero)
+# does not see; without drift a 1-D Newton solve converges in 7 steps
+STARVED = LinearOptions(maxiter=1)
+
+
+def _strong_drift(spec):
+    return OneForm(spec, (
+        field_from(spec, lambda x0, x1: 5.0 * np.sin(x1)),
+        field_from(spec, lambda x0, x1: 5.0 * np.cos(x0)),
+    ))
 
 
 def test_newton_reports_unconverged_inner_solves():
-    spec = GridSpec((64,))
-    phi = field_from(spec, lambda x: -1 - 0.3 * np.cos(x))
-    prob = KWProblem(OneForm.zero(spec), -1.0, phi)
+    spec = GridSpec((32, 32))
+    phi = field_from(spec, lambda x0, x1: -1 - 0.3 * np.cos(x0))
+    prob = KWProblem(_strong_drift(spec), -1.0, phi)
     rep = newton_solve(prob, make_field(spec, 0.3), lin=STARVED)
     assert rep.status == "max-iter"
     assert rep.iterations == 50
@@ -508,11 +517,11 @@ def test_continuation_failure_reports_tau():
 
 
 def test_continuation_failure_reports_unconverged_inner_solves():
-    spec = GridSpec((64,))
+    spec = GridSpec((32, 32))
     setup = GeometrySetup(1, 1.0)
     s = make_field(spec, 0.3)
-    s_hat = field_from(spec, lambda x: 0.3 + 0.02 * np.sin(x))
-    rep = continuation_solve(s, s_hat, OneForm.zero(spec), setup, 10, lin=STARVED)
+    s_hat = field_from(spec, lambda x0, x1: 0.3 + 0.02 * np.sin(x0))
+    rep = continuation_solve(s, s_hat, _strong_drift(spec), setup, 10, lin=STARVED)
     assert rep.status == "not-certified"
     assert rep.message == (
         "newton correction failed at tau = 0.1; unconverged inner solves: 30"

@@ -1,15 +1,18 @@
-"""The keyword surface of the public solvers.
+"""The keyword surface of the public solvers and of LinearOptions.
 
 Every parameter listed here has a caller or a test that sets it; fixed
-settings are module constants.  A new knob, or one that loses its last
-caller, shows up as a change to this table.
+settings are module constants, and the linear solve's method is chosen
+from the operator, never from an option.  A new knob, or one that loses
+its last caller, shows up as a change to this table.
 """
 
+import dataclasses
 import inspect
 
 import pytest
 
 from kwtorus import (
+    LinearOptions,
     critical_c_bracket,
     degenerate_solve,
     estimate_gamma,
@@ -19,6 +22,7 @@ from kwtorus import (
     solve_prescribed,
     sufficient_check,
 )
+from kwtorus.cli import main
 
 SIGNATURES = {
     solve_prescribed: ["s", "s_hat", "alpha", "setup", "strategy", "steps", "tol",
@@ -36,3 +40,16 @@ SIGNATURES = {
 @pytest.mark.parametrize("fn", list(SIGNATURES), ids=lambda fn: fn.__name__)
 def test_parameter_names(fn):
     assert list(inspect.signature(fn).parameters) == SIGNATURES[fn]
+
+
+def test_linear_options_hold_only_the_solve_contract():
+    # the operator picks the backend; the options are the stop contract
+    assert [f.name for f in dataclasses.fields(LinearOptions)] == ["tol", "maxiter"]
+
+
+@pytest.mark.parametrize("flag", ["--lin-restart", "--lin-precondition", "--lin-direct"])
+def test_removed_linear_flags_are_rejected(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--dims", "16", "--n", "1", "--t", "1", "--s=-1", "--s-hat=-1",
+              flag, "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
