@@ -1,21 +1,20 @@
 """Matrix-free solves of Delta u + <alpha, du> + r u = f on periodic grids.
 
-The operator alone picks the engine:
+Every solve takes one path.  The FFT inverse P of the constant-coefficient
+part (the mean drift, and the reaction itself or a constant stand-in for
+it) is exact, since those stencils diagonalize in the Fourier basis.
+When the drift is constant and the reaction a scalar nothing is left
+over and the solve is P f.  Otherwise restarted GMRES (scipy,
+matrix-free, cycles of GMRES_RESTART) solves the right-preconditioned
+system for the remainder, with no Laplacian inside the Krylov loop.
 
-* a direct FFT solve whenever the drift is constant and the reaction is
-  a scalar, since the stencils then diagonalize in the Fourier basis;
-* otherwise a restarted GMRES iteration (scipy, matrix-free, cycles of
-  GMRES_RESTART), always preconditioned by the constant-coefficient FFT
-  inverse built from the mean drift and mean reaction.
-
-Both stop on the documented contract, a sup-norm residual of at most
-tol * (1 + sup|rhs|).  GMRES minimizes the 2-norm, so the solve checks
-the true sup residual after each GMRES call and restarts warm with a
-tighter 2-norm target until the contract holds or the iteration budget
-is spent.  The direct solve is exact, so its computed residual is the
-round-off of applying the stencil; that floor is added to its target
-(see _solve_system).  Inexact Newton steps instead pass their own
-relative 2-norm tolerance (a forcing term) and are judged by it.
+Every solve is judged on its true residual by one test: the documented
+contract, a sup-norm residual of at most tol * (1 + sup|rhs|), plus the
+round-off of applying the stencil to the solution (see _solve_system).
+GMRES minimizes the 2-norm, so while the sup residual misses, the solve
+restarts warm with a tighter 2-norm target until the contract holds or
+the iteration budget is spent.  Inexact Newton steps instead pass their
+own relative 2-norm tolerance (a forcing term) and are judged by it.
 
 The singular mean-zero problem (r = 0, kernel = constants) is solved on
 the mean-zero subspace: the right-hand side, every operator application,
@@ -74,7 +73,6 @@ class LinearOptions:
 class SolveStats:
     iterations: int
     residual_sup: float
-    residual_l2: float
     converged: bool
 
 
@@ -164,159 +162,141 @@ def _solve_system(
     meanzero: bool = False,
     rtol: float | None = None,
 ) -> tuple[np.ndarray, SolveStats]:
-    """Solve (Delta + <alpha, d.> + reaction) x = rhs.
+    """Solve A x = rhs with A = Delta + <alpha, d.> + reaction.
 
     reaction is a scalar or an ndarray; meanzero restricts the solve to
-    the mean-zero subspace.  The contract is a sup-norm residual of at
-    most target = lin.tol * (1 + sup|rhs|).
+    the mean-zero subspace.  P is the exact FFT inverse of Delta + <abar,
+    d.> + shift, with abar the mean drift and shift the reaction when it
+    is a scalar (else _precondition_shift); R = <alpha - abar, d.> +
+    reaction - shift is what is left.  With constant drift and a scalar
+    reaction R = 0 and x = P rhs.  Otherwise GMRES solves (I + R P) y =
+    rhs from y = rhs and x = P y: no Laplacian runs in the Krylov loop,
+    and GMRES minimizes the true residual.
 
-    With constant drift and a scalar reaction the solve is one exact FFT
-    inverse.  Its computed residual is then the round-off of applying the
-    stencil, about eps * ||A||_inf * sup|x| with ||A||_inf = |reaction| +
-    sum_i (64/h_i + 18|alpha_i|) / (12 h_i), which exceeds the target on
-    fine grids; the solve is converged when its residual is finite and at
-    most target + eps * ||A||_inf * sup|x|.  rtol is ignored.
-
-    Otherwise FFT-preconditioned GMRES runs.  By default it stops on the
-    contract: GMRES asks first for a 2-norm reduction by lin.tol, and
-    while the true sup residual misses the target it restarts from its
-    last iterate with a tighter rtol (never below RTOL_FLOOR).  Passing
-    rtol instead requests a plain relative 2-norm reduction (the
-    inexact-Newton mode, where the outer iteration absorbs the slack) and
-    judges convergence by it.  Either way GMRES is called again until the
-    target is met or the lin.maxiter budget is spent; no call runs past
-    that budget, and stats.iterations counts every Krylov iteration.
-    Never raises on non-convergence: inspect stats.converged.
+    One test judges every solve, on its true residual.  By default it
+    holds when that residual is finite and at most lin.tol * (1 +
+    sup|rhs|) + eps * ||A||_inf * sup|x|, with ||A||_inf = sup|reaction| +
+    sum_i (64/h_i + 18 sup|alpha_i|) / (12 h_i): the added term is the
+    round-off of applying the stencil to x, which exceeds the contract on
+    fine grids.  While it fails, GMRES restarts from its last iterate with
+    a tighter 2-norm rtol (never below RTOL_FLOOR).  Passing rtol instead
+    requests a plain relative 2-norm reduction (the inexact-Newton mode,
+    where the outer iteration absorbs the slack) and judges by it.  No
+    GMRES call runs past the lin.maxiter budget, and stats.iterations
+    counts every Krylov iteration.  A non-finite Krylov norm (a right-hand
+    side near the float range) stops the solve at once with x = 0.  Never
+    raises on non-convergence: inspect stats.converged.
     """
     lin = lin or LinearOptions()
     alpha_vals = _drift_coefficients(alpha)
-    alpha_const = None
-    if not any(isinstance(v, np.ndarray) for v in alpha_vals):
-        alpha_const = tuple(0.0 if v is None else v for v in alpha_vals)
-    scalar_reaction = np.isscalar(reaction)
     rhs_scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
     target = lin.tol * (1.0 + rhs_scale)
 
     b = rhs - np.mean(rhs) if meanzero else rhs
     if not np.any(b):
-        zero = np.zeros(spec.dims)
-        return zero, SolveStats(0, 0.0, 0.0, True)
+        return np.zeros(spec.dims), SolveStats(0, 0.0, True)
 
-    if scalar_reaction and alpha_const is not None:
-        # a reaction near the float minimum overflows the zero mode's
-        # division; x and the residual then hold inf or nan: not converged
-        with np.errstate(over="ignore", invalid="ignore"):
-            fft_solve = _fft_inverse(spec, alpha_const, float(reaction), meanzero)
-            x = fft_solve(b)
-            resid = b - _apply(x, spec, alpha_vals, reaction)
-            resid_sup = float(np.max(np.abs(resid)))
-            resid_l2 = float(np.linalg.norm(resid.ravel()))
-            x_sup = float(np.max(np.abs(x)))
-        # ||A||_inf: the absolute stencil weights of one row, summed
-        norm_a = abs(float(reaction)) + sum(
-            (64.0 / h + 18.0 * abs(a)) / (12.0 * h)
-            for h, a in zip(spec.spacings, alpha_const)
-        )
-        floor = float(np.finfo(float).eps) * norm_a * x_sup
-        converged = (
-            math.isfinite(x_sup)
-            and math.isfinite(resid_sup)
-            and resid_sup <= target + floor
-        )
-        return x, SolveStats(1, resid_sup, resid_l2, converged)
-
-    n = spec.npoints
+    # P inverts the mean drift and a constant shift; GMRES sees the rest
+    varying = [isinstance(v, np.ndarray) for v in alpha_vals]
+    mean_drift = tuple(
+        float(np.mean(v)) if var else 0.0 if v is None else v
+        for v, var in zip(alpha_vals, varying)
+    )
+    drift_left = [v - m if var else None for v, m, var in zip(alpha_vals, mean_drift, varying)]
+    scalar_reaction = np.isscalar(reaction)
+    shift = float(reaction) if scalar_reaction else _precondition_shift(reaction)
+    reaction_left = None if scalar_reaction else reaction - shift
+    krylov = any(varying) or not scalar_reaction
+    # ||A||_inf: the absolute stencil weights of one row, summed
+    norm_a = float(np.max(np.abs(reaction))) + sum(
+        (64.0 / h + 18.0 * (0.0 if v is None else float(np.max(np.abs(v))))) / (12.0 * h)
+        for h, v in zip(spec.spacings, alpha_vals)
+    )
+    floor = float(np.finfo(float).eps) * norm_a
 
     def matvec(v):
-        arr = v.reshape(spec.dims)
+        y = v.reshape(spec.dims)
+        x = precond(y)
+        out = y.copy()
+        if any(varying):
+            out += _lee_pairing(drift_left, x, spec.spacings)
+        if reaction_left is not None:
+            out += reaction_left * x
         if meanzero:
-            arr = arr - np.mean(arr)
-        out = _apply(arr, spec, alpha_vals, reaction)
-        if meanzero:
-            out = out - np.mean(out)
+            out -= np.mean(out)
         return out.ravel()
 
-    A = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-
-    drift = alpha_const
-    if drift is None:
-        drift = tuple(float(np.mean(c.values)) for c in alpha.components)
-    if meanzero:
-        pre = _fft_inverse(spec, drift, 0.0, True)
-    else:
-        pre = _fft_inverse(spec, drift, _precondition_shift(reaction), False)
-
-    def msolve(v):
-        arr = pre(v.reshape(spec.dims))
-        if meanzero:
-            arr = arr - np.mean(arr)
-        return arr.ravel()
-
-    M = LinearOperator((n, n), matvec=msolve, dtype=np.float64)
-
+    A = LinearOperator((spec.npoints, spec.npoints), matvec=matvec, dtype=np.float64)
     iters = [0]
 
-    def callback(_):
+    def callback(pr_norm):
         iters[0] += 1
+        if not math.isfinite(pr_norm):
+            raise FloatingPointError  # the Krylov norms overflowed
 
     rtol_eff = max(lin.tol if rtol is None else rtol, RTOL_FLOOR)
-    guess = None
-    # A right-hand side near the float range overflows the Krylov norms;
-    # the residual then reads inf or nan and is judged not converged.
+    y = b
+    # a reaction near the float minimum overflows P's zero mode, and a
+    # right-hand side near the float range the Krylov norms; x or its
+    # residual then holds inf or nan and is judged not converged
     with np.errstate(over="ignore", invalid="ignore"):
+        precond = _fft_inverse(spec, mean_drift, shift, meanzero)
         while True:
-            # whole cycles of at most GMRES_RESTART that fit the remaining budget
             done = iters[0]
-            restart = min(GMRES_RESTART, lin.maxiter - done)
-            x, _info = gmres(
-                A,
-                b.ravel(),
-                x0=guess,
-                rtol=rtol_eff,
-                atol=0.0,
-                restart=restart,
-                maxiter=(lin.maxiter - done) // restart,
-                M=M,
-                callback=callback,
-                callback_type="pr_norm",
-            )
-            x = x.reshape(spec.dims)
-            if meanzero:
-                x = x - np.mean(x)
+            overflow = False
+            if krylov:
+                # whole cycles of at most GMRES_RESTART that fit the remaining budget
+                restart = min(GMRES_RESTART, lin.maxiter - done)
+                try:
+                    y, _info = gmres(
+                        A,
+                        b.ravel(),
+                        x0=y.ravel(),
+                        rtol=rtol_eff,
+                        atol=0.0,
+                        restart=restart,
+                        maxiter=(lin.maxiter - done) // restart,
+                        callback=callback,
+                        callback_type="pr_norm",
+                    )
+                except FloatingPointError:
+                    overflow = True
+                y = y.reshape(spec.dims)
+            x = np.zeros(spec.dims) if overflow else precond(y)
             resid = b - _apply(x, spec, alpha_vals, reaction)
             if meanzero:
-                resid = resid - np.mean(resid)
+                resid -= np.mean(resid)
             resid_sup = float(np.max(np.abs(resid)))
-            resid_l2 = float(np.linalg.norm(resid.ravel()))
             if rtol is None:
-                converged = resid_sup <= target
+                x_sup = float(np.max(np.abs(x)))
+                bound = target + floor * x_sup
+                converged = math.isfinite(x_sup) and math.isfinite(resid_sup) and (
+                    resid_sup <= bound
+                )
             else:
+                resid_l2 = float(np.linalg.norm(resid.ravel()))
                 # after an overflow both norms read inf, and inf <= inf would pass
-                converged = bool(np.isfinite(resid_l2)) and (
+                converged = math.isfinite(resid_l2) and (
                     resid_l2 <= 1.01 * rtol_eff * float(np.linalg.norm(b.ravel()))
                 )
-            if converged or not np.isfinite(resid_sup) or iters[0] >= lin.maxiter:
+            if (converged or overflow or not krylov or iters[0] >= lin.maxiter
+                    or not math.isfinite(resid_sup)):
                 break
             if rtol is None:
                 if rtol_eff == RTOL_FLOOR:
                     break
                 # cut rtol in proportion to the miss, by 10 to 10^4
-                cut = float(np.clip(0.5 * target / resid_sup, 1e-4, 0.1))
+                cut = float(np.clip(0.5 * bound / resid_sup, 1e-4, 0.1))
                 rtol_eff = max(rtol_eff * cut, RTOL_FLOOR)
             elif iters[0] == done:
-                break  # GMRES already holds x converged; another call cannot move it
-            guess = x.ravel()
-    stats = SolveStats(max(iters[0], 1), resid_sup, resid_l2, converged)
-    return x, stats
+                break  # GMRES already holds y converged; another call cannot move it
+    return x, SolveStats(max(iters[0], 1), resid_sup, converged)
 
 
-def _precondition_shift(reaction) -> float:
-    if np.isscalar(reaction):
-        return max(float(reaction), 1e-8)
-    rbar = float(np.mean(reaction))
-    rsup = float(np.max(np.abs(reaction)))
-    floor = max(1e-8, 0.05 * rsup)
-    return max(rbar, floor)
+def _precondition_shift(reaction: np.ndarray) -> float:
+    """P's constant stand-in for an array reaction: its mean, kept at
+    least 5 % of its sup (and 1e-8) so that P stays well conditioned."""
+    return max(float(np.mean(reaction)), 1e-8, 0.05 * float(np.max(np.abs(reaction))))
 
 
 # ---------------------------------------------------------------------------

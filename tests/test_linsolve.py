@@ -187,13 +187,13 @@ def test_sup_norm_stop_restarts_warm_until_the_contract_holds(monkeypatch):
         return real(*args, **{**kwargs, "callback": counting})
 
     monkeypatch.setattr(linsolve, "gmres", spy)
-    spec = GridSpec((64, 64))
+    spec = GridSpec((128, 128))
     alpha = OneForm(spec, (
         field_from(spec, lambda x0, x1: 0.3 * np.sin(x1)),
         field_from(spec, lambda x0, x1: 0.3 * np.cos(x0)),
     ))
     reaction = np.ones(spec.dims)
-    reaction[3, 4] = 100.0
+    reaction[3, 4] = 1000.0
     rhs = field_from(spec, lambda x0, x1: np.cos(x0) * np.sin(x1) + 0.5).values
     lin = LinearOptions()
     x, stats = _solve_system(spec, alpha, reaction, rhs, lin=lin)
@@ -223,6 +223,41 @@ def test_krylov_budget_is_honoured_exactly(budget, rtol):
     _, stats = _solve_system(spec, alpha, 1.0, rhs, lin=lin, rtol=rtol)
     assert not stats.converged
     assert stats.iterations == budget
+
+
+@pytest.mark.parametrize("array_reaction", [False, True], ids=["scalar", "array"])
+def test_stencil_stays_out_of_the_krylov_loop(monkeypatch, array_reaction):
+    # GMRES sees only the remainder <alpha - mean alpha, d.> + reaction -
+    # shift after the FFT inverse of the constant part, so the Laplacian
+    # runs once per GMRES call (for the true residual), not per iteration
+    import kwtorus.linsolve as linsolve
+
+    laps, calls = [0], [0]
+    real_lap, real_gmres = linsolve._laplacian, linsolve.gmres
+
+    def lap(*args, **kwargs):
+        laps[0] += 1
+        return real_lap(*args, **kwargs)
+
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return real_gmres(*args, **kwargs)
+
+    monkeypatch.setattr(linsolve, "_laplacian", lap)
+    monkeypatch.setattr(linsolve, "gmres", spy)
+    spec = GridSpec((32, 32))
+    alpha = OneForm(spec, (
+        field_from(spec, lambda x0, x1: 5.0 * np.sin(x1)),
+        field_from(spec, lambda x0, x1: 5.0 * np.cos(x0)),
+    ))
+    reaction = 1.0
+    if array_reaction:
+        reaction = field_from(spec, lambda x0, x1: 1.0 + 0.5 * np.cos(x0 + x1)).values
+    rhs = random_smooth_field(spec, np.random.default_rng(5)).values
+    _, stats = _solve_system(spec, alpha, reaction, rhs)
+    assert stats.converged
+    assert stats.iterations >= 10 * calls[0]
+    assert laps[0] == calls[0]
 
 
 def test_overflowed_newton_inner_solve_is_not_converged():
