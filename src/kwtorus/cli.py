@@ -40,8 +40,6 @@ from .geometry import (
 )
 from .grid import MAX_RANK, GridSpec, OneForm, ScalarField, read_field, write_field
 from .kwsolver import (
-    DEFAULT_KW_MAXITER,
-    DEFAULT_KW_TOL,
     KWProblem,
     LinearOptions,
     SolveReport,
@@ -53,7 +51,7 @@ from .kwsolver import (
     sufficient_check,
 )
 from .linsolve import estimate_gamma
-from .operators import gauduchon_defect, gauduchon_scale, mean
+from .operators import DEFAULT_GAUDUCHON_TOL, gauduchon_defect, gauduchon_scale, mean
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -63,6 +61,19 @@ EXIT_UNSOLVABLE = 4
 SOLVE_EXITS = {"converged": EXIT_OK, "certified-unsolvable": EXIT_UNSOLVABLE}
 
 FIELD_KEYS = ("s", "s_hat", "s2", "phi", "psi", "f", "u", "u_star")
+# probes of estimate_gamma when the samples key is unset
+GAMMA_SAMPLES = 8
+
+# config key -> (keyword, kind) of the library calls; an unset key passes
+# nothing, so the library's own default holds
+LINEAR_KEYS = {"lin_tol": ("tol", float), "lin_maxiter": ("maxiter", int)}
+KW_KEYS = {"kw_tol": ("tol", float), "kw_maxiter": ("maxiter", int)}
+SOLVE_KEYS = {
+    "strategy": ("strategy", str),
+    "steps": ("steps", int),
+    **KW_KEYS,
+    "monotone_budget": ("monotone_budget", int),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +116,10 @@ class RunConfig:
         self.spec: GridSpec | None = None
         if dims:
             try:
-                self.spec = GridSpec(tuple(int(tok) for tok in dims.split(",")))
+                counts = tuple(int(tok) for tok in dims.split(","))
             except ValueError:
                 raise ConfigError(f"dims is not a comma list of integers: {dims!r}")
+            self.spec = GridSpec(counts)
 
     def get(self, key: str, default=None, kind=str):
         """Value of key parsed as kind (str, float, int or list, a list of
@@ -119,6 +131,13 @@ class RunConfig:
             return parse(self.raw[key])
         except ValueError:
             raise ConfigError(f"key {key} is not {what}: {self.raw[key]!r}")
+
+    def given(self, keys: dict) -> dict:
+        """{keyword: value} for the keys of keys (config key -> (keyword,
+        kind)) that are set."""
+        return {
+            kw: self.get(key, kind=kind) for key, (kw, kind) in keys.items() if key in self.raw
+        }
 
     def need(self, key: str, kind=float):
         """Value of a key the command cannot run without."""
@@ -161,6 +180,11 @@ class RunConfig:
     def setup(self) -> GeometrySetup:
         return GeometrySetup(n=self.need("n", int), t=self.need("t"))
 
+    def exponent(self) -> float:
+        """The Lebesgue exponent p: by default rank + 1, the least integer
+        above the rank that estimate_gamma accepts."""
+        return self.get("p", float(self.spec.rank + 1), float)
+
 
 def read_field_file(path, what: str) -> ScalarField:
     """Field file at path; what names it in the error when it cannot be opened."""
@@ -193,24 +217,12 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def linear_options(cfg: RunConfig) -> LinearOptions:
-    default = LinearOptions()
-    return LinearOptions(
-        tol=cfg.get("lin_tol", default.tol, float),
-        maxiter=cfg.get("lin_maxiter", default.maxiter, int),
-    )
+    return LinearOptions(**cfg.given(LINEAR_KEYS))
 
 
 def solve_options(cfg: RunConfig) -> dict:
-    """Keyword arguments of solve_prescribed, shared by solve and roundtrip;
-    critical-c takes its tol, maxiter and lin."""
-    return dict(
-        strategy=cfg.get("strategy", "auto"),
-        steps=cfg.get("steps", 10, int),
-        tol=cfg.get("kw_tol", DEFAULT_KW_TOL, float),
-        maxiter=cfg.get("kw_maxiter", DEFAULT_KW_MAXITER, int),
-        monotone_budget=cfg.get("monotone_budget", None, int),
-        lin=linear_options(cfg),
-    )
+    """Keyword arguments of solve_prescribed, shared by solve and roundtrip."""
+    return dict(cfg.given(SOLVE_KEYS), lin=linear_options(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +321,7 @@ def cmd_validate(cfg: RunConfig, rep: Reporter) -> int:
     if cfg.spec is not None:
         alpha = cfg.one_form()
         defect = gauduchon_defect(alpha)
-        tol = cfg.get("gauduchon_tol", 1e-8, float)
+        tol = cfg.get("gauduchon_tol", DEFAULT_GAUDUCHON_TOL, float)
         ok = defect <= tol * gauduchon_scale(alpha)
         rep.add("alpha_divergence_sup", defect)
         rep.add("alpha_gauduchon", ok)
@@ -389,10 +401,10 @@ def cmd_sufficient(cfg: RunConfig, rep: Reporter) -> int:
     phi = cfg.field("phi")
     alpha = cfg.one_form()
     c = cfg.need("c")
-    p = cfg.get("p", float(phi.spec.rank + 1), float)
+    p = cfg.exponent()
     gamma_hat = cfg.get("gamma_hat", None, float)
     if gamma_hat is None:
-        samples = cfg.get("samples", 8, int)
+        samples = cfg.get("samples", GAMMA_SAMPLES, int)
         gamma_hat = estimate_gamma(alpha, c, p, samples, lin=linear_options(cfg))
         rep.add("gamma_source", "estimated")
     else:
@@ -411,11 +423,8 @@ def cmd_sufficient(cfg: RunConfig, rep: Reporter) -> int:
 def cmd_critical_c(cfg: RunConfig, rep: Reporter) -> int:
     phi = cfg.field("phi")
     alpha = cfg.one_form()
-    floor = cfg.get("search_floor", -1e6, float)
-    opts = solve_options(cfg)
-    bracket = critical_c_bracket(
-        phi, alpha, floor, tol=opts["tol"], maxiter=opts["maxiter"], lin=opts["lin"]
-    )
+    keys = {"search_floor": ("search_floor", float), **KW_KEYS}
+    bracket = critical_c_bracket(phi, alpha, **cfg.given(keys), lin=linear_options(cfg))
     rep.add("c_lo", bracket.c_lo)
     rep.add("c_hi", bracket.c_hi)
     rep.add("lo_evidence", bracket.lo_evidence)
@@ -464,8 +473,8 @@ def cmd_roundtrip(cfg: RunConfig, rep: Reporter) -> int:
 def cmd_gamma_estimate(cfg: RunConfig, rep: Reporter) -> int:
     alpha = cfg.one_form()
     c = cfg.need("c")
-    p = cfg.get("p", float(cfg.spec.rank + 1), float)
-    samples = cfg.get("samples", 8, int)
+    p = cfg.exponent()
+    samples = cfg.get("samples", GAMMA_SAMPLES, int)
     gamma_hat = estimate_gamma(alpha, c, p, samples, lin=linear_options(cfg))
     rep.add("c", c)
     rep.add("p", p)

@@ -19,8 +19,9 @@ class ConfigError(KWTorusError, ValueError):
     arguments keep working."""
 
 
-class GridError(KWTorusError):
-    """Invalid grid specification or mismatched field shapes."""
+class GridError(KWTorusError, ValueError):
+    """Invalid grid specification or mismatched field shapes; also a
+    ValueError, as ConfigError is."""
 
 
 class FileFormatError(KWTorusError):

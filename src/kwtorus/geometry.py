@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateError, GridError
-from .grid import GridSpec, OneForm, ScalarField, multi_index
+from .errors import ConfigError, DegenerateError
+from .grid import GridSpec, OneForm, ScalarField, multi_index, same_grid
 from .linsolve import LinearOptions, SolveStats, solve_meanzero
 from .operators import chern_laplacian, grad_squared, laplacian, lee_pairing, mean
 
@@ -75,8 +75,7 @@ def transform_s(
     s: ScalarField, u: ScalarField, alpha: OneForm, setup: GeometrySetup
 ) -> ScalarField:
     """Curvature of the conformally changed metric with log-factor u."""
-    _same_spec(s, u)
-    _same_form(s, alpha)
+    same_grid(s, u, alpha)
     k = setup.k_t
     ch = chern_laplacian(alpha, u)
     # e^{-u} overflows for u below about -709; ScalarField rejects the result
@@ -93,8 +92,7 @@ def transform_s2(
     Unlike transform_s this takes f directly (the metric scale is e^{2f});
     the gradient-squared term vanishes identically at t = 1.
     """
-    _same_spec(s2, f)
-    _same_form(s2, alpha)
+    same_grid(s2, f, alpha)
     n, t = setup.n, setup.t
     a_lap = n * (1.0 - t) + t
     a_grad = (1.0 - t) ** 2 * (1.0 - n * n) / 2.0
@@ -126,8 +124,7 @@ def reduce_problem(
     Returns the reduced problem and the statistics of the linear solve for
     g, which runs with the linear options lin.
     """
-    _same_spec(s, s_hat)
-    _same_form(s, alpha)
+    same_grid(s, s_hat, alpha)
     if setup.degenerate:
         raise DegenerateError(
             f"degenerate parameter: n={setup.n}, t={setup.t} gives k_t={setup.k_t:.3e}"
@@ -147,7 +144,7 @@ def reduce_problem(
 
 def recover_metric(w: ScalarField, problem: ReducedProblem) -> ScalarField:
     """Log-conformal factor u = w + g; the found metric scales by e^u."""
-    _same_spec(w, problem.g)
+    same_grid(w, problem.g)
     return ScalarField(w.spec, w.values + problem.g.values)
 
 
@@ -157,7 +154,7 @@ def degenerate_solve(s: ScalarField, s_hat: ScalarField) -> ScalarField:
     Requires s_hat bounded away from zero and a positive ratio s / s_hat
     everywhere; reports the first violating grid point otherwise.
     """
-    _same_spec(s, s_hat)
+    same_grid(s, s_hat)
     small = np.abs(s_hat.values) < DEGENERATE_FLOOR
     if np.any(small):
         where = _first_true(s.spec, small)
@@ -179,13 +176,3 @@ def degenerate_solve(s: ScalarField, s_hat: ScalarField) -> ScalarField:
 def _first_true(spec: GridSpec, mask: np.ndarray) -> tuple[int, ...]:
     flat = int(np.argmax(mask.reshape(-1)))
     return multi_index(spec, flat)
-
-
-def _same_spec(a: ScalarField, b: ScalarField) -> None:
-    if a.spec != b.spec:
-        raise GridError("fields live on mismatched grids")
-
-
-def _same_form(a: ScalarField, alpha: OneForm) -> None:
-    if a.spec != alpha.spec:
-        raise GridError("field and one-form live on mismatched grids")

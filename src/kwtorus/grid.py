@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -119,9 +120,25 @@ class OneForm:
             raise GridError(
                 f"one-form needs {self.spec.rank} components, got {len(comps)}"
             )
-        for c in comps:
-            if c.spec != self.spec:
-                raise GridError("one-form components live on mismatched grids")
+        same_grid(self, *comps)
+
+    @cached_property
+    def coefficients(self) -> tuple:
+        """The components as every drift stencil takes them, classified
+        once per form: None where one is identically zero (its term is
+        skipped), a float where it is constant (multiplied as a scalar,
+        which rounds as the constant array would), else its values."""
+        out = []
+        for c in self.components:
+            v = c.values
+            first = v.flat[0]
+            if not np.all(v == first):
+                out.append(v)
+            elif first == 0.0:
+                out.append(None)
+            else:
+                out.append(float(first))
+        return tuple(out)
 
     @classmethod
     def zero(cls, spec: GridSpec) -> "OneForm":
@@ -132,6 +149,16 @@ class OneForm:
         if len(values) != spec.rank:
             raise GridError("constant one-form needs one value per axis")
         return cls(spec, tuple(make_field(spec, float(v)) for v in values))
+
+
+def same_grid(*objs) -> None:
+    """Raise GridError unless every object (fields, one-forms, problems:
+    anything with a spec) lives on one grid."""
+    for o in objs[1:]:
+        if o.spec != objs[0].spec:
+            raise GridError(
+                f"operands live on mismatched grids {objs[0].spec.dims} and {o.spec.dims}"
+            )
 
 
 def make_field(spec: GridSpec, fill: float) -> ScalarField:

@@ -33,7 +33,7 @@ from .errors import (
     SolverError,
 )
 from .geometry import GeometrySetup, recover_metric, reduce_problem
-from .grid import GridSpec, OneForm, ScalarField, make_field
+from .grid import GridSpec, OneForm, ScalarField, make_field, same_grid
 from .linsolve import (
     LinearOptions,
     _apply,
@@ -43,7 +43,6 @@ from .linsolve import (
 )
 from .operators import (
     DEFAULT_GAUDUCHON_TOL,
-    _drift_coefficients,
     gauduchon_defect,
     gauduchon_scale,
     lp_norm,
@@ -92,8 +91,7 @@ class KWProblem:
     phi: ScalarField
 
     def __post_init__(self):
-        if self.phi.spec != self.alpha.spec:
-            raise GauduchonError("phi and alpha live on mismatched grids")
+        same_grid(self.phi, self.alpha)
         defect = gauduchon_defect(self.alpha)
         if defect > DEFAULT_GAUDUCHON_TOL * gauduchon_scale(self.alpha):
             raise GauduchonError(
@@ -171,18 +169,17 @@ def _phi_exp(phi_vals: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.where(phi_vals == 0.0, 0.0, prod)
 
 
-def _defect(w: np.ndarray, prob: KWProblem, alpha_vals) -> np.ndarray:
+def _defect(w: np.ndarray, prob: KWProblem) -> np.ndarray:
     # laplacian(w) + <alpha, dw> + c - phi e^w
-    return _apply(w, prob.spec, alpha_vals, 0.0) + prob.c - _phi_exp(prob.phi.values, w)
+    return _apply(prob.alpha, w) + prob.c - _phi_exp(prob.phi.values, w)
 
 
 def is_subsolution(
     w: ScalarField, prob: KWProblem, tol: float = CERT_TOL
 ) -> tuple[bool, float]:
     """True when the defining field is <= tol everywhere; margin is its max."""
-    if w.spec != prob.spec:
-        raise ValueError("field and problem live on mismatched grids")
-    d = _defect(w.values, prob, _drift_coefficients(prob.alpha))
+    same_grid(w, prob)
+    d = _defect(w.values, prob)
     margin = float(np.max(d))
     return margin <= tol, margin
 
@@ -191,9 +188,8 @@ def is_supersolution(
     w: ScalarField, prob: KWProblem, tol: float = CERT_TOL
 ) -> tuple[bool, float]:
     """True when the defining field is >= -tol everywhere; margin is its min."""
-    if w.spec != prob.spec:
-        raise ValueError("field and problem live on mismatched grids")
-    d = _defect(w.values, prob, _drift_coefficients(prob.alpha))
+    same_grid(w, prob)
+    d = _defect(w.values, prob)
     margin = float(np.min(d))
     return margin >= -tol, margin
 
@@ -377,7 +373,6 @@ def _monotone(prob, w_minus, w_plus, tol, maxiter, lin, handoff=None):
         raise CertificateError("ordering violated: w_minus > w_plus somewhere")
 
     spec = prob.spec
-    alpha_vals = _drift_coefficients(prob.alpha)
     phi = prob.phi.values
     with np.errstate(over="ignore"):
         lam = 1.0 + float(np.max(np.maximum(-phi, 0.0) * np.exp(w_plus.values)))
@@ -389,14 +384,14 @@ def _monotone(prob, w_minus, w_plus, tol, maxiter, lin, handoff=None):
     w = w_minus.values.copy()
     trace = [float(np.max(w))]
     min_steps: list[float] = []
-    residual = float(np.max(np.abs(_defect(w, prob, alpha_vals))))
+    residual = float(np.max(np.abs(_defect(w, prob))))
     status = "max-iter"
     iterations = 0
     prev_step = np.inf
     tail = None
     for _ in range(maxiter):
         rhs = _phi_exp(phi, w) - prob.c + lam * w
-        w_next, stats = _solve_system(spec, prob.alpha, lam, rhs, lin=lin)
+        w_next, stats = _solve_system(prob.alpha, lam, rhs, lin=lin)
         if not stats.converged:
             raise SolverError(
                 f"inner shifted solve failed (residual {stats.residual_sup:.3e})"
@@ -406,7 +401,7 @@ def _monotone(prob, w_minus, w_plus, tol, maxiter, lin, handoff=None):
         w = w_next
         iterations += 1
         trace.append(float(np.max(w)))
-        residual = float(np.max(np.abs(_defect(w, prob, alpha_vals))))
+        residual = float(np.max(np.abs(_defect(w, prob))))
         scale = 1.0 + abs(prob.c) + float(np.max(np.abs(_phi_exp(phi, w))))
         step_sup = float(np.max(np.abs(step)))
         if step_sup <= tol and residual <= 10.0 * lin.tol * scale:
@@ -492,8 +487,7 @@ def _newton_step(
     lin = lin or LinearOptions()
     inner = replace(lin, maxiter=min(lin.maxiter, NEWTON_INNER_MAXITER))
     delta, stats = _solve_system(
-        alpha.spec, alpha, reaction, -r,
-        lin=inner, meanzero=meanzero, rtol=rtol,
+        alpha, reaction, -r, lin=inner, meanzero=meanzero, rtol=rtol
     )
     if not np.all(np.isfinite(delta)):
         return None, "linearized solve produced a non-finite step", stats.converged
@@ -546,13 +540,11 @@ def newton_solve(
     running out reports max-iter.  A report that did not converge counts
     its inner solves that missed their forcing term.
     """
-    if w0.spec != prob.spec:
-        raise ValueError("initial guess lives on the wrong grid")
+    same_grid(w0, prob)
     phi = prob.phi.values
-    alpha_vals = _drift_coefficients(prob.alpha)
 
     def defect(x):
-        return _defect(x, prob, alpha_vals)
+        return _defect(x, prob)
 
     w = w0.values.copy()
     r = defect(w)
@@ -655,8 +647,7 @@ def construct_unsolvable(
     exactly psi + alpha_const, which changes sign by construction, so the
     negative-mean condition alone cannot guarantee solvability.
     """
-    if psi.spec != lee.spec:
-        raise ValueError("psi and lee form live on mismatched grids")
+    same_grid(psi, lee)
     scale = 1.0 + float(np.max(np.abs(psi.values)))
     if abs(mean(psi)) > 1e-10 * scale:
         raise CertificateError(f"psi must have zero mean, got {mean(psi):.3e}")
@@ -670,7 +661,7 @@ def construct_unsolvable(
         shifted = psi.values + alpha_const
         if not (float(np.min(shifted)) < 0.0 < float(np.max(shifted))):
             raise CertificateError("psi + alpha_const must change sign")
-        vals = -_apply(psi.values, psi.spec, _drift_coefficients(lee), 0.0) + c * shifted
+        vals = -_apply(lee, psi.values) + c * shifted
     return ScalarField(psi.spec, vals)
 
 
@@ -815,8 +806,7 @@ def fixed_point_solve(
     lin = lin or LinearOptions()
     if setup.degenerate:
         raise DegenerateError("fixed-point solver needs a nondegenerate parameter")
-    if s.spec != s_hat.spec or s.spec != alpha.spec:
-        raise ValueError("fields live on mismatched grids")
+    same_grid(s, s_hat, alpha)
     k = setup.k_t
     spec = s.spec
     if float(np.max(np.abs(s_hat.values))) < 1e-12:
@@ -824,7 +814,6 @@ def fixed_point_solve(
             "fixed-point operator is singular: s_hat vanishes identically"
         )
     reaction = -(2.0 / k) * s_hat.values
-    alpha_vals = _drift_coefficients(alpha)
 
     u = np.zeros(spec.dims)
     trace = [0.0]
@@ -837,7 +826,7 @@ def fixed_point_solve(
         rhs = (2.0 / k) * (
             s_hat.values - s.values - s_hat.values * (1.0 + u - np.exp(u))
         )
-        u_next, stats = _solve_system(spec, alpha, reaction, rhs, lin=lin)
+        u_next, stats = _solve_system(alpha, reaction, rhs, lin=lin)
         if not stats.converged:
             raise SolverError(
                 f"fixed-point linear solve failed (residual {stats.residual_sup:.3e}); "
@@ -859,7 +848,7 @@ def fixed_point_solve(
         else:
             growth = 0
         prev_step = step
-    residual = _unreduced_residual(u, s, s_hat, alpha_vals, k, spec)
+    residual = _unreduced_residual(u, s, s_hat, alpha, k)
     if status == "converged":
         scale = 1.0 + float(np.max(np.abs(s.values))) + float(np.max(np.abs(s_hat.values)))
         if residual > 10.0 * max(tol, lin.tol) * scale:
@@ -876,15 +865,13 @@ def fixed_point_solve(
     )
 
 
-def _unreduced_defect(u, s, s_hat, alpha_vals, k, spec, tau=1.0) -> np.ndarray:
+def _unreduced_defect(u, s, s_hat, alpha, k, tau=1.0) -> np.ndarray:
     # A u + (2 tau / k)(s - s_hat e^u): the unreduced equation scaled by tau
-    return _apply(u, spec, alpha_vals, 0.0) + (2.0 * tau / k) * (
-        s.values - s_hat.values * np.exp(u)
-    )
+    return _apply(alpha, u) + (2.0 * tau / k) * (s.values - s_hat.values * np.exp(u))
 
 
-def _unreduced_residual(u, s, s_hat, alpha_vals, k, spec) -> float:
-    return float(np.max(np.abs(_unreduced_defect(u, s, s_hat, alpha_vals, k, spec))))
+def _unreduced_residual(u, s, s_hat, alpha, k) -> float:
+    return float(np.max(np.abs(_unreduced_defect(u, s, s_hat, alpha, k))))
 
 
 def continuation_solve(
@@ -913,11 +900,9 @@ def continuation_solve(
         raise DegenerateError("continuation solver needs a nondegenerate parameter")
     if steps < 1:
         raise ConfigError("need at least one continuation step")
-    if s.spec != s_hat.spec or s.spec != alpha.spec:
-        raise ValueError("fields live on mismatched grids")
+    same_grid(s, s_hat, alpha)
     k = setup.k_t
     spec = s.spec
-    alpha_vals = _drift_coefficients(alpha)
     scale = 1.0 + float(np.max(np.abs(s.values))) + float(np.max(np.abs(s_hat.values)))
     s_mean = float(np.mean(s.values))
 
@@ -929,7 +914,7 @@ def continuation_solve(
         tau = j / steps
 
         def residual(w):
-            return _unreduced_defect(w, s, s_hat, alpha_vals, k, spec, tau)
+            return _unreduced_defect(w, s, s_hat, alpha, k, tau)
 
         def projected_residual(w):
             r = residual(w)
@@ -982,7 +967,7 @@ def continuation_solve(
         solution=ScalarField(spec, u),
         status="converged",
         trace=trace,
-        residual_sup=_unreduced_residual(u, s, s_hat, alpha_vals, k, spec),
+        residual_sup=_unreduced_residual(u, s, s_hat, alpha, k),
         method="continuation",
         iterations=iterations,
     )
@@ -1107,10 +1092,9 @@ def solve_prescribed(
     k = setup.k_t
     c = red.c
     spec = s.spec
-    alpha_vals = _drift_coefficients(alpha)
 
     def finish(u: ScalarField, report: SolveReport) -> tuple[ScalarField, SolveReport]:
-        resid = _unreduced_residual(u.values, s, s_hat, alpha_vals, k, spec)
+        resid = _unreduced_residual(u.values, s, s_hat, alpha, k)
         report.solution = u
         report.residual_sup = resid
         return u, report

@@ -30,10 +30,9 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConfigError, GauduchonError, SolvabilityError, SolverError
-from .grid import GridSpec, OneForm, ScalarField
+from .grid import GridSpec, OneForm, ScalarField, same_grid
 from .operators import (
     DEFAULT_GAUDUCHON_TOL,
-    _drift_coefficients,
     _laplacian,
     _lee_pairing,
     gauduchon_defect,
@@ -76,10 +75,12 @@ class SolveStats:
     converged: bool
 
 
-def _apply(arr: np.ndarray, spec: GridSpec, alpha_vals, reaction) -> np.ndarray:
-    # alpha_vals as operators._lee_pairing takes them (see _drift_coefficients)
-    out = _laplacian(arr, spec.spacings)
-    out += _lee_pairing(alpha_vals, arr, spec.spacings)
+def _apply(alpha: OneForm, arr: np.ndarray, reaction=0.0) -> np.ndarray:
+    # (Delta + <alpha, d.> + reaction) arr, with the drift in the format
+    # of OneForm.coefficients
+    spacings = alpha.spec.spacings
+    out = _laplacian(arr, spacings)
+    out += _lee_pairing(alpha.coefficients, arr, spacings)
     if np.isscalar(reaction):
         if reaction != 0.0:
             out += reaction * arr
@@ -153,7 +154,6 @@ def _fft_inverse(spec: GridSpec, alpha_const, shift: float, zero_mode_null: bool
 # ---------------------------------------------------------------------------
 
 def _solve_system(
-    spec: GridSpec,
     alpha: OneForm,
     reaction,
     rhs: np.ndarray,
@@ -188,7 +188,8 @@ def _solve_system(
     raises on non-convergence: inspect stats.converged.
     """
     lin = lin or LinearOptions()
-    alpha_vals = _drift_coefficients(alpha)
+    spec = alpha.spec
+    coeffs = alpha.coefficients
     rhs_scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
     target = lin.tol * (1.0 + rhs_scale)
 
@@ -197,12 +198,12 @@ def _solve_system(
         return np.zeros(spec.dims), SolveStats(0, 0.0, True)
 
     # P inverts the mean drift and a constant shift; GMRES sees the rest
-    varying = [isinstance(v, np.ndarray) for v in alpha_vals]
+    varying = [isinstance(v, np.ndarray) for v in coeffs]
     mean_drift = tuple(
         float(np.mean(v)) if var else 0.0 if v is None else v
-        for v, var in zip(alpha_vals, varying)
+        for v, var in zip(coeffs, varying)
     )
-    drift_left = [v - m if var else None for v, m, var in zip(alpha_vals, mean_drift, varying)]
+    drift_left = [v - m if var else None for v, m, var in zip(coeffs, mean_drift, varying)]
     scalar_reaction = np.isscalar(reaction)
     shift = float(reaction) if scalar_reaction else _precondition_shift(reaction)
     reaction_left = None if scalar_reaction else reaction - shift
@@ -210,7 +211,7 @@ def _solve_system(
     # ||A||_inf: the absolute stencil weights of one row, summed
     norm_a = float(np.max(np.abs(reaction))) + sum(
         (64.0 / h + 18.0 * (0.0 if v is None else float(np.max(np.abs(v))))) / (12.0 * h)
-        for h, v in zip(spec.spacings, alpha_vals)
+        for h, v in zip(spec.spacings, coeffs)
     )
     floor = float(np.finfo(float).eps) * norm_a
 
@@ -263,7 +264,7 @@ def _solve_system(
                     overflow = True
                 y = y.reshape(spec.dims)
             x = np.zeros(spec.dims) if overflow else precond(y)
-            resid = b - _apply(x, spec, alpha_vals, reaction)
+            resid = b - _apply(alpha, x, reaction)
             if meanzero:
                 resid -= np.mean(resid)
             resid_sup = float(np.max(np.abs(resid)))
@@ -315,8 +316,7 @@ def solve_meanzero(
     operator's cokernel is the constants for co-closed alpha); violating
     inputs raise SolvabilityError.
     """
-    if f.spec != alpha.spec:
-        raise ValueError("field and one-form live on mismatched grids")
+    same_grid(f, alpha)
     scale = 1.0 + float(np.max(np.abs(f.values)))
     if abs(float(np.mean(f.values))) > 1e-10 * scale:
         raise SolvabilityError(
@@ -327,7 +327,7 @@ def solve_meanzero(
         raise GauduchonError(
             f"one-form is not co-closed: divergence sup-norm {defect:.3e}"
         )
-    x, stats = _solve_system(f.spec, alpha, 0.0, f.values, lin=lin, meanzero=True)
+    x, stats = _solve_system(alpha, 0.0, f.values, lin=lin, meanzero=True)
     if not stats.converged:
         raise SolverError(
             f"mean-zero solve did not converge: residual {stats.residual_sup:.3e} "
@@ -346,9 +346,8 @@ def solve_shifted(
     """Unique solution of (Delta + <alpha, d.> + mu) u = f for mu > 0."""
     if mu <= 0:
         raise ValueError("shift mu must be positive")
-    if f.spec != alpha.spec:
-        raise ValueError("field and one-form live on mismatched grids")
-    x, stats = _solve_system(f.spec, alpha, float(mu), f.values, lin=lin)
+    same_grid(f, alpha)
+    x, stats = _solve_system(alpha, float(mu), f.values, lin=lin)
     if not stats.converged:
         raise SolverError(
             f"shifted solve did not converge: residual {stats.residual_sup:.3e} "

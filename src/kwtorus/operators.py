@@ -23,15 +23,16 @@ form maps constants to exactly 0, and results match the roll-based
 reference in tests/test_operators.py bit for bit; reordering any of it
 changes the last bits of every solve.
 
-_laplacian and _lee_pairing, the solver's hot loop, run that sequence
-slab by slab: the grid is cut along axis 0 into slabs of whole rows
-whose scratch buffers fit SLAB_BYTES, about half a core's L2 cache.  The
-axis-0 neighbours of a slab are views of the operand (a copy only where
-they wrap), and the ghost layers of the other axes are built from the
-slab itself, so every pass over a slab hits cache.  Every element gets
-the same operations in the same order as in one whole-grid sweep, so
-the slab cut changes no bit.  A grid within the budget, such as any
-rank-1 grid, is one slab.
+Every stencil runs that sequence slab by slab, in _laplacian or in
+_lee_pairing; divergence and the gradient pair with a unit covector
+(multiplying by 1.0 is exact).  The grid is cut along axis 0 into slabs
+of whole rows whose scratch buffers fit SLAB_BYTES, about half a core's
+L2 cache.  The axis-0 neighbours of a slab are views of the operand (a
+copy only where they wrap), and the ghost layers of the other axes are
+built from the slab itself, so every pass over a slab hits cache.
+Every element gets the same operations in the same order as in one
+whole-grid sweep, so the slab cut changes no bit.  A grid within the
+budget, such as any rank-1 grid, is one slab.
 
 The underscore functions operate on raw ndarrays and are what the solver
 modules use in their inner loops; the public functions wrap them with
@@ -47,8 +48,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, GridError
-from .grid import GridSpec, OneForm, ScalarField
+from .errors import ConfigError
+from .grid import OneForm, ScalarField, same_grid
 
 DEFAULT_GAUDUCHON_TOL = 1e-8
 
@@ -96,10 +97,6 @@ def _first_difference(nbrs, h, near, far) -> np.ndarray:
     near -= far
     near /= 12.0 * h
     return near
-
-
-def _first_derivative(a: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return _first_difference(_neighbours(a, axis), h, np.empty_like(a), np.empty_like(a))
 
 
 def _slab_rows(shape) -> int:
@@ -151,30 +148,9 @@ def _laplacian(a: np.ndarray, spacings) -> np.ndarray:
     return out
 
 
-def _gradient(a: np.ndarray, spacings) -> list[np.ndarray]:
-    return [_first_derivative(a, ax, h) for ax, h in enumerate(spacings)]
-
-
-def _drift_coefficients(alpha: OneForm) -> list:
-    """alpha's components as _lee_pairing takes them: None where one is
-    identically zero, a float where it is constant, else its values."""
-    out = []
-    for c in alpha.components:
-        v = c.values
-        first = v.flat[0]
-        if not np.all(v == first):
-            out.append(v)
-        elif first == 0.0:
-            out.append(None)
-        else:
-            out.append(float(first))
-    return out
-
-
 def _lee_pairing(alpha_values, a: np.ndarray, spacings) -> np.ndarray:
-    """sum_i alpha_i da/dx_i.  Each alpha_i is None (identically zero:
-    skipped), a float (constant: multiplied as a scalar, which rounds as
-    the constant array would) or an array."""
+    """sum_i alpha_i da/dx_i, with alpha_values in the format of
+    grid.OneForm.coefficients."""
     out = np.zeros_like(a)
     axes = [ax for ax, alpha in enumerate(alpha_values) if alpha is not None]
     if not axes:
@@ -192,10 +168,9 @@ def _lee_pairing(alpha_values, a: np.ndarray, spacings) -> np.ndarray:
     return out
 
 
-def _check_same_spec(spec: GridSpec, *others) -> None:
-    for o in others:
-        if o.spec != spec:
-            raise GridError("operands live on mismatched grids")
+def _unit(rank: int, axis: int) -> tuple:
+    """Coefficients of the covector dx_axis."""
+    return tuple(1.0 if ax == axis else None for ax in range(rank))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
@@ -207,18 +182,18 @@ def laplacian(f: ScalarField) -> ScalarField:
 
 def lee_pairing(alpha: OneForm, f: ScalarField) -> ScalarField:
     """Pointwise pairing of a one-form with the differential of f."""
-    _check_same_spec(f.spec, alpha)
+    same_grid(f, alpha)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _lee_pairing(_drift_coefficients(alpha), f.values, f.spec.spacings)
+        vals = _lee_pairing(alpha.coefficients, f.values, f.spec.spacings)
     return ScalarField(f.spec, vals)
 
 
 def chern_laplacian(alpha: OneForm, f: ScalarField) -> ScalarField:
     """laplacian(f) + lee_pairing(alpha, f)."""
-    _check_same_spec(f.spec, alpha)
+    same_grid(f, alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = _laplacian(f.values, f.spec.spacings) + _lee_pairing(
-            _drift_coefficients(alpha), f.values, f.spec.spacings
+            alpha.coefficients, f.values, f.spec.spacings
         )
     return ScalarField(f.spec, vals)
 
@@ -228,8 +203,8 @@ def divergence(alpha: OneForm) -> ScalarField:
     spec = alpha.spec
     out = np.zeros(spec.dims)
     with np.errstate(over="ignore", invalid="ignore"):
-        for ax, h in enumerate(spec.spacings):
-            out += _first_derivative(alpha.components[ax].values, ax, h)
+        for ax, c in enumerate(alpha.components):
+            out += _lee_pairing(_unit(spec.rank, ax), c.values, spec.spacings)
     return ScalarField(spec, out)
 
 
@@ -260,11 +235,13 @@ def mean(f: ScalarField) -> float:
 
 def grad_squared(f: ScalarField) -> ScalarField:
     """Pointwise squared gradient magnitude."""
-    out = np.zeros(f.spec.dims)
+    spec = f.spec
+    out = np.zeros(spec.dims)
     with np.errstate(over="ignore", invalid="ignore"):
-        for g in _gradient(f.values, f.spec.spacings):
+        for ax in range(spec.rank):
+            g = _lee_pairing(_unit(spec.rank, ax), f.values, spec.spacings)
             out += g * g
-    return ScalarField(f.spec, out)
+    return ScalarField(spec, out)
 
 
 def sup_norm(f: ScalarField) -> float:

@@ -135,3 +135,47 @@ def test_refine_field_exact_on_band_limited():
     xf, yf = fine.spec.coords()
     expect = np.sin(xf) + 0.3 * np.cos(2 * yf)
     assert np.max(np.abs(fine.values - expect)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one grid-match rule: every public entry point rejects operands on
+# different grids with GridError (a ValueError too)
+# ---------------------------------------------------------------------------
+
+def _mismatched_calls():
+    import kwtorus as kw
+
+    a, b = GridSpec((16,)), GridSpec((32,))
+    fa, fb = make_field(a, -1.0), make_field(b, -1.0)
+    za, zb = OneForm.zero(a), OneForm.zero(b)
+    setup = kw.GeometrySetup(1, 0.5)
+    prob = kw.KWProblem(za, -1.0, fa)
+    psi = ScalarField(a, np.sin(a.coords()[0]))
+    return {
+        "OneForm": lambda: OneForm(a, (fb,)),
+        "lee_pairing": lambda: kw.lee_pairing(za, fb),
+        "chern_laplacian": lambda: kw.chern_laplacian(za, fb),
+        "transform_s": lambda: kw.transform_s(fa, fa, zb, setup),
+        "transform_s2": lambda: kw.transform_s2(fa, fb, za, setup),
+        "reduce_problem": lambda: kw.reduce_problem(fa, fa, zb, setup),
+        "recover_metric": lambda: kw.recover_metric(fb, kw.ReducedProblem(-1.0, fa, fa, setup)),
+        "degenerate_solve": lambda: kw.degenerate_solve(fa, fb),
+        "solve_meanzero": lambda: kw.solve_meanzero(za, make_field(b, 0.0)),
+        "solve_shifted": lambda: kw.solve_shifted(za, 1.0, fb),
+        "KWProblem": lambda: kw.KWProblem(za, -1.0, fb),
+        "is_subsolution": lambda: kw.is_subsolution(fb, prob),
+        "is_supersolution": lambda: kw.is_supersolution(fb, prob),
+        "monotone_solve": lambda: kw.monotone_solve(prob, fb, fa),
+        "newton_solve": lambda: kw.newton_solve(prob, fb),
+        "construct_unsolvable": lambda: kw.construct_unsolvable(psi, 0.1, -1.0, zb),
+        "fixed_point_solve": lambda: kw.fixed_point_solve(fa, fa, zb, setup),
+        "continuation_solve": lambda: kw.continuation_solve(fa, fa, zb, setup),
+        "solve_prescribed": lambda: kw.solve_prescribed(fa, fa, zb, setup),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_mismatched_calls()))
+def test_mismatched_grids_raise_grid_error(entry):
+    with pytest.raises(GridError, match="mismatched grids") as err:
+        _mismatched_calls()[entry]()
+    assert isinstance(err.value, ValueError)

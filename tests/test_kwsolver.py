@@ -178,6 +178,29 @@ def _variable_drift_problem(n=48):
     return KWProblem(alpha, -2.0, phi)
 
 
+def test_variable_drift_solve_classifies_each_component_once(monkeypatch):
+    # the operator's drift format is decided once per one-form, by
+    # OneForm.coefficients, which every stencil and solve then reads
+    from functools import cached_property
+
+    classify = OneForm.coefficients.func
+    classified = []
+
+    def counting(form):
+        classified.extend(form.components)
+        return classify(form)
+
+    spy = cached_property(counting)
+    spy.__set_name__(OneForm, "coefficients")
+    monkeypatch.setattr(OneForm, "coefficients", spy)
+    alpha = _variable_drift_problem(32).alpha
+    spec = alpha.spec
+    s_hat = field_from(spec, lambda x0, x1: -1.0 - 0.3 * np.cos(x0))
+    _, rep = solve_prescribed(make_field(spec, -1.0), s_hat, alpha, GeometrySetup(1, 1.0))
+    assert rep.converged
+    assert [id(c) for c in classified] == [id(c) for c in alpha.components]
+
+
 def test_handoff_to_newton_inside_enclosure():
     prob = _variable_drift_problem()
     rep = kwsolver._solve_negative_c(prob)

@@ -194,7 +194,8 @@ def test_stencils_match_roll_reference_bitwise(dims):
     rng = np.random.default_rng(sum(dims))
     a = rng.standard_normal(dims) * 10.0 ** rng.integers(-3, 4, size=dims)
     for ax, h in enumerate(spacings):
-        assert operators._first_derivative(a, ax, h).tobytes() == \
+        unit = operators._unit(len(dims), ax)
+        assert operators._lee_pairing(unit, a, spacings).tobytes() == \
             _ref_first_derivative(a, ax, h).tobytes()
     for field in (a, np.full(dims, 4.2)):
         assert operators._laplacian(field, spacings).tobytes() == \
@@ -239,6 +240,11 @@ def test_blocked_stencils_match_roll_reference_bitwise(rank):
     a = rng.standard_normal(dims) * 10.0 ** rng.integers(-3, 4, size=dims)
     lap = _ref_laplacian(a, spacings)
     assert operators._laplacian(a, spacings).tobytes() == lap.tobytes()
+    squared = np.zeros(dims)
+    for ax, h in enumerate(spacings):
+        g = _ref_first_derivative(a, ax, h)
+        squared += g * g
+    assert grad_squared(ScalarField(spec, a)).values.tobytes() == squared.tobytes()
     # drift components of every kind: zero (None), constant (float) and
     # variable (array), in every position
     values = [np.zeros(dims), np.full(dims, -0.3), rng.standard_normal(dims)]
@@ -246,14 +252,18 @@ def test_blocked_stencils_match_roll_reference_bitwise(rank):
     for shift in range(3):
         comps = [values[(ax + shift) % 3] for ax in range(rank)]
         alpha = OneForm(spec, tuple(ScalarField(spec, v) for v in comps))
-        coeffs = operators._drift_coefficients(alpha)
+        coeffs = alpha.coefficients
         assert [type(c) for c in coeffs] == [kinds[(ax + shift) % 3] for ax in range(rank)]
         pairing = _ref_lee_pairing(comps, a, spacings)
         assert operators._lee_pairing(coeffs, a, spacings).tobytes() == pairing.tobytes()
         for reaction in (0.0, 1.7, rng.uniform(0.5, 2.0, size=dims)):
             expect = lap + pairing
             expect += reaction * a
-            assert _apply(a, spec, coeffs, reaction).tobytes() == expect.tobytes()
+            assert _apply(alpha, a, reaction).tobytes() == expect.tobytes()
+        div = np.zeros(dims)
+        for ax, h in enumerate(spacings):
+            div += _ref_first_derivative(comps[ax], ax, h)
+        assert divergence(alpha).values.tobytes() == div.tobytes()
 
 
 def test_apply_and_fft_solve_allocate_few_fields():
@@ -262,16 +272,16 @@ def test_apply_and_fft_solve_allocate_few_fields():
     import tracemalloc
 
     from kwtorus.linsolve import _fft_inverse
-    from kwtorus.operators import _drift_coefficients
 
     spec = GridSpec((24, 24, 24, 24))
     a = np.random.default_rng(0).standard_normal(spec.dims)
     drift = (0.1, 0.0, 0.05, 0.0)
-    coeffs = _drift_coefficients(OneForm.constant(spec, drift))
+    alpha = OneForm.constant(spec, drift)
+    alpha.coefficients  # classified with the form, not per apply
     solve = _fft_inverse(spec, drift, 1.3, False)
     tracemalloc.start()
     try:
-        _apply(a, spec, coeffs, np.full(spec.dims, 1.3))
+        _apply(alpha, a, np.full(spec.dims, 1.3))
         apply_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         solve(a)
@@ -307,8 +317,8 @@ seeds = st.integers(0, 2**32 - 1)
 @given(spec=grids(), level=st.floats(-1e300, 1e300), seed=seeds)
 def test_stencils_map_constants_to_zero(spec, level, seed):
     rng = np.random.default_rng(seed)
-    alpha_vals = [random_smooth_field(spec, rng).values for _ in range(spec.rank)]
-    out = _apply(np.full(spec.dims, level), spec, alpha_vals, 0.0)
+    alpha = OneForm(spec, tuple(random_smooth_field(spec, rng) for _ in range(spec.rank)))
+    out = _apply(alpha, np.full(spec.dims, level))
     assert np.all(out == 0.0)
 
 
@@ -327,9 +337,9 @@ def test_apply_on_fourier_mode_is_symbol_times_mode(spec, data):
     for ax, (a, d) in enumerate(zip(drift, derivs)):
         symbol += 1j * a * complex(d[tuple(k if i == ax else 0 for i, k in enumerate(index))])
     phase = sum(k * x for k, x in zip(mode, spec.coords()))
-    alpha_vals = [np.full(spec.dims, a) for a in drift]
+    alpha = OneForm.constant(spec, drift)
     # the operator is real: A cos = Re(symbol e^{i phase})
-    out = _apply(np.cos(phase) + np.zeros(spec.dims), spec, alpha_vals, reaction)
+    out = _apply(alpha, np.cos(phase) + np.zeros(spec.dims), reaction)
     expect = symbol.real * np.cos(phase) - symbol.imag * np.sin(phase)
     assert np.max(np.abs(out - expect)) <= 1e-11 * (1.0 + abs(symbol))
 
@@ -341,5 +351,5 @@ def test_co_closed_drift_operator_image_has_mean_zero(spec, seed, amplitude):
     alpha = divergence_free_form(spec, rng, amplitude)
     assert gauduchon_defect(alpha) == 0.0
     f = random_smooth_field(spec, rng, band=3)
-    out = _apply(f.values, spec, [c.values for c in alpha.components], 0.0)
+    out = _apply(alpha, f.values)
     assert abs(float(np.mean(out))) <= 1e-13 * (1.0 + float(np.max(np.abs(out))))
