@@ -823,9 +823,17 @@ def fixed_point_solve(
     message = ""
     iterations = 0
     for _ in range(FIXED_POINT_MAXITER):
-        rhs = (2.0 / k) * (
-            s_hat.values - s.values - s_hat.values * (1.0 + u - np.exp(u))
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = (2.0 / k) * (
+                s_hat.values - s.values - s_hat.values * (1.0 + u - np.exp(u))
+            )
+        if not np.all(np.isfinite(rhs)):
+            status = "not-certified"
+            message = (
+                f"iteration diverged: e^u overflowed after {iterations} steps "
+                f"(sup u = {float(np.max(u)):.3e}); reporting the last finite iterate"
+            )
+            break
         u_next, stats = _solve_system(alpha, reaction, rhs, lin=lin)
         if not stats.converged:
             raise SolverError(
@@ -871,7 +879,9 @@ def _unreduced_defect(u, s, s_hat, alpha, k, tau=1.0) -> np.ndarray:
 
 
 def _unreduced_residual(u, s, s_hat, alpha, k) -> float:
-    return float(np.max(np.abs(_unreduced_defect(u, s, s_hat, alpha, k))))
+    # inf, without a warning, where e^u overflows (a diverged iterate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(_unreduced_defect(u, s, s_hat, alpha, k))))
 
 
 def continuation_solve(

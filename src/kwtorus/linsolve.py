@@ -4,9 +4,10 @@ Every solve takes one path.  The FFT inverse P of the constant-coefficient
 part (the mean drift, and the reaction itself or a constant stand-in for
 it) is exact, since those stencils diagonalize in the Fourier basis.
 When the drift is constant and the reaction a scalar nothing is left
-over and the solve is P f.  Otherwise restarted GMRES (scipy,
-matrix-free, cycles of GMRES_RESTART) solves the right-preconditioned
-system for the remainder, with no Laplacian inside the Krylov loop.
+over and the solve is P f.  Otherwise restarted GMRES (gmres below,
+numpy only, matrix-free, cycles of GMRES_RESTART) solves the
+right-preconditioned system for the remainder, with no Laplacian inside
+the Krylov loop and one solve with P per iteration plus one per solve.
 
 Every solve is judged on its true residual by one test: the documented
 contract, a sup-norm residual of at most tol * (1 + sup|rhs|), plus the
@@ -23,11 +24,11 @@ and the returned solution are projected to zero mean.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConfigError, GauduchonError, SolvabilityError, SolverError
 from .grid import GridSpec, OneForm, ScalarField, same_grid
@@ -117,6 +118,19 @@ def _rfft_symbols(spec: GridSpec):
     return lap_total, derivs
 
 
+@functools.lru_cache(maxsize=8)
+def _drift_symbol(spec: GridSpec, alpha_const: tuple) -> np.ndarray:
+    """Complex symbol of Delta + <alpha_const, d.>, built once per grid and
+    constant drift; callers add their shift to a copy."""
+    lap, derivs = _rfft_symbols(spec)
+    if any(a != 0.0 for a in alpha_const):
+        symbol = lap + 1j * sum(a * d for a, d in zip(alpha_const, derivs))
+    else:
+        symbol = np.asarray(lap, dtype=complex)
+    symbol.setflags(write=False)  # shared by every solve on this grid and drift
+    return symbol
+
+
 def _fft_inverse(spec: GridSpec, alpha_const, shift: float, zero_mode_null: bool):
     """Closure solving (Delta + <alpha_const, d.> + shift) x = b by FFT.
 
@@ -126,11 +140,7 @@ def _fft_inverse(spec: GridSpec, alpha_const, shift: float, zero_mode_null: bool
     same transforms, in the same order, as np.fft.irfftn(np.fft.rfftn(b)
     / denom), without their temporaries.
     """
-    lap, derivs = _rfft_symbols(spec)
-    denom = lap + shift
-    if alpha_const is not None and any(a != 0.0 for a in alpha_const):
-        denom = denom + 1j * sum(a * d for a, d in zip(alpha_const, derivs))
-    denom = np.asarray(denom, dtype=complex).copy()
+    denom = _drift_symbol(spec, tuple(alpha_const)) + shift
     zero = (0,) * spec.rank
     if zero_mode_null:
         denom[zero] = 1.0
@@ -153,6 +163,82 @@ def _fft_inverse(spec: GridSpec, alpha_const, shift: float, zero_mode_null: bool
 # Core solve
 # ---------------------------------------------------------------------------
 
+def gmres(matvec, b, x, r, *, rtol, maxiter, callback, restart=GMRES_RESTART):
+    """Restarted right-preconditioned GMRES for A x = b (Saad & Schultz 1986).
+
+    matvec(v) returns (z, A z) with z = P v for the preconditioner P; r is
+    the residual b - A x, which the caller already holds, and x is updated
+    in place.  Each cycle of at most restart iterations builds an
+    orthonormal basis v_k by modified Gram-Schmidt and keeps z_k = P v_k,
+    as flexible GMRES does, so that x += sum_k c_k z_k costs no further
+    solve with P; the next cycle starts from the Arnoldi residual V (beta
+    e1 - H c), so no cycle spends an operator application outside its
+    iterations.  callback gets the 2-norm residual estimate once per
+    iteration.  Stops when that estimate is at most rtol * ||b||, on
+    breakdown (the Krylov space holds the solution), or after maxiter
+    iterations in all.  Returns (x, info): info is 0 when the estimate met
+    its target or the space broke down, 1 when the budget ran out, and -1
+    when a norm overflowed.
+    """
+    eps = float(np.finfo(float).eps)
+    target = rtol * float(np.linalg.norm(b))
+    beta = float(np.linalg.norm(r))
+    scratch = np.empty_like(r)
+    while maxiter > 0 and math.isfinite(beta) and beta > target:
+        m = min(restart, maxiter)
+        basis = np.empty((m + 1,) + r.shape)
+        np.multiply(r, 1.0 / beta, out=basis[0])
+        zs, cols, rots, g = [], [], [], [beta]
+        for j in range(m):
+            z, w = matvec(basis[j])
+            zs.append(z)
+            w_norm = float(np.linalg.norm(w))
+            h = []
+            for v in basis[: j + 1]:
+                h.append(float(np.vdot(v, w)))
+                w -= np.multiply(v, h[-1], out=scratch)
+            h_next = float(np.linalg.norm(w))
+            if h_next <= eps * w_norm:
+                h_next = 0.0  # breakdown: A z_j lies in the basis already
+            for i, (c, s) in enumerate(rots):
+                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+            d = math.hypot(h[j], h_next)
+            c, s = (h[j] / d, h_next / d) if d else (1.0, 0.0)
+            h[j] = d
+            rots.append((c, s))
+            cols.append(h)
+            g.append(-s * g[j])
+            g[j] *= c
+            callback(abs(g[-1]))
+            if not math.isfinite(g[-1]):
+                return x, -1
+            stop = abs(g[-1]) <= target or h_next == 0.0
+            if stop:
+                break
+            np.multiply(w, 1.0 / h_next, out=basis[j + 1])
+        # back substitution on the rotated triangle, then x += sum c_k z_k
+        k = len(cols)
+        coef = [0.0] * k
+        for i in reversed(range(k)):
+            t = g[i] - sum(cols[l][i] * coef[l] for l in range(i + 1, k))
+            coef[i] = t / cols[i][i] if cols[i][i] else 0.0
+        for ck, z in zip(coef, zs):
+            x += np.multiply(z, ck, out=scratch)
+        maxiter -= k
+        if stop:
+            return x, 0
+        # the residual V_{k+1} Q^T (g_k e_k) of the cycle, rotated back
+        u = [0.0] * k + [g[k]]
+        for i in reversed(range(k)):
+            c, s = rots[i]
+            u[i], u[i + 1] = c * u[i] - s * u[i + 1], s * u[i] + c * u[i + 1]
+        r = np.tensordot(np.array(u), basis[: k + 1], axes=1)
+        beta = float(np.linalg.norm(r))
+    if not math.isfinite(beta):
+        return x, -1
+    return x, 0 if beta <= target else 1
+
+
 def _solve_system(
     alpha: OneForm,
     reaction,
@@ -169,23 +255,24 @@ def _solve_system(
     d.> + shift, with abar the mean drift and shift the reaction when it
     is a scalar (else _precondition_shift); R = <alpha - abar, d.> +
     reaction - shift is what is left.  With constant drift and a scalar
-    reaction R = 0 and x = P rhs.  Otherwise GMRES solves (I + R P) y =
-    rhs from y = rhs and x = P y: no Laplacian runs in the Krylov loop,
-    and GMRES minimizes the true residual.
+    reaction R = 0 and x = P rhs.  Otherwise GMRES solves A P y = rhs
+    from x0 = P rhs, whose residual is -R x0, and keeps x = P y itself:
+    each Krylov iteration makes one solve with P and one application of
+    R, and no Laplacian runs in the Krylov loop.
 
     One test judges every solve, on its true residual.  By default it
     holds when that residual is finite and at most lin.tol * (1 +
     sup|rhs|) + eps * ||A||_inf * sup|x|, with ||A||_inf = sup|reaction| +
     sum_i (64/h_i + 18 sup|alpha_i|) / (12 h_i): the added term is the
     round-off of applying the stencil to x, which exceeds the contract on
-    fine grids.  While it fails, GMRES restarts from its last iterate with
-    a tighter 2-norm rtol (never below RTOL_FLOOR).  Passing rtol instead
-    requests a plain relative 2-norm reduction (the inexact-Newton mode,
-    where the outer iteration absorbs the slack) and judges by it.  No
-    GMRES call runs past the lin.maxiter budget, and stats.iterations
-    counts every Krylov iteration.  A non-finite Krylov norm (a right-hand
-    side near the float range) stops the solve at once with x = 0.  Never
-    raises on non-convergence: inspect stats.converged.
+    fine grids.  While it fails, GMRES restarts from x and that true
+    residual with a tighter 2-norm rtol (never below RTOL_FLOOR).  Passing
+    rtol instead requests a plain relative 2-norm reduction (the
+    inexact-Newton mode, where the outer iteration absorbs the slack) and
+    judges by it.  No GMRES call runs past the lin.maxiter budget, and
+    stats.iterations counts every Krylov iteration.  A non-finite Krylov
+    norm (a right-hand side near the float range) stops the solve at once
+    with x = 0.  Never raises on non-convergence: inspect stats.converged.
     """
     lin = lin or LinearOptions()
     spec = alpha.spec
@@ -215,55 +302,50 @@ def _solve_system(
     )
     floor = float(np.finfo(float).eps) * norm_a
 
-    def matvec(v):
-        y = v.reshape(spec.dims)
-        x = precond(y)
-        out = y.copy()
-        if any(varying):
-            out += _lee_pairing(drift_left, x, spec.spacings)
-        if reaction_left is not None:
-            out += reaction_left * x
+    def remainder(z):
+        # R z, projected to zero mean when meanzero; krylov means R != 0
+        if reaction_left is None:
+            out = _lee_pairing(drift_left, z, spec.spacings)
+        else:
+            out = reaction_left * z
+            if any(varying):
+                out += _lee_pairing(drift_left, z, spec.spacings)
         if meanzero:
             out -= np.mean(out)
-        return out.ravel()
+        return out
 
-    A = LinearOperator((spec.npoints, spec.npoints), matvec=matvec, dtype=np.float64)
+    def matvec(v):
+        # (P v, A P v): A P v = v + R P v, as P inverts A - R
+        z = precond(v)
+        w = remainder(z)
+        w += v
+        return z, w
+
     iters = [0]
 
-    def callback(pr_norm):
+    def count(_estimate):
         iters[0] += 1
-        if not math.isfinite(pr_norm):
-            raise FloatingPointError  # the Krylov norms overflowed
 
     rtol_eff = max(lin.tol if rtol is None else rtol, RTOL_FLOOR)
-    y = b
     # a reaction near the float minimum overflows P's zero mode, and a
     # right-hand side near the float range the Krylov norms; x or its
     # residual then holds inf or nan and is judged not converged
     with np.errstate(over="ignore", invalid="ignore"):
         precond = _fft_inverse(spec, mean_drift, shift, meanzero)
+        x = precond(b)
+        if krylov:
+            resid = -remainder(x)
         while True:
             done = iters[0]
             overflow = False
             if krylov:
-                # whole cycles of at most GMRES_RESTART that fit the remaining budget
-                restart = min(GMRES_RESTART, lin.maxiter - done)
-                try:
-                    y, _info = gmres(
-                        A,
-                        b.ravel(),
-                        x0=y.ravel(),
-                        rtol=rtol_eff,
-                        atol=0.0,
-                        restart=restart,
-                        maxiter=(lin.maxiter - done) // restart,
-                        callback=callback,
-                        callback_type="pr_norm",
-                    )
-                except FloatingPointError:
-                    overflow = True
-                y = y.reshape(spec.dims)
-            x = np.zeros(spec.dims) if overflow else precond(y)
+                x, info = gmres(
+                    matvec, b, x, resid, rtol=rtol_eff, maxiter=lin.maxiter - done,
+                    callback=count,
+                )
+                overflow = info < 0
+                if overflow:
+                    x = np.zeros(spec.dims)
             resid = b - _apply(alpha, x, reaction)
             if meanzero:
                 resid -= np.mean(resid)
@@ -290,7 +372,7 @@ def _solve_system(
                 cut = float(np.clip(0.5 * bound / resid_sup, 1e-4, 0.1))
                 rtol_eff = max(rtol_eff * cut, RTOL_FLOOR)
             elif iters[0] == done:
-                break  # GMRES already holds y converged; another call cannot move it
+                break  # GMRES already holds x converged; another call cannot move it
     return x, SolveStats(max(iters[0], 1), resid_sup, converged)
 
 

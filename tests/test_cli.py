@@ -287,6 +287,26 @@ def test_huge_rhs_is_a_solver_failure(tmp_path):
     assert read_report(tmp_path)["status"] == "max-iter"
 
 
+def test_diverging_fixed_point_is_not_blamed_on_the_operator(tmp_path):
+    # the Picard iterate grows until e^u overflows: the solve stops on the
+    # non-finite right-hand side, with no RuntimeWarning (an error under
+    # tier-1's filterwarnings), and reports the divergence and the last
+    # finite iterate instead of a singular linear solve
+    code = run(["solve", "--dims", "32,32", "--n", "1", "--t", "1",
+                "--s=0.5+0.1*sin(x0)", "--s-hat=0.5+0.05*cos(x1)",
+                "--strategy", "fixed-point",
+                "--alpha0=0.1*sin(x1)", "--alpha1=0.1*cos(x0)"], tmp_path)
+    assert code == 3
+    rep = read_report(tmp_path)
+    assert rep["status"] == "not-certified"
+    assert rep["method"] == "fixed-point"
+    assert "diverged" in rep["message"] and "last finite iterate" in rep["message"]
+    assert "singular" not in rep["message"]
+    assert int(rep["iterations"]) >= 1
+    assert math.isfinite(float(rep["u_max"]))
+    assert np.all(np.isfinite(read_field(tmp_path / "u.kwf").values))
+
+
 def test_degenerate_t_and_rejection(tmp_path):
     good = tmp_path / "ok"
     good.mkdir()

@@ -259,6 +259,149 @@ def test_stencil_stays_out_of_the_krylov_loop(monkeypatch, array_reaction):
     assert laps[0] == calls[0]
 
 
+def test_krylov_solve_makes_one_fft_solve_per_iteration_plus_one(monkeypatch):
+    # x0 = P rhs is the only FFT solve outside the Krylov loop: each
+    # iteration keeps z_k = P v_k, so neither a restart nor the final x
+    # costs another
+    import kwtorus.linsolve as linsolve
+
+    built, applies = [0], [0]
+    real = linsolve._fft_inverse
+
+    def factory(*args, **kwargs):
+        built[0] += 1
+        solve = real(*args, **kwargs)
+
+        def counted(b):
+            applies[0] += 1
+            return solve(b)
+
+        return counted
+
+    monkeypatch.setattr(linsolve, "_fft_inverse", factory)
+    spec = GridSpec((32, 32))
+    alpha = OneForm(spec, (
+        field_from(spec, lambda x0, x1: 5.0 * np.sin(x1)),
+        field_from(spec, lambda x0, x1: 5.0 * np.cos(x0)),
+    ))
+    reaction = field_from(spec, lambda x0, x1: 1.0 + 0.5 * np.cos(x0 + x1)).values
+    rhs = random_smooth_field(spec, np.random.default_rng(5)).values
+    _, stats = _solve_system(alpha, reaction, rhs)
+    assert stats.converged
+    assert stats.iterations >= 10
+    assert built[0] == 1
+    assert applies[0] == stats.iterations + 1
+
+
+@pytest.mark.parametrize("restart", [50, 3])
+def test_gmres_matches_dense_solve(restart):
+    # a nonsymmetric 12 x 12 system with a Jacobi preconditioner; restart 3
+    # runs several cycles, each started from the Arnoldi residual
+    import kwtorus.linsolve as linsolve
+
+    rng = np.random.default_rng(21)
+    n = 12
+    a = np.diag(rng.uniform(2.0, 6.0, n)) + 0.4 * rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    diag = np.diag(a).copy()
+
+    def matvec(v):
+        z = v / diag
+        return z, a @ z
+
+    estimates = []
+    x, info = linsolve.gmres(
+        matvec, b, np.zeros(n), b.copy(), rtol=1e-13, maxiter=200,
+        callback=estimates.append, restart=restart,
+    )
+    expect = np.linalg.solve(a, b)
+    assert info == 0
+    assert np.max(np.abs(x - expect)) <= 1e-11 * np.max(np.abs(expect))
+    assert estimates[-1] <= 1e-13 * np.linalg.norm(b)
+    assert len(estimates) <= (n if restart >= n else 200)
+
+
+def test_gmres_stops_on_breakdown():
+    # b = e0 and a block-diagonal A: the Krylov space closes after two
+    # iterations, exactly, and GMRES stops there with the solution although
+    # rtol = 0 can never be met by a residual estimate
+    import kwtorus.linsolve as linsolve
+
+    a = np.zeros((6, 6))
+    a[:2, :2] = [[3.0, 1.0], [2.0, 4.0]]
+    a[2:, 2:] = np.diag([5.0, 6.0, 7.0, 8.0]) + np.eye(4, k=1)
+    b = np.zeros(6)
+    b[0] = 1.0
+    estimates = []
+    x, info = linsolve.gmres(
+        lambda v: (v.copy(), a @ v), b, np.zeros(6), b.copy(), rtol=0.0,
+        maxiter=50, callback=estimates.append,
+    )
+    assert info == 0
+    assert len(estimates) == 2
+    assert np.max(np.abs(x - np.linalg.solve(a, b))) <= 1e-15
+
+
+def test_gmres_returns_at_once_when_the_start_meets_its_target():
+    import kwtorus.linsolve as linsolve
+
+    calls = []
+    x0 = np.ones(4)
+    x, info = linsolve.gmres(
+        lambda v: calls.append(1), np.ones(4), x0, np.zeros(4), rtol=1e-10,
+        maxiter=10, callback=calls.append,
+    )
+    assert (x is x0, info, calls) == (True, 0, [])
+
+
+def test_fft_symbol_is_built_once_per_grid_and_drift(monkeypatch):
+    # P's symbol Delta + i <abar, k> is cached per (grid, mean drift), and
+    # each solve adds its own shift: the same bytes as building it whole
+    import kwtorus.linsolve as linsolve
+
+    builds = [0]
+    real = linsolve._rfft_symbols
+
+    def spy(*args, **kwargs):
+        builds[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linsolve, "_rfft_symbols", spy)
+    linsolve._drift_symbol.cache_clear()
+    spec = GridSpec((24, 16))
+    alpha = OneForm(spec, (
+        field_from(spec, lambda x0, x1: 0.4 + 0.3 * np.sin(x1)),
+        field_from(spec, lambda x0, x1: -0.25 + 0.3 * np.cos(x0)),
+    ))
+    rhs = random_smooth_field(spec, np.random.default_rng(8)).values
+    first, _ = _solve_system(alpha, 1.3, rhs)
+    again, _ = _solve_system(alpha, 1.3, rhs)
+    _solve_system(alpha, 0.7, rhs)
+    assert first.tobytes() == again.tobytes()
+    assert builds[0] == 1
+    drift = tuple(float(np.mean(c.values)) for c in alpha.components)
+    lap, derivs = real(spec)
+    whole = np.asarray(lap + 1.3 + 1j * sum(a * d for a, d in zip(drift, derivs)), complex)
+    assert (linsolve._drift_symbol(spec, drift) + 1.3).tobytes() == whole.tobytes()
+    assert builds[0] == 1
+
+
+def test_cli_import_loads_no_scipy():
+    # in a fresh interpreter: GMRES is kwtorus's own, so the CLI's start-up
+    # pays for no scipy.sparse.linalg import
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    code = "import sys, kwtorus.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_overflowed_newton_inner_solve_is_not_converged():
     # a residual near the float range overflows its 2-norm and the norm of
     # the right-hand side alike; inf <= rtol * inf must not pass as converged

@@ -353,3 +353,31 @@ def test_co_closed_drift_operator_image_has_mean_zero(spec, seed, amplitude):
     f = random_smooth_field(spec, rng, band=3)
     out = _apply(alpha, f.values)
     assert abs(float(np.mean(out))) <= 1e-13 * (1.0 + float(np.max(np.abs(out))))
+
+
+@pytest.mark.parametrize("values", [(0.0, 0.0), (0.3, 0.0), (-1.5, 2.0)])
+def test_constant_form_defect_skips_the_stencil(monkeypatch, values):
+    # the first-difference stencil maps constants to exactly 0, so a
+    # constant form's defect is 0 without running it; a varying form still
+    # runs it, and both agree with the sup of the divergence
+    import kwtorus.operators as operators
+
+    spec = GridSpec((16, 16))
+    calls = [0]
+    real = operators._lee_pairing
+
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    constant = OneForm.constant(spec, values)
+    varying = OneForm(spec, (
+        field_from(spec, lambda x0, x1: 0.4 * np.sin(x1) + values[0]),
+        field_from(spec, lambda x0, x1: 0.2 * np.cos(x0 + x1)),
+    ))
+    expect = [float(np.max(np.abs(divergence(a).values))) for a in (constant, varying)]
+    monkeypatch.setattr(operators, "_lee_pairing", spy)
+    assert gauduchon_defect(constant) == expect[0] == 0.0
+    assert calls[0] == 0
+    assert gauduchon_defect(varying) == expect[1] > 0.0
+    assert calls[0] == spec.rank
