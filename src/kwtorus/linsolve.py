@@ -163,12 +163,12 @@ def _fft_inverse(spec: GridSpec, alpha_const, shift: float, zero_mode_null: bool
 # Core solve
 # ---------------------------------------------------------------------------
 
-def gmres(matvec, b, x, r, *, rtol, maxiter, callback, restart=GMRES_RESTART):
+def gmres(matvec, b, x, r, *, rtol, maxiter, callback):
     """Restarted right-preconditioned GMRES for A x = b (Saad & Schultz 1986).
 
     matvec(v) returns (z, A z) with z = P v for the preconditioner P; r is
     the residual b - A x, which the caller already holds, and x is updated
-    in place.  Each cycle of at most restart iterations builds an
+    in place.  Each cycle of at most GMRES_RESTART iterations builds an
     orthonormal basis v_k by modified Gram-Schmidt and keeps z_k = P v_k,
     as flexible GMRES does, so that x += sum_k c_k z_k costs no further
     solve with P; the next cycle starts from the Arnoldi residual V (beta
@@ -184,9 +184,10 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback, restart=GMRES_RESTART):
     target = rtol * float(np.linalg.norm(b))
     beta = float(np.linalg.norm(r))
     scratch = np.empty_like(r)
+    cycle = min(GMRES_RESTART, maxiter)
+    basis = np.empty((cycle + 1,) + r.shape)  # reused by every cycle
     while maxiter > 0 and math.isfinite(beta) and beta > target:
-        m = min(restart, maxiter)
-        basis = np.empty((m + 1,) + r.shape)
+        m = min(cycle, maxiter)
         np.multiply(r, 1.0 / beta, out=basis[0])
         zs, cols, rots, g = [], [], [], [beta]
         for j in range(m):

@@ -294,10 +294,12 @@ def test_krylov_solve_makes_one_fft_solve_per_iteration_plus_one(monkeypatch):
 
 
 @pytest.mark.parametrize("restart", [50, 3])
-def test_gmres_matches_dense_solve(restart):
+def test_gmres_matches_dense_solve(restart, monkeypatch):
     # a nonsymmetric 12 x 12 system with a Jacobi preconditioner; restart 3
     # runs several cycles, each started from the Arnoldi residual
     import kwtorus.linsolve as linsolve
+
+    monkeypatch.setattr(linsolve, "GMRES_RESTART", restart)
 
     rng = np.random.default_rng(21)
     n = 12
@@ -312,7 +314,7 @@ def test_gmres_matches_dense_solve(restart):
     estimates = []
     x, info = linsolve.gmres(
         matvec, b, np.zeros(n), b.copy(), rtol=1e-13, maxiter=200,
-        callback=estimates.append, restart=restart,
+        callback=estimates.append,
     )
     expect = np.linalg.solve(a, b)
     assert info == 0
