@@ -162,11 +162,21 @@ class NecessaryCheck:
 # Pointwise defect and certificates
 # ---------------------------------------------------------------------------
 
-def _phi_exp(phi_vals: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # phi * e^w with 0 * inf resolved to 0 where phi vanishes
+def _phi_exp(phi_vals: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
+    # phi * e^w with 0 * inf resolved to 0 where phi vanishes, written
+    # into out (which may be w) when given
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = phi_vals * np.exp(w)
-    return np.where(phi_vals == 0.0, 0.0, prod)
+        prod = np.exp(w, out=out)
+        prod *= phi_vals
+    prod[phi_vals == 0.0] = 0.0
+    return prod
+
+
+def _reaction(phi_vals: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
+    # -phi e^w: the reaction of the linearization at w of a residual
+    # A w + b - phi e^w
+    prod = _phi_exp(phi_vals, w, out)
+    return np.negative(prod, out=prod)
 
 
 def _defect(w: np.ndarray, prob: KWProblem) -> np.ndarray:
@@ -381,38 +391,53 @@ def _monotone(prob, w_minus, w_plus, tol, maxiter, lin, handoff=None):
             f"iteration shift overflow (lambda = {lam:.3e}); supersolution too large"
         )
 
-    w = w_minus.values.copy()
+    def defect_sup(image, pe):
+        # sup|A w + c - phi e^w| from A w and phi e^w, summed as _defect
+        # sums them; overwrites image
+        image += prob.c
+        image -= pe
+        return float(np.max(np.abs(image, out=image)))
+
+    w = w_minus.values  # read only: every step rebinds w
     trace = [float(np.max(w))]
     min_steps: list[float] = []
-    residual = float(np.max(np.abs(_defect(w, prob))))
+    # the loop's own fields: phi e^w, computed once per iterate, and the
+    # step; pe turns into the next right-hand side, with lam w in step
+    pe, step = _phi_exp(phi, w), np.empty_like(w)
+    residual = defect_sup(_apply(prob.alpha, w), pe)
     status = "max-iter"
     iterations = 0
     prev_step = np.inf
     tail = None
     for _ in range(maxiter):
-        rhs = _phi_exp(phi, w) - prob.c + lam * w
-        w_next, stats = _solve_system(prob.alpha, lam, rhs, lin=lin)
+        np.subtract(pe, prob.c, out=pe)
+        pe += np.multiply(w, lam, out=step)  # phi e^w - c + lam w
+        w_next, stats = _solve_system(prob.alpha, lam, pe, lin=lin)
         if not stats.converged:
             raise SolverError(
                 f"inner shifted solve failed (residual {stats.residual_sup:.3e})"
             )
-        step = w_next - w
+        np.subtract(w_next, w, out=step)
         min_steps.append(float(np.min(step)))
         w = w_next
         iterations += 1
         trace.append(float(np.max(w)))
-        residual = float(np.max(np.abs(_defect(w, prob))))
-        scale = 1.0 + abs(prob.c) + float(np.max(np.abs(_phi_exp(phi, w))))
+        _phi_exp(phi, w, out=pe)
+        # the solve's residual test applied the stencils to w already
+        residual = defect_sup(stats.image, pe)
+        del stats  # no image beside the next solve
+        scale = 1.0 + abs(prob.c) + float(np.max(np.abs(pe)))
         step_sup = float(np.max(np.abs(step)))
         if step_sup <= tol and residual <= 10.0 * lin.tol * scale:
             status = "converged"
             break
         if handoff is not None and step_sup > HANDOFF_RATIO * prev_step:
-            del rhs, step  # two fields fewer beside Newton's Krylov basis
+            del pe, step  # two fields fewer beside Newton's Krylov basis
             tail = handoff(ScalarField(spec, w))
             handoff = None  # at most once per solve
             if tail is not None:
                 break
+            pe, step = _phi_exp(phi, w), np.empty_like(w)
         prev_step = step_sup
     report = SolveReport(
         solution=ScalarField(spec, w),
@@ -453,45 +478,75 @@ def _norm2(r: np.ndarray) -> float:
     return norm
 
 
-def _line_search(x: np.ndarray, delta: np.ndarray, merit, merit0: float):
+def _line_search(x, delta, r, a_delta, reaction, phi, meanzero=False):
     """Backtracking along delta: step sizes 1, 1/2, 1/4, ...
 
-    merit maps a trial point to the residual whose 2-norm must fall below
-    merit0.  Returns (trial, residual, norm) for the first step that
-    achieves it, or None after LINE_SEARCH_HALVINGS rejected trials.  A
-    trial that overflows has a non-finite norm and is rejected, so its
+    The residual is F(w) = A w + b - phi e^w with b constant, r = F(x),
+    reaction = -phi e^x and a_delta = A delta.  A trial's residual
+
+        F(x + s delta) = (r - reaction) + s a_delta - phi e^(x + s delta)
+
+    then applies no stencil.  With meanzero, r and every trial residual
+    are projected to zero mean.  Returns (trial, residual, reaction,
+    norm) for the first step whose residual 2-norm falls below that of
+    r, or None after LINE_SEARCH_HALVINGS rejected trials.  A trial that
+    overflows has a non-finite norm and is rejected, so its
     floating-point warnings are silenced.
+
+    Every trial runs in the caller's fields, which it overwrites: r
+    becomes r - reaction, a_delta is halved with s (exactly), the trial
+    residual goes into reaction, the accepted point into delta and its
+    reaction into a_delta.
     """
+    merit0 = _norm2(r)
+    base = np.subtract(r, reaction, out=r)  # A x + b
+    r_try = reaction
     s = 1.0
-    for _ in range(LINE_SEARCH_HALVINGS):
-        x_try = x + s * delta
-        with np.errstate(over="ignore", invalid="ignore"):
-            r_try = merit(x_try)
-        rn_try = _norm2(r_try)
-        if np.isfinite(rn_try) and rn_try < merit0:
-            return x_try, r_try, rn_try
-        s *= 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(LINE_SEARCH_HALVINGS):
+            np.multiply(delta, s, out=r_try)
+            r_try += x
+            _phi_exp(phi, r_try, out=r_try)
+            np.subtract(base, r_try, out=r_try)
+            r_try += a_delta  # s A delta
+            if meanzero:
+                r_try -= np.mean(r_try)
+            norm = _norm2(r_try)
+            if np.isfinite(norm) and norm < merit0:
+                trial = np.multiply(delta, s, out=delta)
+                trial += x
+                return trial, r_try, _reaction(phi, trial, out=a_delta), norm
+            s *= 0.5
+            a_delta *= 0.5
     return None
 
 
 def _newton_step(
-    x, r, reaction, alpha, merit, lin, meanzero=False, rtol=NEWTON_INNER_RTOL
+    x, r, reaction, phi, alpha, lin, meanzero=False, rtol=NEWTON_INNER_RTOL
 ):
-    """Inexact Newton step from x with residual r: a capped Krylov solve
-    of (A + reaction) delta = -r to the relative 2-norm tolerance rtol,
-    then the line search along delta.
+    """Inexact Newton step from x for the residual F(w) = A w + b - phi e^w
+    (b constant), with r = F(x) and reaction = -phi e^x: a capped Krylov
+    solve of (A + reaction) delta = -r to the relative 2-norm tolerance
+    rtol, then the line search along delta.  The solve hands back A
+    delta, so no trial applies the stencils.
 
     Returns (step, failure, inner_converged), where step is the line
-    search's (trial, residual, norm) or None and failure names the reason.
+    search's (trial, residual, reaction, norm) or None and failure names
+    the reason.  The line search overwrites r and reaction.
     """
     lin = lin or LinearOptions()
     inner = replace(lin, maxiter=min(lin.maxiter, NEWTON_INNER_MAXITER))
+    # every operation of the solve is odd in its right-hand side, so
+    # solving with r gives -delta exactly, without a copy -r beside the
+    # Krylov basis
     delta, stats = _solve_system(
-        alpha, reaction, -r, lin=inner, meanzero=meanzero, rtol=rtol
+        alpha, reaction, r, lin=inner, meanzero=meanzero, rtol=rtol
     )
+    np.negative(delta, out=delta)
     if not np.all(np.isfinite(delta)):
         return None, "linearized solve produced a non-finite step", stats.converged
-    step = _line_search(x, delta, merit, _norm2(r))
+    a_delta = np.negative(stats.image, out=stats.image)
+    step = _line_search(x, delta, r, a_delta, reaction, phi, meanzero)
     return step, "line search stalled", stats.converged
 
 
@@ -534,28 +589,35 @@ def newton_solve(
 
     Each step solves the linearization A - phi e^w through the Krylov
     solver to an Eisenstat-Walker forcing term (_forcing) and backtracks
-    by halving until the 2-norm of F decreases.  Stops when the sup-norm
-    residual falls below tol times the problem scale.  A stalled line
-    search or non-finite step reports status not-certified; the budget
-    running out reports max-iter.  A report that did not converge counts
+    by halving until the 2-norm of F decreases.  The residual of a step
+    is carried from the last one (see _line_search), so the stencils run
+    once per step, in the inner solve.  Stops when the sup-norm residual
+    falls below tol times the problem scale, and only once a freshly
+    applied stencil residual confirms it; a carried residual that passes
+    alone is replaced by the fresh one and the iteration goes on.  A
+    stalled line search or non-finite step reports status not-certified;
+    the budget running out reports max-iter.  Every report carries the
+    fresh residual of its solution, and one that did not converge counts
     its inner solves that missed their forcing term.
     """
     same_grid(w0, prob)
     phi = prob.phi.values
-
-    def defect(x):
-        return _defect(x, prob)
-
-    w = w0.values.copy()
-    r = defect(w)
+    w = w0.values  # read only: every step rebinds w
+    r = _defect(w, prob)
+    fresh = True  # r was applied to w, not carried
+    reaction = _reaction(phi, w)
     norm, prev_norm, eta = _norm2(r), None, FORCING_MAX
     trace = [float(np.max(w))]
     status = "max-iter"
     message = ""
     unconverged = 0
     for i in range(maxiter + 1):
-        scale = 1.0 + abs(prob.c) + float(np.max(np.abs(_phi_exp(phi, w))))
+        scale = 1.0 + abs(prob.c) + float(np.max(np.abs(reaction)))
         r_sup = float(np.max(np.abs(r)))
+        if r_sup <= tol * scale and not fresh:
+            # a carried residual passes: confirm it on the stencils
+            r, fresh = _defect(w, prob), True
+            norm, r_sup = _norm2(r), float(np.max(np.abs(r)))
         if r_sup <= tol * scale:
             status = "converged"
             break
@@ -563,16 +625,19 @@ def newton_solve(
             break
         eta = _forcing(norm, prev_norm, eta, 0.5 * tol * scale / r_sup)
         step, failure, inner_ok = _newton_step(
-            w, r, -_phi_exp(phi, w), prob.alpha, defect, lin, rtol=eta
+            w, r, reaction, phi, prob.alpha, lin, rtol=eta
         )
         unconverged += not inner_ok
+        fresh = False  # the step overwrote r
         if step is None:
             status = "not-certified"
             message = failure
             break
-        w, r, rn = step
+        w, r, reaction, rn = step
         norm, prev_norm = rn, norm
         trace.append(float(np.max(w)))
+    if not fresh:
+        r = _defect(w, prob)
     if status != "converged":
         message = _failure_message(message, unconverged)
     return SolveReport(
@@ -840,6 +905,7 @@ def fixed_point_solve(
                 f"fixed-point linear solve failed (residual {stats.residual_sup:.3e}); "
                 "the linearized operator may be singular for this s_hat"
             )
+        del stats  # no image beside the next solve
         step = float(np.max(np.abs(u_next - u)))
         u = u_next
         iterations += 1
@@ -926,10 +992,8 @@ def continuation_solve(
         def residual(w):
             return _unreduced_defect(w, s, s_hat, alpha, k, tau)
 
-        def projected_residual(w):
-            r = residual(w)
-            return r - np.mean(r)
-
+        # the residual is A w + (2 tau / k) s - phi_tau e^w
+        phi_tau = (2.0 * tau / k) * s_hat.values
         converged = False
         for _ in range(newton_maxiter):
             # constant mode: the mean equation mean(s_hat e^u) = mean(s) is
@@ -951,9 +1015,8 @@ def continuation_solve(
             # mean-zero mode: Newton step restricted to the subspace where
             # the linearization stays uniformly invertible; the escape
             # family u -> -inf of the c = 0 regime is invisible there
-            reaction = (2.0 * tau / k) * (-s_hat.values) * np.exp(u)
             step, _, inner_ok = _newton_step(
-                u, r_proj, reaction, alpha, projected_residual, lin, meanzero=True
+                u, r_proj, _reaction(phi_tau, u), phi_tau, alpha, lin, meanzero=True
             )
             unconverged += not inner_ok
             if step is None:
@@ -1014,6 +1077,7 @@ def _solve_negative_c(
         return SolveReport.without_iterates(
             make_field(prob.spec, 0.0), "certified-unsolvable", "necessary", message
         )
+    del nec  # phi0 would stay beside every later solve
     budget = maxiter if monotone_budget is None else min(maxiter, monotone_budget)
     w_minus = build_subsolution(prob)
     try:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,17 +71,33 @@ class LinearOptions:
 
 @dataclass
 class SolveStats:
+    """Outcome of one linear solve.  image is A x without the reaction
+    (Laplacian plus drift) from _solve_system's residual test, for a
+    caller that would otherwise apply the stencils to x again; the
+    public solves return stats without it."""
+
     iterations: int
     residual_sup: float
     converged: bool
+    image: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _apply(alpha: OneForm, arr: np.ndarray, reaction=0.0) -> np.ndarray:
-    # (Delta + <alpha, d.> + reaction) arr, with the drift in the format
-    # of OneForm.coefficients
+    """(Delta + <alpha, d.> + reaction) arr, with the drift in the format
+    of OneForm.coefficients.
+
+    A constant arr whose double is finite skips the stencils: they map
+    it to exactly +0.0, whatever the drift.  Above about 9e307 they
+    overflow (see operators), so such a constant still runs them and
+    gets their non-finite result.
+    """
     spacings = alpha.spec.spacings
-    out = _laplacian(arr, spacings)
-    out += _lee_pairing(alpha.coefficients, arr, spacings)
+    first = float(arr.flat[0])
+    if math.isfinite(2.0 * first) and np.all(arr == first):
+        out = np.zeros_like(arr)
+    else:
+        out = _laplacian(arr, spacings)
+        out += _lee_pairing(alpha.coefficients, arr, spacings)
     if np.isscalar(reaction):
         if reaction != 0.0:
             out += reaction * arr
@@ -176,9 +192,8 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback):
     iterations.  callback gets the 2-norm residual estimate once per
     iteration.  Stops when that estimate is at most rtol * ||b||, on
     breakdown (the Krylov space holds the solution), or after maxiter
-    iterations in all.  Returns (x, info): info is 0 when the estimate met
-    its target or the space broke down, 1 when the budget ran out, and -1
-    when a norm overflowed.
+    iterations in all.  Returns (x, info): info is -1 when a norm
+    overflowed and 0 otherwise; the caller judges x on its true residual.
     """
     eps = float(np.finfo(float).eps)
     target = rtol * float(np.linalg.norm(b))
@@ -235,9 +250,7 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback):
             u[i], u[i + 1] = c * u[i] - s * u[i + 1], s * u[i] + c * u[i + 1]
         r = np.tensordot(np.array(u), basis[: k + 1], axes=1)
         beta = float(np.linalg.norm(r))
-    if not math.isfinite(beta):
-        return x, -1
-    return x, 0 if beta <= target else 1
+    return x, 0 if math.isfinite(beta) else -1
 
 
 def _solve_system(
@@ -274,6 +287,11 @@ def _solve_system(
     stats.iterations counts every Krylov iteration.  A non-finite Krylov
     norm (a right-hand side near the float range) stops the solve at once
     with x = 0.  Never raises on non-convergence: inspect stats.converged.
+
+    The residual test applies the stencils to x once, and stats.image
+    hands that image back: A x without the reaction, the same bits as
+    _apply(alpha, x).  A caller that needs A x takes it from there rather
+    than applying the stencils again, and drops it before its next solve.
     """
     lin = lin or LinearOptions()
     spec = alpha.spec
@@ -283,7 +301,7 @@ def _solve_system(
 
     b = rhs - np.mean(rhs) if meanzero else rhs
     if not np.any(b):
-        return np.zeros(spec.dims), SolveStats(0, 0.0, True)
+        return np.zeros(spec.dims), SolveStats(0, 0.0, True, np.zeros(spec.dims))
 
     # P inverts the mean drift and a constant shift; GMRES sees the rest
     varying = [isinstance(v, np.ndarray) for v in coeffs]
@@ -340,6 +358,7 @@ def _solve_system(
             done = iters[0]
             overflow = False
             if krylov:
+                image = None  # a stale image is not held beside the basis
                 x, info = gmres(
                     matvec, b, x, resid, rtol=rtol_eff, maxiter=lin.maxiter - done,
                     callback=count,
@@ -347,7 +366,14 @@ def _solve_system(
                 overflow = info < 0
                 if overflow:
                     x = np.zeros(spec.dims)
-            resid = b - _apply(alpha, x, reaction)
+            # b - A x with A x = image + reaction x, summed as _apply sums it
+            image = _apply(alpha, x)
+            if np.isscalar(reaction) and reaction == 0.0:
+                resid = b - image
+            else:
+                resid = reaction * x
+                resid += image
+                np.subtract(b, resid, out=resid)
             if meanzero:
                 resid -= np.mean(resid)
             resid_sup = float(np.max(np.abs(resid)))
@@ -374,7 +400,7 @@ def _solve_system(
                 rtol_eff = max(rtol_eff * cut, RTOL_FLOOR)
             elif iters[0] == done:
                 break  # GMRES already holds x converged; another call cannot move it
-    return x, SolveStats(max(iters[0], 1), resid_sup, converged)
+    return x, SolveStats(max(iters[0], 1), resid_sup, converged, image)
 
 
 def _precondition_shift(reaction: np.ndarray) -> float:
@@ -416,7 +442,7 @@ def solve_meanzero(
             f"mean-zero solve did not converge: residual {stats.residual_sup:.3e} "
             f"after {stats.iterations} iterations"
         )
-    return ScalarField(f.spec, x), stats
+    return ScalarField(f.spec, x), replace(stats, image=None)
 
 
 def solve_shifted(
@@ -436,7 +462,7 @@ def solve_shifted(
             f"shifted solve did not converge: residual {stats.residual_sup:.3e} "
             f"after {stats.iterations} iterations"
         )
-    return ScalarField(f.spec, x), stats
+    return ScalarField(f.spec, x), replace(stats, image=None)
 
 
 # ---------------------------------------------------------------------------

@@ -522,3 +522,29 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     code = main(["validate", "--dims", "16", "--s", "1"])
     assert code == 0
     assert (tmp_path / "envout" / "report.kv").exists()
+
+
+def test_roundtrip_applies_the_operator_once_per_iterate(tmp_path, monkeypatch):
+    # the roundtrip-4d benchmark op on 12^4.  One Laplacian each for the
+    # positivity test, the mean-zero solve for v, the supersolution
+    # candidate that is not constant, the 2 monotone steps, Newton's first
+    # residual, its 4 inner solves, the fresh residual that confirms its
+    # convergence and the final unreduced residual: 12.  Constants need
+    # none, and a step's defect or trial reuses its solve's image.
+    from kwtorus import linsolve
+
+    calls = []
+    real = linsolve._laplacian
+    monkeypatch.setattr(linsolve, "_laplacian", lambda *args: calls.append(1) or real(*args))
+    code = run(
+        ["roundtrip", "--dims", "12,12,12,12", "--n", "2", "--t", "0", "--s=-1",
+         "--alpha0=0.1", "--alpha2=0.05",
+         "--u-star=0.4*sin(x0 + 1.0) + 0.2*cos(2*(x0 + 1.0)) + 0.3*sin(x2 + 2.0)",
+         "--monotone-budget", "40", "--kw-maxiter", "3000"],
+        tmp_path,
+    )
+    assert code == 0
+    rep = read_report(tmp_path)
+    assert (rep["status"], rep["method"], rep["iterations"]) == ("converged", "newton", "6")
+    assert float(rep["sup_error"]) < 1e-8
+    assert len(calls) <= 12

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,9 +261,11 @@ def test_fast_contraction_needs_no_handoff(monkeypatch):
 def test_newton_trivial():
     spec = GridSpec((64,))
     prob = KWProblem(OneForm.zero(spec), -1.0, make_field(spec, -1.0))
-    rep = newton_solve(prob, make_field(spec, 0.5))
+    w0 = make_field(spec, 0.5)
+    rep = newton_solve(prob, w0)
     assert rep.status == "converged"
     assert np.max(np.abs(rep.solution.values)) < 1e-8
+    assert np.all(w0.values == 0.5)  # Newton reads w0 without copying it
 
 
 def test_newton_positive_c_manufactured():
@@ -351,6 +355,109 @@ def test_newton_reports_unconverged_inner_solves():
     assert rep.status == "max-iter"
     assert rep.iterations == 50
     assert rep.message == "unconverged inner solves: 50"
+
+
+# ---------------------------------------------------------------------------
+# the stencils once per iterate: carried residuals, fresh reports
+# ---------------------------------------------------------------------------
+
+def _offset_images(monkeypatch, offsets):
+    # inner solve k hands back its image A x moved by offsets[k] (by
+    # nothing past the end); a residual carried from those images then
+    # drifts from the true one
+    real = kwsolver._solve_system
+    offsets = iter(offsets)
+
+    def solve(*args, **kwargs):
+        x, stats = real(*args, **kwargs)
+        stats.image += next(offsets, 0.0)
+        return x, stats
+
+    monkeypatch.setattr(kwsolver, "_solve_system", solve)
+
+
+def test_line_search_applies_no_stencil(monkeypatch):
+    from kwtorus import linsolve
+
+    prob = _variable_drift_problem(32)
+    phi = prob.phi.values
+    x = field_from(prob.spec, lambda x0, x1: 0.3 * np.cos(x0 + x1)).values
+    r = kwsolver._defect(x, prob)
+    reaction = -phi * np.exp(x)
+    delta, stats = kwsolver._solve_system(prob.alpha, reaction, -r, rtol=1e-8)
+    merit0 = float(np.linalg.norm(r))
+    calls = []
+    real = linsolve._laplacian
+    monkeypatch.setattr(linsolve, "_laplacian", lambda *args: calls.append(1) or real(*args))
+    trial, r_try, reaction_try, norm = kwsolver._line_search(
+        x, delta, r.copy(), stats.image, reaction.copy(), phi
+    )
+    assert calls == []
+    monkeypatch.undo()
+    fresh = kwsolver._defect(trial, prob)
+    assert np.max(np.abs(r_try - fresh)) <= 1e-12 * float(np.max(np.abs(phi * np.exp(trial))))
+    assert norm == float(np.linalg.norm(r_try)) < merit0
+    assert np.array_equal(reaction_try, -phi * np.exp(trial))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-6])
+def test_reports_carry_the_fresh_residual(offset, monkeypatch):
+    # converged or not, a Newton or continuation report's residual_sup is
+    # sup|F(solution)| from a freshly applied stencil, whatever residual
+    # the corrector carried; offset moves every inner solve's image
+    _offset_images(monkeypatch, itertools.repeat(offset))
+    prob = _variable_drift_problem(32)
+    line = GridSpec((64,))
+    unsolvable = KWProblem(OneForm.zero(line), -1.0, field_from(line, lambda x: np.sin(x) + 0.5))
+    reports = [
+        (prob, newton_solve(prob, make_field(prob.spec, 0.0))),
+        (prob, newton_solve(prob, make_field(prob.spec, 0.0), maxiter=1)),
+        (unsolvable, newton_solve(unsolvable, make_field(line, 0.0), maxiter=25)),
+    ]
+    assert reports[0][1].converged == (offset == 0.0)
+    assert {rep.status for _, rep in reports[1:]} == {"max-iter", "not-certified"}
+    for p, rep in reports:
+        assert rep.residual_sup == float(np.max(np.abs(kwsolver._defect(rep.solution.values, p))))
+    setup = GeometrySetup(1, 1.0)
+    alpha = OneForm.zero(line)
+    s = field_from(line, lambda x: 0.02 * np.cos(x))
+    s_hat = transform_s(s, field_from(line, lambda x: 0.04 * np.sin(x)), alpha, setup)
+    square = GridSpec((32, 32))
+    hard = (make_field(square, 0.3), field_from(square, lambda x0, x1: 0.3 + 0.02 * np.sin(x0)),
+            _strong_drift(square))
+    cases = [
+        ((s, s_hat, alpha), continuation_solve(s, s_hat, alpha, setup, 5)),
+        (hard, continuation_solve(*hard, setup, 10, lin=STARVED)),
+    ]
+    assert cases[0][1].converged and not cases[1][1].converged
+    for data, rep in cases:
+        tau = 1.0 if rep.converged else float(rep.message.split("tau = ")[1].split(";")[0])
+        defect = kwsolver._unreduced_defect(rep.solution.values, *data, 1.0, tau)
+        assert rep.residual_sup == float(np.max(np.abs(defect)))
+
+
+def test_carried_residual_alone_never_converges(monkeypatch):
+    # an offset image in the first step only: the carried residual
+    # passes when the exact run converges, while the true one is still
+    # near the offset.  Its fresh confirmation rejects it, and the next
+    # steps, on the fresh residual, converge for real
+    prob = _variable_drift_problem(32)
+    w0 = make_field(prob.spec, 0.0)
+    steps = newton_solve(prob, w0).iterations
+    _offset_images(monkeypatch, [1e-6])
+    applied = []
+    real = kwsolver._defect
+    monkeypatch.setattr(kwsolver, "_defect", lambda w, p: applied.append(1) or real(w, p))
+    rep = newton_solve(prob, w0, maxiter=steps)
+    assert rep.status == "max-iter"
+    assert len(applied) == 2  # the start and the rejected confirmation
+    assert rep.residual_sup > 1e-7
+    _offset_images(monkeypatch, [1e-6])
+    rep = newton_solve(prob, w0)
+    assert rep.converged and rep.iterations > steps
+    u = rep.solution.values
+    scale = 1.0 - prob.c + float(np.max(np.abs(prob.phi.values * np.exp(u))))
+    assert rep.residual_sup == float(np.max(np.abs(real(u, prob)))) <= kwsolver.DEFAULT_KW_TOL * scale
 
 
 # ---------------------------------------------------------------------------

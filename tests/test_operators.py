@@ -313,6 +313,41 @@ def grids(draw):
 seeds = st.integers(0, 2**32 - 1)
 
 
+@pytest.mark.parametrize("dims", [(8,), (8, 10), (8, 10, 8), (8, 8, 10, 8)])
+def test_apply_skips_the_stencils_on_constants_bit_for_bit(dims, monkeypatch):
+    # the stencils map a constant to exactly +0.0 while twice it is finite
+    # and to a non-finite field above about 9e307; _apply gives the same
+    # bits, sign of zero included, and runs them only in the second case
+    from kwtorus import linsolve, operators
+
+    spec = GridSpec(dims)
+    rank = len(dims)
+    rng = np.random.default_rng(rank)
+    forms = [
+        OneForm.zero(spec),
+        OneForm.constant(spec, tuple(0.2 * ax - 0.3 for ax in range(rank))),
+        OneForm(spec, tuple(random_smooth_field(spec, rng) for _ in range(rank))),
+    ]
+    levels = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300, 1e308, -1e308]
+    calls = []
+    real = linsolve._laplacian
+    monkeypatch.setattr(linsolve, "_laplacian", lambda *args: calls.append(1) or real(*args))
+    for alpha in forms:
+        for level in levels:
+            a = np.full(dims, level)
+            for reaction in (0.0, -1.5, np.full(dims, 2.0)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expect = operators._laplacian(a, spec.spacings)
+                    expect += operators._lee_pairing(alpha.coefficients, a, spec.spacings)
+                    if not (np.isscalar(reaction) and reaction == 0.0):
+                        expect += reaction * a
+                    calls.clear()
+                    out = _apply(alpha, a, reaction)
+                assert out.tobytes() == expect.tobytes()
+                assert np.all(np.isfinite(out)) == (abs(level) < 1e308)
+                assert len(calls) == (abs(level) == 1e308)
+
+
 @settings(derandomize=True, deadline=None)
 @given(spec=grids(), level=st.floats(-1e300, 1e300), seed=seeds)
 def test_stencils_map_constants_to_zero(spec, level, seed):
