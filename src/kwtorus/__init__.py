@@ -33,10 +33,9 @@ from .grid import (
     ScalarField,
     make_field,
     read_field,
-    read_field_csv,
     refine_field,
+    restrict,
     write_field,
-    write_field_csv,
 )
 from .kwsolver import (
     Bracket,

@@ -1,4 +1,5 @@
-"""Periodic grid geometry, field containers, and field file I/O.
+"""Periodic grid geometry, field containers, field file I/O, and the
+transfers between a grid and its half-size grid.
 
 Grids discretize the flat torus [0, 2pi)^rank with N_i uniformly spaced
 points per axis, stored row-major with the last axis fastest.  The volume
@@ -220,46 +221,13 @@ def read_field(path) -> ScalarField:
     return ScalarField(spec, values.copy())
 
 
-# ---------------------------------------------------------------------------
-# CSV import/export for rank <= 2: one row per first-axis index.
-# ---------------------------------------------------------------------------
-
-def write_field_csv(f: ScalarField, path) -> None:
-    if f.spec.rank > 2:
-        raise GridError("CSV export supports rank 1 and 2 only")
-    rows = f.values if f.spec.rank == 2 else f.values.reshape(-1, 1)
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
-
-def read_field_csv(path) -> ScalarField:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise FileFormatError("empty CSV file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise FileFormatError("ragged CSV rows")
-    arr = np.asarray(rows, dtype=np.float64)
-    if width == 1:
-        spec = GridSpec((len(rows),))
-        return ScalarField(spec, arr.reshape(-1))
-    spec = GridSpec((len(rows), width))
-    return ScalarField(spec, arr)
-
-
 def refine_field(f: ScalarField, factor: int = 2) -> ScalarField:
     """Resample a field onto a grid with every axis count multiplied by factor.
 
     Uses trigonometric interpolation (Fourier zero padding), which is exact
     for band-limited fields and keeps coarse grid points as a subset of the
-    fine grid.  Useful for warm-starting solves in grid-doubling studies.
+    fine grid, so restrict undoes a refinement by 2.  The c < 0 solve lifts
+    the half-size grid's answer with it to start Newton on the fine grid.
     """
     if factor < 1:
         raise GridError("refinement factor must be >= 1")
@@ -297,3 +265,16 @@ def _split_nyquist(block: np.ndarray, idx, coarse) -> np.ndarray:
         sl[ax] = 0 if idx[ax] == 1 else block.shape[ax] - 1
         block[tuple(sl)] *= 0.5
     return block
+
+
+def restrict(f: ScalarField) -> ScalarField:
+    """Injection onto the half-size grid: every other point on each axis,
+    starting at the origin.
+
+    The coarse points are a subset of the fine ones, so the values are
+    copied, not averaged, and restrict(refine_field(g)) equals g up to the
+    round-off of the transforms.  Every half axis must make a valid grid
+    (even and at least MIN_POINTS), else GridError.
+    """
+    spec = GridSpec(tuple(n // 2 for n in f.spec.dims))
+    return ScalarField(spec, np.ascontiguousarray(f.values[(slice(None, None, 2),) * spec.rank]))

@@ -29,15 +29,18 @@ from .errors import (
     ConfigError,
     DegenerateError,
     GauduchonError,
+    GridError,
     SolvabilityError,
     SolverError,
 )
 from .geometry import GeometrySetup, recover_metric, reduce_problem
-from .grid import GridSpec, OneForm, ScalarField, make_field, same_grid
+from .grid import GridSpec, OneForm, ScalarField, make_field, refine_field, restrict, same_grid
 from .linsolve import (
     LinearOptions,
     _apply,
+    _drift_symbol,
     _solve_system,
+    _stencil_norm,
     solve_meanzero,
     solve_shifted,
 )
@@ -66,6 +69,12 @@ LINE_SEARCH_HALVINGS = 40
 # loose supersolution; once a step shrinks the update by less than this
 # factor, _solve_negative_c hands the iterate to Newton
 HANDOFF_RATIO = 0.5
+# a c < 0 solve with a pair on at least this many points first solves the
+# half-size problem and starts Newton from its refined answer (nested
+# iteration).  Below about 128^2 the half grid's own positivity test and
+# pair cost as much as the fine Newton steps they save; from 192^2 up
+# the nested solve is faster
+NEST_MIN_POINTS = 1 << 15
 # largest forcing term of newton_solve's inner solves, also its first one
 # (Eisenstat & Walker 1996, choice 2 with eta_0 = eta_max)
 FORCING_MAX = 0.1
@@ -77,6 +86,10 @@ BRACKET_EPS = 0.01
 BRACKET_REL_WIDTH = 0.01
 # Picard steps of fixed_point_solve
 FIXED_POINT_MAXITER = 200
+# with constant s_hat and drift, fixed_point_solve refuses an operator
+# L = A - (2/k) s_hat whose Fourier symbol comes within this fraction of
+# |(2/k) s_hat| of zero: L^-1 would amplify the data more than 1/that
+FIXED_POINT_SINGULAR_RTOL = 1e-3
 STRATEGIES = ("auto", "newton", "fixed-point", "continuation")
 # bracket probe outcome of a _solve_negative_c status; the rest are solver-failed
 PROBE_OUTCOMES = {"converged": "solved", "certified-unsolvable": "necessary-failed"}
@@ -318,19 +331,24 @@ def _offset_search(prob: KWProblem, v: np.ndarray, phi_bar: float) -> ScalarFiel
     scale = max(1.0, abs(c) / abs(phi_bar))
     pos = phi > 0.0
     neg = phi < 0.0
-    zer = ~(pos | neg)
+    # every step works on the three sign sets, taken out of phi, phi - mean
+    # and v once: pointwise the same arithmetic as on the whole grid
+    dev = phi - phi_bar
+    dev_zer = dev[~(pos | neg)]
+    phi_pos, dev_pos, v_pos = phi[pos], dev[pos], v[pos]
+    phi_neg, dev_neg, v_neg = phi[neg], dev[neg], v[neg]
     for a in scale * np.logspace(-4.0, 3.0, 141):
-        num = a * (phi - phi_bar) + c
-        if np.any(zer) and float(np.min(num[zer])) < 0.0:
+        if dev_zer.size and float(np.min(a * dev_zer + c)) < 0.0:
             continue
-        if float(np.min(num[pos])) <= 0.0:
+        num_pos = a * dev_pos + c
+        if float(np.min(num_pos)) <= 0.0:
             continue
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            den = phi * np.exp(a * v)
-            upper = float(np.min(num[pos] / den[pos]))
+            upper = float(np.min(num_pos / (phi_pos * np.exp(a * v_pos))))
             lower = 0.0
-            if np.any(neg):
-                lower = max(0.0, float(np.max(num[neg] / den[neg])))
+            if phi_neg.size:
+                num_neg = a * dev_neg + c
+                lower = max(0.0, float(np.max(num_neg / (phi_neg * np.exp(a * v_neg)))))
         if not np.isfinite(upper) or upper <= 0.0:
             continue
         if upper <= lower * (1.0 + 1e-9):
@@ -571,6 +589,14 @@ def _forcing(norm: float, prev_norm: float | None, prev_eta: float, floor: float
     return min(FORCING_MAX, max(eta, floor))
 
 
+def _round_off(alpha: OneForm, w: np.ndarray) -> float:
+    """eps ||A||_inf sup|w|, the round-off of applying the stencils to w.
+    A residual carried below it keeps falling while the fresh one cannot,
+    so a corrector whose fresh residual no longer falls after such a step
+    has stalled."""
+    return float(np.finfo(float).eps) * _stencil_norm(alpha) * float(np.max(np.abs(w)))
+
+
 def _failure_message(message: str, unconverged: int) -> str:
     """A failed report's message, with the count of unconverged inner solves."""
     note = f"unconverged inner solves: {unconverged}" if unconverged else ""
@@ -594,11 +620,14 @@ def newton_solve(
     once per step, in the inner solve.  Stops when the sup-norm residual
     falls below tol times the problem scale, and only once a freshly
     applied stencil residual confirms it; a carried residual that passes
-    alone is replaced by the fresh one and the iteration goes on.  A
-    stalled line search or non-finite step reports status not-certified;
-    the budget running out reports max-iter.  Every report carries the
-    fresh residual of its solution, and one that did not converge counts
-    its inner solves that missed their forcing term.
+    alone is replaced by the fresh one and the iteration goes on.  So is
+    a carried residual at the round-off floor (_round_off), and if the
+    fresh 2-norm then did not fall below the last fresh one, the solve
+    has stalled.  That stall, a stalled line search or a non-finite step
+    reports status not-certified; the budget running out reports
+    max-iter.  Every report carries the fresh residual of its solution,
+    and one that did not converge counts its inner solves that missed
+    their forcing term.
     """
     same_grid(w0, prob)
     phi = prob.phi.values
@@ -607,6 +636,7 @@ def newton_solve(
     fresh = True  # r was applied to w, not carried
     reaction = _reaction(phi, w)
     norm, prev_norm, eta = _norm2(r), None, FORCING_MAX
+    fresh_norm = norm  # 2-norm of the last fresh residual
     trace = [float(np.max(w))]
     status = "max-iter"
     message = ""
@@ -614,10 +644,17 @@ def newton_solve(
     for i in range(maxiter + 1):
         scale = 1.0 + abs(prob.c) + float(np.max(np.abs(reaction)))
         r_sup = float(np.max(np.abs(r)))
-        if r_sup <= tol * scale and not fresh:
-            # a carried residual passes: confirm it on the stencils
+        floored = not fresh and r_sup <= _round_off(prob.alpha, w)
+        if floored or (not fresh and r_sup <= tol * scale):
+            # a carried residual passes, or measures nothing: confirm it
+            # on the stencils
             r, fresh = _defect(w, prob), True
             norm, r_sup = _norm2(r), float(np.max(np.abs(r)))
+            if floored and r_sup > tol * scale and norm >= fresh_norm:
+                status = "not-certified"
+                message = "line search stalled at the round-off floor"
+                break
+            fresh_norm = norm
         if r_sup <= tol * scale:
             status = "converged"
             break
@@ -866,7 +903,12 @@ def fixed_point_solve(
     Iterates T(u) = L^{-1}((2/k)[s_hat - s - s_hat (1 + u - e^u)]) with
     L u = A u - (2/k) s_hat u, starting from zero.  Requires L to be
     numerically invertible; identically vanishing s_hat leaves the
-    constants in the kernel and raises SolverError.
+    constants in the kernel and raises SolverError.  So does a constant
+    s_hat with constant drift whose L is nearly singular: its symbol,
+    _drift_symbol - (2/k) s_hat, within FIXED_POINT_SINGULAR_RTOL of
+    |(2/k) s_hat| of zero (s_hat = k m^2 / 2 for a Laplacian eigenvalue
+    m^2, which the stencil matches to O(h^4)).  Variable s_hat or drift
+    has no such exact test.
     """
     lin = lin or LinearOptions()
     if setup.degenerate:
@@ -879,6 +921,16 @@ def fixed_point_solve(
             "fixed-point operator is singular: s_hat vanishes identically"
         )
     reaction = -(2.0 / k) * s_hat.values
+    level = float(reaction.flat[0])
+    drift = alpha.coefficients
+    if np.all(reaction == level) and not any(isinstance(v, np.ndarray) for v in drift):
+        symbol = _drift_symbol(spec, tuple(0.0 if v is None else v for v in drift))
+        distance = float(np.min(np.abs(symbol + level)))
+        if distance <= FIXED_POINT_SINGULAR_RTOL * abs(level):
+            raise SolverError(
+                "fixed-point operator is nearly singular: its Fourier symbol comes "
+                f"within {distance:.3e} of zero"
+            )
 
     u = np.zeros(spec.dims)
     trace = [0.0]
@@ -994,7 +1046,8 @@ def continuation_solve(
 
         # the residual is A w + (2 tau / k) s - phi_tau e^w
         phi_tau = (2.0 * tau / k) * s_hat.values
-        converged = False
+        converged = floored = False
+        prev_norm = np.inf
         for _ in range(newton_maxiter):
             # constant mode: the mean equation mean(s_hat e^u) = mean(s) is
             # solved exactly by a shift whenever both means are genuinely
@@ -1012,6 +1065,12 @@ def continuation_solve(
             if full_ok or (proj_ok and j < steps):
                 converged = True
                 break
+            # a step carried below the round-off floor that left the
+            # fresh residual where it was has stalled (see _round_off)
+            norm = _norm2(r_proj)
+            if floored and norm >= prev_norm:
+                break
+            prev_norm = norm
             # mean-zero mode: Newton step restricted to the subspace where
             # the linearization stays uniformly invertible; the escape
             # family u -> -inf of the c = 0 regime is invisible there
@@ -1022,6 +1081,7 @@ def continuation_solve(
             if step is None:
                 break
             u = step[0]
+            floored = float(np.max(np.abs(step[1]))) <= _round_off(alpha, u)
             iterations += 1
         if not converged:
             return SolveReport(
@@ -1050,6 +1110,29 @@ def continuation_solve(
 # Full pipeline
 # ---------------------------------------------------------------------------
 
+def _coarse_start(prob: KWProblem, **solve) -> ScalarField | None:
+    """The half-size problem's solution, refined onto prob's grid: a
+    Newton start for nested iteration.
+
+    None when prob has fewer than NEST_MIN_POINTS points or a half axis
+    would not make a grid (odd or below MIN_POINTS), and whenever the
+    half grid fails: its positivity test, the co-closedness of the
+    injected drift, a SolverError or any status but converged.  So no
+    coarse status, certified-unsolvable included, ever reaches a fine
+    report.  solve passes _solve_negative_c's settings on, and the
+    coarse solve nests again while its grid is large enough.
+    """
+    if prob.spec.npoints < NEST_MIN_POINTS:
+        return None
+    try:
+        phi = restrict(prob.phi)  # GridError when a half axis makes no grid
+        alpha = OneForm(phi.spec, tuple(restrict(a) for a in prob.alpha.components))
+        report = _solve_negative_c(KWProblem(alpha, prob.c, phi), **solve)
+    except (GridError, GauduchonError, SolverError):
+        return None
+    return refine_field(report.solution) if report.converged else None
+
+
 def _solve_negative_c(
     prob: KWProblem,
     *,
@@ -1062,14 +1145,19 @@ def _solve_negative_c(
     """Certificate-first solve for c < 0.
 
     Runs the positivity test first; its failure is reported as
-    certified-unsolvable, the only such report in the package.  Then runs
-    the monotone iteration when an ordered pair exists.  As soon as it
-    contracts slowly it hands its iterate to Newton, whose answer is
-    accepted only if it converged inside the certified enclosure;
-    otherwise the iteration resumes with the same shift and the remaining
-    budget, and Newton polishes if that budget runs out.  Without a
-    certified supersolution, Newton starts from the averaged-equation
-    constant.
+    certified-unsolvable, the only such report in the package.  Then,
+    when an ordered pair exists, it solves inside the certified
+    enclosure.  On grids of at least NEST_MIN_POINTS points Newton first
+    starts from the half-size grid's answer (_coarse_start), and a
+    converged answer inside the enclosure finishes the solve: its
+    iterations and trace are the fine Newton steps alone, and its
+    min_step_trace is empty.  Otherwise the monotone iteration runs; as
+    soon as it contracts slowly it hands its iterate to Newton, whose
+    answer is accepted only if it converged inside the enclosure, else
+    the iteration resumes with the same shift and the remaining budget,
+    and Newton polishes if that budget runs out.  Without a certified
+    supersolution, Newton starts from initial_guess or the
+    averaged-equation constant, on the target grid alone.
     """
     nec = necessary_check(prob, lin)
     if not nec.positive:
@@ -1098,6 +1186,15 @@ def _solve_negative_c(
             inside = np.all(u >= w_minus.values - slack) and np.all(u <= w_plus.values + slack)
             return fast if fast.converged and inside else None
 
+        start = _coarse_start(
+            prob, tol=tol, maxiter=maxiter, monotone_budget=monotone_budget, lin=lin
+        )
+        if start is not None:
+            report = newton_inside(start)
+            del start  # the refined start would stay beside the monotone path
+            if report is not None:
+                report.min_step_trace = []  # trace.csv keeps its min_step column
+                return report
         try:
             report = _monotone(prob, w_minus, w_plus, tol, budget, lin, newton_inside)
         except SolverError as e:

@@ -314,11 +314,7 @@ def _solve_system(
     shift = float(reaction) if scalar_reaction else _precondition_shift(reaction)
     reaction_left = None if scalar_reaction else reaction - shift
     krylov = any(varying) or not scalar_reaction
-    # ||A||_inf: the absolute stencil weights of one row, summed
-    norm_a = float(np.max(np.abs(reaction))) + sum(
-        (64.0 / h + 18.0 * (0.0 if v is None else float(np.max(np.abs(v))))) / (12.0 * h)
-        for h, v in zip(spec.spacings, coeffs)
-    )
+    norm_a = float(np.max(np.abs(reaction))) + _stencil_norm(alpha)
     floor = float(np.finfo(float).eps) * norm_a
 
     def remainder(z):
@@ -401,6 +397,16 @@ def _solve_system(
             elif iters[0] == done:
                 break  # GMRES already holds x converged; another call cannot move it
     return x, SolveStats(max(iters[0], 1), resid_sup, converged, image)
+
+
+def _stencil_norm(alpha: OneForm) -> float:
+    """||Delta + <alpha, d.>||_inf: the absolute stencil weights of one
+    row, summed.  eps times it times sup|x| bounds the round-off of
+    applying the stencils to x."""
+    return sum(
+        (64.0 / h + 18.0 * (0.0 if v is None else float(np.max(np.abs(v))))) / (12.0 * h)
+        for h, v in zip(alpha.spec.spacings, alpha.coefficients)
+    )
 
 
 def _precondition_shift(reaction: np.ndarray) -> float:

@@ -548,3 +548,44 @@ def test_roundtrip_applies_the_operator_once_per_iterate(tmp_path, monkeypatch):
     assert (rep["status"], rep["method"], rep["iterations"]) == ("converged", "newton", "6")
     assert float(rep["sup_error"]) < 1e-8
     assert len(calls) <= 12
+
+
+# report.kv of the drift-2d benchmark op at these phases, as written before
+# large c < 0 solves started from the half-size grid
+DRIFT_2D_REPORT = """\
+command = solve
+k_t = 1
+status = converged
+method = newton
+iterations = 6
+residual_sup = 2.6200280833776901e-10
+u_min = -0.17676657903760304
+u_max = 0.23183636992225587
+u_mean = 0.020569814159598378
+u_pgm_min = -0.17676657903760304
+u_pgm_max = 0.23183636992225587
+"""
+
+
+def test_solve_below_the_nesting_threshold_runs_on_its_own_grid(tmp_path, monkeypatch):
+    # 96^2 lies below NEST_MIN_POINTS: no half-size solve, and the report
+    # of today's path (its floats to round-off of other FFT builds)
+    from kwtorus import kwsolver
+
+    assert 96 * 96 < kwsolver.NEST_MIN_POINTS
+    restricted = []
+    monkeypatch.setattr(kwsolver, "restrict", lambda f: restricted.append(f))
+    code = run(["solve", "--dims", "96,96", "--n", "1", "--t", "1", "--s=-1",
+                "--s-hat=-1 - 0.3*cos(x0 + 1.0)",
+                "--alpha0=0.2*sin(x1 + 2.0)", "--alpha1=0.2*cos(x0 + 3.0)"], tmp_path)
+    assert code == 0 and restricted == []
+    got = (tmp_path / "report.kv").read_text().splitlines()
+    want = DRIFT_2D_REPORT.splitlines()
+    assert [line.partition(" = ")[0] for line in got] == [line.partition(" = ")[0] for line in want]
+    for line, expect in zip(got, want):
+        value, expect = line.partition(" = ")[2], expect.partition(" = ")[2]
+        try:
+            assert float(value) == pytest.approx(float(expect), rel=1e-12, abs=1e-20)
+        except ValueError:
+            assert value == expect
+

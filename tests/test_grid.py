@@ -9,10 +9,9 @@ from kwtorus import (
     ScalarField,
     make_field,
     read_field,
-    read_field_csv,
     refine_field,
+    restrict,
     write_field,
-    write_field_csv,
 )
 from kwtorus.grid import flat_index, multi_index
 
@@ -109,17 +108,6 @@ def test_rank_out_of_range(tmp_path):
         read_field(path)
 
 
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    for dims in [(16,), (8, 10)]:
-        f = ScalarField(GridSpec(dims), rng.standard_normal(dims))
-        path = tmp_path / "f.csv"
-        write_field_csv(f, path)
-        g = read_field_csv(path)
-        assert g.spec.dims == dims
-        assert np.array_equal(g.values, f.values)
-
-
 def test_one_form_validation():
     spec = GridSpec((16,))
     other = GridSpec((32,))
@@ -135,6 +123,28 @@ def test_refine_field_exact_on_band_limited():
     xf, yf = fine.spec.coords()
     expect = np.sin(xf) + 0.3 * np.cos(2 * yf)
     assert np.max(np.abs(fine.values - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("dims", [(16,), (16, 24), (16, 8, 16), (16, 16, 16, 16)])
+def test_restrict_undoes_refine_on_band_limited(dims):
+    # a random band-limited field (no Nyquist mode) survives refinement and
+    # injection back onto its own points
+    rng = np.random.default_rng(len(dims))
+    spec = GridSpec(dims)
+    coords = spec.coords()
+    vals = np.zeros(dims)
+    for _ in range(6):
+        ks = rng.integers(-3, 4, size=len(dims))
+        vals += rng.normal() * np.cos(sum(k * x for k, x in zip(ks, coords)) + rng.uniform(0, 6))
+    f = ScalarField(spec, vals)
+    fine = refine_field(f)
+    back = restrict(fine)
+    assert back.spec == spec and back.values.flags.c_contiguous
+    # injection: every other point on each axis, starting at the origin
+    assert np.array_equal(back.values, fine.values[(slice(None, None, 2),) * len(dims)])
+    assert np.max(np.abs(back.values - f.values)) <= 1e-13
+    with pytest.raises(GridError):
+        restrict(make_field(GridSpec((12,) * len(dims)), 0.0))  # 6 < MIN_POINTS
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from kwtorus import (
     transform_s,
 )
 from kwtorus import kwsolver
+from kwtorus.linsolve import random_smooth_field
 from helpers import divergence_free_form, field_from, manufactured_negative_phi
 
 
@@ -100,6 +102,60 @@ def test_build_supersolution_sign_change_success():
     assert wp is not None
     ok, margin = is_supersolution(wp, prob)
     assert ok, margin
+
+
+def _offset_search_reference(prob, v, phi_bar):
+    # _offset_search as it was before its masks were hoisted out of the
+    # scan: every step masks the whole grid
+    phi = prob.phi.values
+    c = prob.c
+    scale = max(1.0, abs(c) / abs(phi_bar))
+    pos = phi > 0.0
+    neg = phi < 0.0
+    zer = ~(pos | neg)
+    for a in scale * np.logspace(-4.0, 3.0, 141):
+        num = a * (phi - phi_bar) + c
+        if np.any(zer) and float(np.min(num[zer])) < 0.0:
+            continue
+        if float(np.min(num[pos])) <= 0.0:
+            continue
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            den = phi * np.exp(a * v)
+            upper = float(np.min(num[pos] / den[pos]))
+            lower = 0.0
+            if np.any(neg):
+                lower = max(0.0, float(np.max(num[neg] / den[neg])))
+        if not np.isfinite(upper) or upper <= 0.0:
+            continue
+        if upper <= lower * (1.0 + 1e-9):
+            continue
+        if lower > 0.0:
+            offset = float(np.sqrt(lower * upper))
+        else:
+            offset = 0.5 * upper
+        return a * v + float(np.log(offset))
+    return None
+
+
+def test_offset_search_matches_the_unhoisted_scan():
+    rng = np.random.default_rng(7)
+    found = 0
+    for case in range(40):
+        spec = GridSpec((int(rng.choice([64, 128, 256])),))
+        vals = random_smooth_field(spec, rng, band=3).values
+        vals += rng.uniform(-0.8, -0.05) * np.max(vals) - np.mean(vals)  # sign change
+        if case % 4 == 0:
+            vals[np.abs(vals) < 0.1] = 0.0  # a zero set too
+        phi = ScalarField(spec, vals)
+        prob = KWProblem(OneForm.zero(spec), -(10.0 ** rng.uniform(-4.0, 0.0)), phi)
+        v, _ = kwsolver._solve_for_v(prob, None)
+        want = _offset_search_reference(prob, v.values, mean(phi))
+        got = kwsolver._offset_search(prob, v.values, mean(phi))
+        assert (got is None) == (want is None)
+        if got is not None:
+            found += 1
+            assert np.array_equal(got.values, want)
+    assert 0 < found < 40
 
 
 def test_build_supersolution_rejects_positive_mean():
@@ -252,6 +308,130 @@ def test_fast_contraction_needs_no_handoff(monkeypatch):
     assert rep.status == "converged"
     assert rep.method == "monotone"
     assert np.max(np.abs(rep.solution.values)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# nested iteration: Newton from the half-size grid's answer
+# ---------------------------------------------------------------------------
+
+def _spy_monotone(monkeypatch):
+    # the grids the monotone iteration runs on, one entry per call
+    grids = []
+    real = kwsolver._monotone
+    monkeypatch.setattr(
+        kwsolver, "_monotone", lambda prob, *a: grids.append(prob.spec.dims) or real(prob, *a)
+    )
+    return grids
+
+
+def test_large_round_trip_starts_from_the_half_grid(monkeypatch):
+    # roundtrip-4d's data on 16^4 = NEST_MIN_POINTS: the 8^4 grid runs
+    # today's path, and 16^4 runs only Newton from its refined answer
+    spec = GridSpec((16,) * 4)
+    assert spec.npoints >= kwsolver.NEST_MIN_POINTS
+    setup = GeometrySetup(2, 0.0)
+    alpha = OneForm.constant(spec, (0.1, 0.0, 0.05, 0.0))
+    ustar = field_from(spec, lambda x0, x1, x2, x3: 0.4 * np.sin(x0 + 1.0)
+                       + 0.2 * np.cos(2 * (x0 + 1.0)) + 0.3 * np.sin(x2 + 2.0))
+    s = make_field(spec, -1.0)
+    s_hat = transform_s(s, ustar, alpha, setup)
+    grids = _spy_monotone(monkeypatch)
+    u, rep = solve_prescribed(s, s_hat, alpha, setup, monotone_budget=40, maxiter=3000)
+    assert grids == [(8,) * 4]
+    assert (rep.status, rep.method) == ("converged", "newton")
+    assert rep.iterations <= 3 and len(rep.trace) == rep.iterations + 1
+    assert rep.min_step_trace == []
+    monkeypatch.setattr(kwsolver, "NEST_MIN_POINTS", spec.npoints + 1)
+    u_flat, rep_flat = solve_prescribed(s, s_hat, alpha, setup, monotone_budget=40, maxiter=3000)
+    assert grids[1:] == [spec.dims] and rep_flat.iterations > rep.iterations
+    assert np.max(np.abs(u.values - u_flat.values)) <= kwsolver.DEFAULT_KW_TOL
+
+
+def _nested_pair(monkeypatch):
+    # the 32^2 variable-drift problem nests once, onto 16^2, and its
+    # answer with nesting switched off
+    prob = _variable_drift_problem(32)
+    flat = kwsolver._solve_negative_c(prob)
+    monkeypatch.setattr(kwsolver, "NEST_MIN_POINTS", prob.spec.npoints)
+    return prob, flat
+
+
+def test_nested_solve_on_a_small_threshold(monkeypatch):
+    prob, flat = _nested_pair(monkeypatch)
+    grids = _spy_monotone(monkeypatch)
+    rep = kwsolver._solve_negative_c(prob)
+    assert grids == [(16, 16)]
+    assert (rep.status, rep.method, rep.min_step_trace) == ("converged", "newton", [])
+    assert rep.iterations < flat.iterations
+    assert np.max(np.abs(rep.solution.values - flat.solution.values)) <= kwsolver.DEFAULT_KW_TOL
+    # 20 halves onto a grid axis, 18 does not (9 is odd)
+    for dims, nests in [((64, 20), True), ((64, 18), False)]:
+        spec = GridSpec(dims)
+        flat_prob = KWProblem(OneForm.zero(spec), -1.0, make_field(spec, -1.0))
+        assert (kwsolver._coarse_start(flat_prob) is not None) == nests
+
+
+@pytest.mark.parametrize("failure", ["positivity", "co-closedness", "solver-error", "max-iter"])
+def test_failed_coarse_solve_falls_back_to_the_monotone_path(failure, monkeypatch):
+    # whatever fails on the half grid, the fine solve runs today's path
+    # and gives today's answer, bit for bit; a coarse status never shows
+    prob, flat = _nested_pair(monkeypatch)
+    coarse = (16, 16)
+    if failure == "positivity":
+        real_check = kwsolver.necessary_check
+
+        def check(p, lin=None):
+            nec = real_check(p, lin)
+            return replace(nec, positive=nec.positive and p.spec.dims != coarse)
+
+        monkeypatch.setattr(kwsolver, "necessary_check", check)
+    elif failure == "co-closedness":
+        real_defect = kwsolver.gauduchon_defect
+        monkeypatch.setattr(kwsolver, "gauduchon_defect",
+                            lambda a: 1.0 if a.spec.dims == coarse else real_defect(a))
+    else:
+        real_solve = kwsolver._solve_negative_c
+
+        def solve(p, **kwargs):
+            if p.spec.dims != coarse:
+                return real_solve(p, **kwargs)
+            if failure == "solver-error":
+                raise SolverError("coarse solve failed")
+            return SolveReport(p.phi, "max-iter", [0.0], 1.0, "newton", iterations=1)
+
+        monkeypatch.setattr(kwsolver, "_solve_negative_c", solve)
+    starts = []
+    real_start = kwsolver._coarse_start
+    monkeypatch.setattr(kwsolver, "_coarse_start",
+                        lambda p, **kw: starts.append(real_start(p, **kw)) or starts[-1])
+    grids = _spy_monotone(monkeypatch)
+    rep = kwsolver._solve_negative_c(prob)
+    assert starts == [None] and prob.spec.dims in grids
+    assert rep.status == "converged" and rep.min_step_trace
+    assert (rep.method, rep.iterations) == (flat.method, flat.iterations)
+    assert np.array_equal(rep.solution.values, flat.solution.values)
+
+
+def test_nested_newton_outside_the_enclosure_is_rejected(monkeypatch):
+    # the fine Newton from the refined start converges above every
+    # supersolution: rejected, the monotone path finishes as today
+    prob, flat = _nested_pair(monkeypatch)
+    starts = []
+    real = kwsolver.newton_solve
+
+    def newton(p, w0, **kwargs):
+        if p.spec == prob.spec and not starts:
+            starts.append(w0)
+            far = ScalarField(p.spec, w0.values + 100.0)
+            return SolveReport(far, "converged", [0.0], 0.0, "newton", iterations=1)
+        return real(p, w0, **kwargs)
+
+    monkeypatch.setattr(kwsolver, "newton_solve", newton)
+    rep = kwsolver._solve_negative_c(prob)
+    assert len(starts) == 1
+    assert rep.status == "converged" and rep.min_step_trace
+    assert (rep.method, rep.iterations) == (flat.method, flat.iterations)
+    assert np.array_equal(rep.solution.values, flat.solution.values)
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +791,21 @@ def test_fixed_point_singular_s_hat():
         )
 
 
+@pytest.mark.parametrize("level", [0.5, 0.45, 0.55, 0.3])
+def test_fixed_point_names_a_nearly_singular_operator(level):
+    # k = 1: s_hat = 0.5 puts (2/k) s_hat on the Laplacian's |m| = 1
+    # eigenvalue, which the stencil misses by O(h^4); the neighbours converge
+    spec = GridSpec((32, 32))
+    setup = GeometrySetup(1, 1.0)
+    s = field_from(spec, lambda x0, x1: level + 0.01 * np.sin(x0))
+    args = (s, make_field(spec, level), OneForm.zero(spec), setup)
+    if level == 0.5:
+        with pytest.raises(SolverError, match="nearly singular"):
+            fixed_point_solve(*args)
+    else:
+        assert fixed_point_solve(*args).converged
+
+
 def test_continuation_zero_data():
     spec = GridSpec((64,))
     setup = GeometrySetup(1, 1.0)
@@ -644,6 +839,33 @@ def test_continuation_failure_reports_tau():
         assert "tau" in rep.message
     else:
         assert rep.residual_sup < 1e-6
+
+
+def test_corrector_stalled_at_the_round_off_floor_stops():
+    # mean(s) = 0 leaves the mean mode open at tau = 1, while the
+    # projected residual sits at the round-off floor: the corrector stops
+    # once its fresh residual no longer falls, not after all its steps
+    spec = GridSpec((64,))
+    s = field_from(spec, lambda x: 0.02 * np.cos(x))
+    s_hat = field_from(spec, lambda x: 0.02 * np.cos(x) + 0.001 * np.sin(x))
+    rep = continuation_solve(s, s_hat, OneForm.zero(spec), GeometrySetup(1, 1.0), 10)
+    assert rep.status == "not-certified"
+    assert rep.message == "newton correction failed at tau = 1"
+    assert rep.iterations <= 21
+
+
+@pytest.mark.parametrize("tol", [1e-16, 1e-18])
+def test_newton_stalled_at_the_round_off_floor_stops(tol):
+    # a tolerance below the stencils' round-off cannot be met: Newton
+    # stops on the stall instead of running out its budget
+    spec = GridSpec((64,))
+    prob = KWProblem(OneForm.zero(spec), -1.0, field_from(spec, lambda x: -1.0 - 0.3 * np.cos(x)))
+    rep = newton_solve(prob, make_field(spec, 0.0), tol=tol)
+    assert (rep.status, rep.message) == (
+        "not-certified", "line search stalled at the round-off floor"
+    )
+    assert rep.iterations < 10
+    assert rep.residual_sup == float(np.max(np.abs(kwsolver._defect(rep.solution.values, prob))))
 
 
 def test_continuation_failure_reports_unconverged_inner_solves():
