@@ -321,8 +321,7 @@ def cmd_validate(cfg: RunConfig, rep: Reporter) -> int:
     if cfg.spec is not None:
         alpha = cfg.one_form()
         defect = gauduchon_defect(alpha)
-        tol = cfg.get("gauduchon_tol", DEFAULT_GAUDUCHON_TOL, float)
-        ok = defect <= tol * gauduchon_scale(alpha)
+        ok = defect <= DEFAULT_GAUDUCHON_TOL * gauduchon_scale(alpha)
         rep.add("alpha_divergence_sup", defect)
         rep.add("alpha_gauduchon", ok)
         if not ok:
@@ -525,7 +524,6 @@ _FLAG_KEYS = [
     "search_floor", "steps", "strategy",
     "lin_tol", "lin_maxiter",
     "kw_tol", "kw_maxiter", "monotone_budget",
-    "gauduchon_tol",
 ]
 
 

@@ -221,50 +221,40 @@ def read_field(path) -> ScalarField:
     return ScalarField(spec, values.copy())
 
 
-def refine_field(f: ScalarField, factor: int = 2) -> ScalarField:
-    """Resample a field onto a grid with every axis count multiplied by factor.
+def refine_field(f: ScalarField) -> ScalarField:
+    """Resample a field onto the grid with every axis count doubled.
 
     Uses trigonometric interpolation (Fourier zero padding), which is exact
     for band-limited fields and keeps coarse grid points as a subset of the
-    fine grid, so restrict undoes a refinement by 2.  The c < 0 solve lifts
-    the half-size grid's answer with it to start Newton on the fine grid.
+    fine grid, so restrict undoes it.  The c < 0 solve lifts the half-size
+    grid's answer with it to start Newton on the fine grid.  The transforms
+    are real-to-complex, so only half of the fine spectrum is ever held.
     """
-    if factor < 1:
-        raise GridError("refinement factor must be >= 1")
-    if factor == 1:
-        return f
     coarse = f.spec.dims
-    fine = tuple(factor * n for n in coarse)
-    spec = GridSpec(fine)
-    spectrum = np.fft.fftn(f.values)
-    out = np.zeros(fine, dtype=complex)
-    # copy each coarse frequency block into the larger spectrum, splitting
-    # the Nyquist component symmetrically to keep the result real
-    for idx in np.ndindex(*(2,) * len(coarse)):
-        src = []
-        dst = []
+    spec = GridSpec(tuple(2 * n for n in coarse))
+    axes = tuple(range(spec.rank))
+    spectrum = np.fft.rfftn(f.values, axes=axes)
+    out = np.zeros(spec.dims[:-1] + (spectrum.shape[-1],), dtype=complex)
+    # the last axis keeps its nonnegative frequencies in place (irfftn pads
+    # the rest with zeros); every other axis copies its low and its high
+    # half to the two ends
+    for idx in np.ndindex(*(2,) * (spec.rank - 1)):
+        src, dst = [], []
         for side, n in zip(idx, coarse):
             half = n // 2
-            if side == 0:
-                src.append(slice(0, half + 1))
-                dst.append(slice(0, half + 1))
-            else:
-                src.append(slice(half, n))
-                dst.append(slice(factor * n - half, factor * n))
-        out[tuple(dst)] += _split_nyquist(spectrum[tuple(src)], idx, coarse)
-    vals = np.fft.ifftn(out).real * (np.prod(fine) / np.prod(coarse))
-    return ScalarField(spec, vals)
-
-
-def _split_nyquist(block: np.ndarray, idx, coarse) -> np.ndarray:
-    # each block duplicates the Nyquist plane of every axis it touches on
-    # both sides, so halve those planes to conserve the total spectrum
-    block = block.copy()
+            src.append(slice(0, half + 1) if side == 0 else slice(half, n))
+            dst.append(slice(0, half + 1) if side == 0 else slice(2 * n - half, 2 * n))
+        out[(*dst, slice(None))] = spectrum[(*src, slice(None))]
+    # every Nyquist plane now stands on both sides of its axis (the last
+    # axis's mirror is implied by the real transform): halve each copy to
+    # keep the total spectrum and the result real
     for ax, n in enumerate(coarse):
-        sl = [slice(None)] * block.ndim
-        sl[ax] = 0 if idx[ax] == 1 else block.shape[ax] - 1
-        block[tuple(sl)] *= 0.5
-    return block
+        planes = (n // 2,) if ax == spec.rank - 1 else (n // 2, 2 * n - n // 2)
+        for k in planes:
+            out[(slice(None),) * ax + (k,)] *= 0.5
+    vals = np.fft.irfftn(out, s=spec.dims, axes=axes)
+    vals *= 2**spec.rank
+    return ScalarField(spec, vals)
 
 
 def restrict(f: ScalarField) -> ScalarField:

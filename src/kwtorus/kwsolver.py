@@ -69,11 +69,10 @@ LINE_SEARCH_HALVINGS = 40
 # loose supersolution; once a step shrinks the update by less than this
 # factor, _solve_negative_c hands the iterate to Newton
 HANDOFF_RATIO = 0.5
-# a c < 0 solve with a pair on at least this many points first solves the
-# half-size problem and starts Newton from its refined answer (nested
-# iteration).  Below about 128^2 the half grid's own positivity test and
-# pair cost as much as the fine Newton steps they save; from 192^2 up
-# the nested solve is faster
+# a c < 0 solve on at least this many points starts Newton from the
+# refined answer of Newton on the half-size grids (nested iteration).
+# With Newton alone on the half grids, nesting pays from about 96^2 on
+# a 2-D drift problem; grids below this size keep their un-nested path
 NEST_MIN_POINTS = 1 << 15
 # largest forcing term of newton_solve's inner solves, also its first one
 # (Eisenstat & Walker 1996, choice 2 with eta_0 = eta_max)
@@ -337,6 +336,16 @@ def _offset_search(prob: KWProblem, v: np.ndarray, phi_bar: float) -> ScalarFiel
     dev_zer = dev[~(pos | neg)]
     phi_pos, dev_pos, v_pos = phi[pos], dev[pos], v[pos]
     phi_neg, dev_neg, v_neg = phi[neg], dev[neg], v[neg]
+
+    def lower_bounds(a, at=slice(None)):  # on e^b, where phi < 0
+        return (a * dev_neg[at] + c) / (phi_neg[at] * np.exp(a * v_neg[at]))
+
+    # the point where the last full pass peaked rules out most steps alone;
+    # only the others take a full pass, which moves it.  Not while a
+    # denominator can vanish: a full pass may then hold a NaN, read as 0
+    peak = None
+    den_floor = float(np.min(np.abs(phi_neg))) if phi_neg.size else 0.0
+    v_low = float(np.min(v_neg)) if phi_neg.size else 0.0
     for a in scale * np.logspace(-4.0, 3.0, 141):
         if dev_zer.size and float(np.min(a * dev_zer + c)) < 0.0:
             continue
@@ -345,12 +354,15 @@ def _offset_search(prob: KWProblem, v: np.ndarray, phi_bar: float) -> ScalarFiel
             continue
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             upper = float(np.min(num_pos / (phi_pos * np.exp(a * v_pos))))
+            if not np.isfinite(upper) or upper <= 0.0:
+                continue
             lower = 0.0
-            if phi_neg.size:
-                num_neg = a * dev_neg + c
-                lower = max(0.0, float(np.max(num_neg / (phi_neg * np.exp(a * v_neg)))))
-        if not np.isfinite(upper) or upper <= 0.0:
-            continue
+            if peak is not None and den_floor * np.exp(a * v_low) > 0.0:
+                lower = max(0.0, float(lower_bounds(a, slice(peak, peak + 1))[0]))
+            if phi_neg.size and upper > lower * (1.0 + 1e-9):
+                bounds = lower_bounds(a)
+                peak = int(np.argmax(bounds))
+                lower = max(0.0, float(bounds[peak]))
         if upper <= lower * (1.0 + 1e-9):
             continue
         if lower > 0.0:
@@ -825,7 +837,7 @@ def critical_c_bracket(
         """Probe c and record it as the last solved or the latest failed point."""
         nonlocal warm, last_solved, first_failed, fail_kind
         report = _solve_negative_c(
-            KWProblem(alpha, c, phi), tol=tol, maxiter=maxiter, lin=lin, initial_guess=warm
+            KWProblem(alpha, c, phi), tol=tol, budget=maxiter, lin=lin, initial_guess=warm
         )
         outcome = PROBE_OUTCOMES.get(report.status, "solver-failed")
         if report.converged:
@@ -1110,26 +1122,32 @@ def continuation_solve(
 # Full pipeline
 # ---------------------------------------------------------------------------
 
-def _coarse_start(prob: KWProblem, **solve) -> ScalarField | None:
-    """The half-size problem's solution, refined onto prob's grid: a
-    Newton start for nested iteration.
+def _averaged_start(prob: KWProblem) -> ScalarField:
+    """The constant solving c = mean(phi) e^w, or 0 when mean(phi) >= 0."""
+    phi_bar = mean(prob.phi)
+    level = float(np.clip(np.log(prob.c / phi_bar), -20.0, 20.0)) if phi_bar < 0 else 0.0
+    return make_field(prob.spec, level)
 
-    None when prob has fewer than NEST_MIN_POINTS points or a half axis
-    would not make a grid (odd or below MIN_POINTS), and whenever the
-    half grid fails: its positivity test, the co-closedness of the
-    injected drift, a SolverError or any status but converged.  So no
-    coarse status, certified-unsolvable included, ever reaches a fine
-    report.  solve passes _solve_negative_c's settings on, and the
-    coarse solve nests again while its grid is large enough.
+
+def _coarse_start(prob: KWProblem, tol: float, lin: LinearOptions | None) -> ScalarField | None:
+    """Newton's answer on the half-size grid, refined onto prob's grid.
+
+    A start, not a certificate: Newton alone solves the injected problem,
+    from the next half grid's answer while that one nests, else from
+    _averaged_start.  None below NEST_MIN_POINTS points, when a half axis
+    makes no grid or the injected drift is not co-closed, and when the
+    half grid's Newton does not converge.
     """
     if prob.spec.npoints < NEST_MIN_POINTS:
         return None
     try:
         phi = restrict(prob.phi)  # GridError when a half axis makes no grid
         alpha = OneForm(phi.spec, tuple(restrict(a) for a in prob.alpha.components))
-        report = _solve_negative_c(KWProblem(alpha, prob.c, phi), **solve)
-    except (GridError, GauduchonError, SolverError):
+        half = KWProblem(alpha, prob.c, phi)  # GauduchonError unless co-closed
+    except (GridError, GauduchonError):
         return None
+    start = _coarse_start(half, tol, lin)
+    report = newton_solve(half, start or _averaged_start(half), tol=tol, lin=lin)
     return refine_field(report.solution) if report.converged else None
 
 
@@ -1137,8 +1155,7 @@ def _solve_negative_c(
     prob: KWProblem,
     *,
     tol: float = DEFAULT_KW_TOL,
-    maxiter: int = DEFAULT_KW_MAXITER,
-    monotone_budget: int | None = None,
+    budget: int = DEFAULT_KW_MAXITER,
     lin: LinearOptions | None = None,
     initial_guess: ScalarField | None = None,
 ) -> SolveReport:
@@ -1148,16 +1165,16 @@ def _solve_negative_c(
     certified-unsolvable, the only such report in the package.  Then,
     when an ordered pair exists, it solves inside the certified
     enclosure.  On grids of at least NEST_MIN_POINTS points Newton first
-    starts from the half-size grid's answer (_coarse_start), and a
+    starts from the half-size grids' answer (_coarse_start), and a
     converged answer inside the enclosure finishes the solve: its
     iterations and trace are the fine Newton steps alone, and its
-    min_step_trace is empty.  Otherwise the monotone iteration runs; as
-    soon as it contracts slowly it hands its iterate to Newton, whose
+    min_step_trace is empty.  Otherwise at most budget monotone steps
+    run; as soon as they contract slowly the iterate goes to Newton, whose
     answer is accepted only if it converged inside the enclosure, else
-    the iteration resumes with the same shift and the remaining budget,
-    and Newton polishes if that budget runs out.  Without a certified
-    supersolution, Newton starts from initial_guess or the
-    averaged-equation constant, on the target grid alone.
+    the iteration resumes with the same shift, and Newton polishes if
+    the budget runs out.  Without a certified supersolution, Newton
+    starts from initial_guess, else the half-size grids' answer, else
+    _averaged_start.
     """
     nec = necessary_check(prob, lin)
     if not nec.positive:
@@ -1166,7 +1183,6 @@ def _solve_negative_c(
             make_field(prob.spec, 0.0), "certified-unsolvable", "necessary", message
         )
     del nec  # phi0 would stay beside every later solve
-    budget = maxiter if monotone_budget is None else min(maxiter, monotone_budget)
     w_minus = build_subsolution(prob)
     try:
         w_plus = build_supersolution(prob, lin)
@@ -1186,9 +1202,7 @@ def _solve_negative_c(
             inside = np.all(u >= w_minus.values - slack) and np.all(u <= w_plus.values + slack)
             return fast if fast.converged and inside else None
 
-        start = _coarse_start(
-            prob, tol=tol, maxiter=maxiter, monotone_budget=monotone_budget, lin=lin
-        )
+        start = _coarse_start(prob, tol, lin)
         if start is not None:
             report = newton_inside(start)
             del start  # the refined start would stay beside the monotone path
@@ -1205,12 +1219,7 @@ def _solve_negative_c(
             return report
         return _chain(report, newton_solve(prob, report.solution, tol=tol, lin=lin))
 
-    phi_bar = mean(prob.phi)
-    if initial_guess is not None:
-        w0 = initial_guess
-    else:
-        level = float(np.clip(np.log(prob.c / phi_bar), -20.0, 20.0)) if phi_bar < 0 else 0.0
-        w0 = make_field(prob.spec, level)
+    w0 = initial_guess or _coarse_start(prob, tol, lin) or _averaged_start(prob)
     return newton_solve(prob, w0, tol=tol, lin=lin)
 
 
@@ -1274,8 +1283,7 @@ def solve_prescribed(
         report = _solve_negative_c(
             KWProblem(alpha, c, red.phi),
             tol=tol,
-            maxiter=maxiter,
-            monotone_budget=monotone_budget,
+            budget=maxiter if monotone_budget is None else min(maxiter, monotone_budget),
             lin=lin,
         )
         if report.status == "certified-unsolvable":

@@ -119,7 +119,7 @@ def test_refine_field_exact_on_band_limited():
     spec = GridSpec((16, 16))
     x, y = spec.coords()
     f = ScalarField(spec, np.sin(x) + 0.3 * np.cos(2 * y))
-    fine = refine_field(f, 2)
+    fine = refine_field(f)
     xf, yf = fine.spec.coords()
     expect = np.sin(xf) + 0.3 * np.cos(2 * yf)
     assert np.max(np.abs(fine.values - expect)) < 1e-12
@@ -145,6 +145,39 @@ def test_restrict_undoes_refine_on_band_limited(dims):
     assert np.max(np.abs(back.values - f.values)) <= 1e-13
     with pytest.raises(GridError):
         restrict(make_field(GridSpec((12,) * len(dims)), 0.0))  # 6 < MIN_POINTS
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_refine_field_splits_the_nyquist_mode(rank):
+    # the product of every axis's Nyquist cosine interpolates to itself:
+    # each Nyquist plane, the last axis's included, is halved on both sides
+    spec = GridSpec((8, 12, 8, 10)[:rank])
+
+    def nyquist(coords):
+        out = 1.0
+        for n, x in zip(spec.dims, coords):
+            out = out * np.cos(n // 2 * x)
+        return out
+
+    fine = refine_field(ScalarField(spec, nyquist(spec.coords())))
+    half_nyquist = nyquist(fine.spec.coords())
+    assert np.max(np.abs(fine.values - half_nyquist)) <= 1e-14
+
+
+def test_refine_field_holds_half_a_complex_spectrum():
+    # 12^4 -> 24^4: a real-to-complex transform never holds the full
+    # complex spectrum of the fine grid (four fields' worth)
+    import tracemalloc
+
+    f = ScalarField(GridSpec((12,) * 4), np.random.default_rng(0).standard_normal((12,) * 4))
+    refine_field(f)  # FFT plans are cached on first use
+    tracemalloc.start()
+    try:
+        fine = refine_field(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * fine.values.nbytes
 
 
 # ---------------------------------------------------------------------------

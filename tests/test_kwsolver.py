@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,9 +103,10 @@ def test_build_supersolution_sign_change_success():
     assert ok, margin
 
 
-def _offset_search_reference(prob, v, phi_bar):
+def _offset_search_reference(prob, v, phi_bar, peaks):
     # _offset_search as it was before its masks were hoisted out of the
-    # scan: every step masks the whole grid
+    # scan: every step masks the whole grid.  peaks gets the point where
+    # each lower bound it computes has its maximum
     phi = prob.phi.values
     c = prob.c
     scale = max(1.0, abs(c) / abs(phi_bar))
@@ -125,6 +125,7 @@ def _offset_search_reference(prob, v, phi_bar):
             lower = 0.0
             if np.any(neg):
                 lower = max(0.0, float(np.max(num[neg] / den[neg])))
+                peaks.append(int(np.argmax(num[neg] / den[neg])))
         if not np.isfinite(upper) or upper <= 0.0:
             continue
         if upper <= lower * (1.0 + 1e-9):
@@ -138,24 +139,31 @@ def _offset_search_reference(prob, v, phi_bar):
 
 
 def test_offset_search_matches_the_unhoisted_scan():
+    # 1-D cases, then 2-D ones whose phi < 0 set has several wells, so the
+    # lower bound's maximum jumps between points as a grows
     rng = np.random.default_rng(7)
-    found = 0
-    for case in range(40):
-        spec = GridSpec((int(rng.choice([64, 128, 256])),))
+    cases = 52
+    found = moved = 0
+    for case in range(cases):
+        spec = GridSpec((int(rng.choice([64, 128, 256])),) if case < 40 else (16, 32))
         vals = random_smooth_field(spec, rng, band=3).values
         vals += rng.uniform(-0.8, -0.05) * np.max(vals) - np.mean(vals)  # sign change
         if case % 4 == 0:
             vals[np.abs(vals) < 0.1] = 0.0  # a zero set too
         phi = ScalarField(spec, vals)
-        prob = KWProblem(OneForm.zero(spec), -(10.0 ** rng.uniform(-4.0, 0.0)), phi)
+        depth = rng.uniform(-4.0, 0.0) if case < 40 else rng.uniform(-2.0, 1.0)
+        prob = KWProblem(OneForm.zero(spec), -(10.0 ** depth), phi)
         v, _ = kwsolver._solve_for_v(prob, None)
-        want = _offset_search_reference(prob, v.values, mean(phi))
+        peaks = []
+        want = _offset_search_reference(prob, v.values, mean(phi), peaks)
         got = kwsolver._offset_search(prob, v.values, mean(phi))
         assert (got is None) == (want is None)
         if got is not None:
             found += 1
             assert np.array_equal(got.values, want)
-    assert 0 < found < 40
+        moved += len(set(peaks)) > 1
+    assert 0 < found < cases
+    assert moved >= 20
 
 
 def test_build_supersolution_rejects_positive_mean():
@@ -314,19 +322,30 @@ def test_fast_contraction_needs_no_handoff(monkeypatch):
 # nested iteration: Newton from the half-size grid's answer
 # ---------------------------------------------------------------------------
 
-def _spy_monotone(monkeypatch):
-    # the grids the monotone iteration runs on, one entry per call
-    grids = []
-    real = kwsolver._monotone
-    monkeypatch.setattr(
-        kwsolver, "_monotone", lambda prob, *a: grids.append(prob.spec.dims) or real(prob, *a)
-    )
-    return grids
+# every step of the c < 0 pipeline that a spy records, with the grid it ran on
+PIPELINE_STEPS = (
+    "_solve_negative_c", "necessary_check", "build_supersolution", "_monotone",
+    "newton_solve", "restrict",
+)
+
+
+def _spy_grids(monkeypatch):
+    # {dims: names of the pipeline steps called on that grid, in order};
+    # restrict is recorded on the grid it restricts from
+    calls = {}
+    for name in PIPELINE_STEPS:
+        def spy(first, *args, _name=name, _real=getattr(kwsolver, name), **kwargs):
+            calls.setdefault(first.spec.dims, []).append(_name)
+            return _real(first, *args, **kwargs)
+
+        monkeypatch.setattr(kwsolver, name, spy)
+    return calls
 
 
 def test_large_round_trip_starts_from_the_half_grid(monkeypatch):
-    # roundtrip-4d's data on 16^4 = NEST_MIN_POINTS: the 8^4 grid runs
-    # today's path, and 16^4 runs only Newton from its refined answer
+    # roundtrip-4d's data on 16^4, above NEST_MIN_POINTS: 8^4 runs Newton
+    # alone, and 16^4 runs its certificates, then only Newton from the
+    # refined answer
     spec = GridSpec((16,) * 4)
     assert spec.npoints >= kwsolver.NEST_MIN_POINTS
     setup = GeometrySetup(2, 0.0)
@@ -335,15 +354,19 @@ def test_large_round_trip_starts_from_the_half_grid(monkeypatch):
                        + 0.2 * np.cos(2 * (x0 + 1.0)) + 0.3 * np.sin(x2 + 2.0))
     s = make_field(spec, -1.0)
     s_hat = transform_s(s, ustar, alpha, setup)
-    grids = _spy_monotone(monkeypatch)
+    calls = _spy_grids(monkeypatch)
     u, rep = solve_prescribed(s, s_hat, alpha, setup, monotone_budget=40, maxiter=3000)
-    assert grids == [(8,) * 4]
+    assert calls == {
+        spec.dims: ["_solve_negative_c", "necessary_check", "build_supersolution",
+                    *["restrict"] * 5, "newton_solve"],
+        (8,) * 4: ["newton_solve"],
+    }
     assert (rep.status, rep.method) == ("converged", "newton")
     assert rep.iterations <= 3 and len(rep.trace) == rep.iterations + 1
     assert rep.min_step_trace == []
     monkeypatch.setattr(kwsolver, "NEST_MIN_POINTS", spec.npoints + 1)
     u_flat, rep_flat = solve_prescribed(s, s_hat, alpha, setup, monotone_budget=40, maxiter=3000)
-    assert grids[1:] == [spec.dims] and rep_flat.iterations > rep.iterations
+    assert "_monotone" in calls[spec.dims] and rep_flat.iterations > rep.iterations
     assert np.max(np.abs(u.values - u_flat.values)) <= kwsolver.DEFAULT_KW_TOL
 
 
@@ -358,9 +381,10 @@ def _nested_pair(monkeypatch):
 
 def test_nested_solve_on_a_small_threshold(monkeypatch):
     prob, flat = _nested_pair(monkeypatch)
-    grids = _spy_monotone(monkeypatch)
+    calls = _spy_grids(monkeypatch)
     rep = kwsolver._solve_negative_c(prob)
-    assert grids == [(16, 16)]
+    assert calls[(16, 16)] == ["newton_solve"]
+    assert {"necessary_check", "build_supersolution"} <= set(calls[prob.spec.dims])
     assert (rep.status, rep.method, rep.min_step_trace) == ("converged", "newton", [])
     assert rep.iterations < flat.iterations
     assert np.max(np.abs(rep.solution.values - flat.solution.values)) <= kwsolver.DEFAULT_KW_TOL
@@ -368,47 +392,72 @@ def test_nested_solve_on_a_small_threshold(monkeypatch):
     for dims, nests in [((64, 20), True), ((64, 18), False)]:
         spec = GridSpec(dims)
         flat_prob = KWProblem(OneForm.zero(spec), -1.0, make_field(spec, -1.0))
-        assert (kwsolver._coarse_start(flat_prob) is not None) == nests
+        assert (kwsolver._coarse_start(flat_prob, kwsolver.DEFAULT_KW_TOL, None) is not None) == nests
 
 
-@pytest.mark.parametrize("failure", ["positivity", "co-closedness", "solver-error", "max-iter"])
+@pytest.mark.parametrize("failure", ["co-closedness", "max-iter"])
 def test_failed_coarse_solve_falls_back_to_the_monotone_path(failure, monkeypatch):
-    # whatever fails on the half grid, the fine solve runs today's path
-    # and gives today's answer, bit for bit; a coarse status never shows
+    # a drift that is not co-closed on the half grid, or a half-grid Newton
+    # that does not converge: the fine solve runs the un-nested monotone
+    # path and gives its answer, bit for bit; a coarse status never shows
     prob, flat = _nested_pair(monkeypatch)
     coarse = (16, 16)
-    if failure == "positivity":
-        real_check = kwsolver.necessary_check
-
-        def check(p, lin=None):
-            nec = real_check(p, lin)
-            return replace(nec, positive=nec.positive and p.spec.dims != coarse)
-
-        monkeypatch.setattr(kwsolver, "necessary_check", check)
-    elif failure == "co-closedness":
+    if failure == "co-closedness":
         real_defect = kwsolver.gauduchon_defect
         monkeypatch.setattr(kwsolver, "gauduchon_defect",
                             lambda a: 1.0 if a.spec.dims == coarse else real_defect(a))
     else:
-        real_solve = kwsolver._solve_negative_c
+        real_newton = kwsolver.newton_solve
 
-        def solve(p, **kwargs):
+        def newton(p, w0, **kwargs):
             if p.spec.dims != coarse:
-                return real_solve(p, **kwargs)
-            if failure == "solver-error":
-                raise SolverError("coarse solve failed")
-            return SolveReport(p.phi, "max-iter", [0.0], 1.0, "newton", iterations=1)
+                return real_newton(p, w0, **kwargs)
+            return SolveReport(w0, "max-iter", [0.0], 1.0, "newton", iterations=1)
 
-        monkeypatch.setattr(kwsolver, "_solve_negative_c", solve)
-    starts = []
-    real_start = kwsolver._coarse_start
-    monkeypatch.setattr(kwsolver, "_coarse_start",
-                        lambda p, **kw: starts.append(real_start(p, **kw)) or starts[-1])
-    grids = _spy_monotone(monkeypatch)
+        monkeypatch.setattr(kwsolver, "newton_solve", newton)
+    calls = _spy_grids(monkeypatch)
     rep = kwsolver._solve_negative_c(prob)
-    assert starts == [None] and prob.spec.dims in grids
+    assert "_monotone" in calls[prob.spec.dims]
+    assert calls.get(coarse, []) == ([] if failure == "co-closedness" else ["newton_solve"])
     assert rep.status == "converged" and rep.min_step_trace
     assert (rep.method, rep.iterations) == (flat.method, flat.iterations)
+    assert np.array_equal(rep.solution.values, flat.solution.values)
+
+
+def _no_pair_problem():
+    # phi made from the solution w* = 1.5 sin x0 + 0.5 cos 2x1 at c = -1:
+    # solvable, but phi changes sign and admits no a v + b supersolution
+    spec = GridSpec((32, 32))
+    wstar = field_from(spec, lambda x0, x1: 1.5 * np.sin(x0) + 0.5 * np.cos(2 * x1))
+    phi = ScalarField(spec, (laplacian(wstar).values - 1.0) * np.exp(-wstar.values))
+    prob = KWProblem(OneForm.zero(spec), -1.0, phi)
+    assert necessary_check(prob).positive and build_supersolution(prob) is None
+    return prob
+
+
+def test_no_pair_solve_starts_from_the_half_grid(monkeypatch):
+    prob = _no_pair_problem()
+    flat = kwsolver._solve_negative_c(prob)
+    monkeypatch.setattr(kwsolver, "NEST_MIN_POINTS", prob.spec.npoints)
+    calls = _spy_grids(monkeypatch)
+    rep = kwsolver._solve_negative_c(prob)
+    assert calls[(16, 16)] == ["newton_solve"]
+    assert calls[prob.spec.dims][-1] == "newton_solve" and "_monotone" not in calls[prob.spec.dims]
+    assert (rep.status, rep.method) == ("converged", "newton")
+    assert rep.iterations < flat.iterations
+    assert np.max(np.abs(rep.solution.values - flat.solution.values)) <= kwsolver.DEFAULT_KW_TOL
+
+
+def test_no_pair_solve_prefers_a_given_initial_guess(monkeypatch):
+    # critical_c_bracket's warm start still comes first: no half grid runs
+    prob = _no_pair_problem()
+    guess = make_field(prob.spec, 0.3)
+    flat = kwsolver._solve_negative_c(prob, initial_guess=guess)
+    monkeypatch.setattr(kwsolver, "NEST_MIN_POINTS", prob.spec.npoints)
+    calls = _spy_grids(monkeypatch)
+    rep = kwsolver._solve_negative_c(prob, initial_guess=guess)
+    assert list(calls) == [prob.spec.dims] and "restrict" not in calls[prob.spec.dims]
+    assert rep.converged and rep.iterations == flat.iterations
     assert np.array_equal(rep.solution.values, flat.solution.values)
 
 

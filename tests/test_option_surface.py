@@ -47,7 +47,9 @@ def test_linear_options_hold_only_the_solve_contract():
     assert [f.name for f in dataclasses.fields(LinearOptions)] == ["tol", "maxiter"]
 
 
-@pytest.mark.parametrize("flag", ["--lin-restart", "--lin-precondition", "--lin-direct"])
+@pytest.mark.parametrize(
+    "flag", ["--lin-restart", "--lin-precondition", "--lin-direct", "--gauduchon-tol"]
+)
 def test_removed_linear_flags_are_rejected(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--dims", "16", "--n", "1", "--t", "1", "--s=-1", "--s-hat=-1",
