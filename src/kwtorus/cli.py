@@ -429,6 +429,8 @@ def cmd_critical_c(cfg: RunConfig, rep: Reporter) -> int:
     rep.add("lo_evidence", bracket.lo_evidence)
     rep.add("hi_evidence", bracket.hi_evidence)
     rep.add("probes", len(bracket.probes))
+    if bracket.lo_message:
+        rep.add("lo_message", bracket.lo_message)
     rep.save_csv("probes", ("c", "outcome"), bracket.probes)
     return EXIT_OK
 

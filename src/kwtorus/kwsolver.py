@@ -71,9 +71,15 @@ LINE_SEARCH_HALVINGS = 40
 HANDOFF_RATIO = 0.5
 # a c < 0 solve on at least this many points starts Newton from the
 # refined answer of Newton on the half-size grids (nested iteration).
-# With Newton alone on the half grids, nesting pays from about 96^2 on
-# a 2-D drift problem; grids below this size keep their un-nested path
-NEST_MIN_POINTS = 1 << 15
+# Nesting once beat the un-nested path at every size tried (cli.main on
+# the drift-2d problem, min of 9 on a shared 2-vCPU host: 22 -> 19 ms at
+# 48^2, 27 -> 22 at 64^2, 43 -> 33 at 96^2, 69 -> 45 at 128^2, 140 -> 67
+# at 192^2; 1-D 4096 and 16384 points, 3-D 16^3 and 24^3 gain or tie),
+# but a coarsest level of 576 points or fewer loses: nesting 64^2 or 96^2
+# at every level is slower than once.  So 64^2 and 96^2 nest once and
+# 192^2 twice; 48^2 does not, as a threshold that nested it would take
+# 96^2 down to 24^2
+NEST_MIN_POINTS = 1 << 12
 # largest forcing term of newton_solve's inner solves, also its first one
 # (Eisenstat & Walker 1996, choice 2 with eta_0 = eta_max)
 FORCING_MAX = 0.1
@@ -150,13 +156,16 @@ class SolveReport:
 class Bracket:
     """Interval estimate for the critical constant below which the
     equation stops being solvable.  c_hi carries solvable evidence, c_lo
-    unsolvable-or-search-limit evidence."""
+    unsolvable-or-search-limit evidence.  lo_message is the report message
+    of the failed probe at c_lo (its status when that message is empty),
+    and empty at a search limit."""
 
     c_lo: float
     c_hi: float
     lo_evidence: str
     hi_evidence: str
     probes: list[tuple[float, str]] = field(default_factory=list)
+    lo_message: str = ""
 
     def __post_init__(self):
         if not (self.c_lo <= self.c_hi < 0):
@@ -832,10 +841,11 @@ def critical_c_bracket(
     probes: list[tuple[float, str]] = []
     warm = last_solved = first_failed = None
     fail_kind = "solver-failed"
+    fail_message = ""
 
     def solved(c: float) -> bool:
         """Probe c and record it as the last solved or the latest failed point."""
-        nonlocal warm, last_solved, first_failed, fail_kind
+        nonlocal warm, last_solved, first_failed, fail_kind, fail_message
         report = _solve_negative_c(
             KWProblem(alpha, c, phi), tol=tol, budget=maxiter, lin=lin, initial_guess=warm
         )
@@ -844,6 +854,7 @@ def critical_c_bracket(
             warm, last_solved = report.solution, c
         else:
             first_failed, fail_kind = c, outcome
+            fail_message = report.message or report.status
         probes.append((c, outcome))
         return report.converged
 
@@ -885,6 +896,7 @@ def critical_c_bracket(
                 lo_evidence=fail_kind,
                 hi_evidence="search-limit",
                 probes=probes,
+                lo_message=fail_message,
             )
     while abs(first_failed - last_solved) > BRACKET_REL_WIDTH * abs(last_solved):
         solved(0.5 * (first_failed + last_solved))
@@ -894,6 +906,7 @@ def critical_c_bracket(
         lo_evidence=fail_kind,
         hi_evidence="solved",
         probes=probes,
+        lo_message=fail_message,
     )
 
 

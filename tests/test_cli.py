@@ -462,8 +462,24 @@ def test_critical_c_command(tmp_path):
     assert code == 0
     rep = read_report(tmp_path)
     assert float(rep["c_lo"]) == -1000.0
-    assert rep["lo_evidence"] == "search-limit"
+    assert rep["lo_evidence"] == "search-limit" and "lo_message" not in rep
     assert (tmp_path / "probes.csv").exists()
+
+
+def test_critical_c_reports_why_its_lower_end_failed(tmp_path):
+    # a failed probe sets c_lo: report.kv ends with its message, and
+    # probes.csv keeps its two columns
+    assert run(["construct-unsolvable", "--dims", "16", "--psi=sin(x0)",
+                "--alpha-const=0.1", "--c=-1"], tmp_path / "gen") == 0
+    out = tmp_path / "bracket"
+    assert run(["critical-c", "--phi-file", str(tmp_path / "gen" / "phi.kwf")], out) == 0
+    rep = read_report(out)
+    assert list(rep) == ["command", "c_lo", "c_hi", "lo_evidence", "hi_evidence", "probes",
+                         "lo_message"]
+    assert rep["lo_evidence"] == "solver-failed" and rep["lo_message"]
+    rows = (out / "probes.csv").read_text().splitlines()
+    assert rows[0] == "c,outcome" and all(len(row.split(",")) == 2 for row in rows)
+    assert len(rows) - 1 == int(rep["probes"])
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -550,37 +566,68 @@ def test_roundtrip_applies_the_operator_once_per_iterate(tmp_path, monkeypatch):
     assert len(calls) <= 12
 
 
-# report.kv of the drift-2d benchmark op at these phases, as written before
-# large c < 0 solves started from the half-size grid
-DRIFT_2D_REPORT = """\
+# the drift-2d benchmark op's expressions at its phases
+DRIFT_2D_FLAGS = ["--n", "1", "--t", "1", "--s=-1", "--s-hat=-1 - 0.3*cos(x0 + 1.0)",
+                  "--alpha0=0.2*sin(x1 + 2.0)", "--alpha1=0.2*cos(x0 + 3.0)"]
+
+
+def _spy_restrict(monkeypatch):
+    # dims of every field kwsolver restricts, in call order
+    from kwtorus import kwsolver
+
+    restricted = []
+    real = kwsolver.restrict
+    monkeypatch.setattr(kwsolver, "restrict",
+                        lambda f: restricted.append(f.spec.dims) or real(f))
+    return restricted
+
+
+def test_drift_2d_op_nests_once_onto_its_half_grid(tmp_path, monkeypatch):
+    # 96^2 lies above NEST_MIN_POINTS and 48^2 below it: only the fine grid
+    # restricts, and Newton from the refined 48^2 answer finishes in a few
+    # steps, within the kw tolerance of the un-nested solve
+    from kwtorus import kwsolver
+
+    assert 48 * 48 < kwsolver.NEST_MIN_POINTS <= 96 * 96
+    restricted = _spy_restrict(monkeypatch)
+    assert run(["solve", "--dims", "96,96", *DRIFT_2D_FLAGS], tmp_path / "nested") == 0
+    rep = read_report(tmp_path / "nested")
+    assert restricted and set(restricted) == {(96, 96)}
+    assert (rep["status"], rep["method"]) == ("converged", "newton")
+    assert int(rep["iterations"]) <= 3
+    monkeypatch.setattr(kwsolver, "NEST_MIN_POINTS", 96 * 96 + 1)
+    assert run(["solve", "--dims", "96,96", *DRIFT_2D_FLAGS], tmp_path / "flat") == 0
+    u = read_field(tmp_path / "nested" / "u.kwf").values
+    u_flat = read_field(tmp_path / "flat" / "u.kwf").values
+    assert np.max(np.abs(u - u_flat)) <= kwsolver.DEFAULT_KW_TOL
+
+
+# report.kv of the drift-2d op's expressions at 48^2, as written by the
+# un-nested path
+DRIFT_2D_48_REPORT = """\
 command = solve
 k_t = 1
 status = converged
 method = newton
 iterations = 6
-residual_sup = 2.6200280833776901e-10
-u_min = -0.17676657903760304
-u_max = 0.23183636992225587
-u_mean = 0.020569814159598378
-u_pgm_min = -0.17676657903760304
-u_pgm_max = 0.23183636992225587
+residual_sup = 2.5976928941240374e-10
+u_min = -0.17671420544295272
+u_max = 0.23175868269990996
+u_mean = 0.020569827396293199
+u_pgm_min = -0.17671420544295272
+u_pgm_max = 0.23175868269990996
 """
 
 
-def test_solve_below_the_nesting_threshold_runs_on_its_own_grid(tmp_path, monkeypatch):
-    # 96^2 lies below NEST_MIN_POINTS: no half-size solve, and the report
-    # of today's path (its floats to round-off of other FFT builds)
-    from kwtorus import kwsolver
-
-    assert 96 * 96 < kwsolver.NEST_MIN_POINTS
-    restricted = []
-    monkeypatch.setattr(kwsolver, "restrict", lambda f: restricted.append(f))
-    code = run(["solve", "--dims", "96,96", "--n", "1", "--t", "1", "--s=-1",
-                "--s-hat=-1 - 0.3*cos(x0 + 1.0)",
-                "--alpha0=0.2*sin(x1 + 2.0)", "--alpha1=0.2*cos(x0 + 3.0)"], tmp_path)
-    assert code == 0 and restricted == []
+def test_solve_below_the_nesting_threshold_keeps_its_report(tmp_path, monkeypatch):
+    # 48^2 halves onto a valid grid but lies below NEST_MIN_POINTS: no
+    # half-size solve, and the un-nested report (its floats to round-off
+    # of other FFT builds)
+    restricted = _spy_restrict(monkeypatch)
+    assert run(["solve", "--dims", "48,48", *DRIFT_2D_FLAGS], tmp_path) == 0
+    assert restricted == []
     got = (tmp_path / "report.kv").read_text().splitlines()
-    want = DRIFT_2D_REPORT.splitlines()
+    want = DRIFT_2D_48_REPORT.splitlines()
     assert [line.partition(" = ")[0] for line in got] == [line.partition(" = ")[0] for line in want]
     for line, expect in zip(got, want):
         value, expect = line.partition(" = ")[2], expect.partition(" = ")[2]

@@ -344,8 +344,8 @@ def _spy_grids(monkeypatch):
 
 def test_large_round_trip_starts_from_the_half_grid(monkeypatch):
     # roundtrip-4d's data on 16^4, above NEST_MIN_POINTS: 8^4 runs Newton
-    # alone, and 16^4 runs its certificates, then only Newton from the
-    # refined answer
+    # alone (its own half axis, 4, makes no grid), and 16^4 runs its
+    # certificates, then only Newton from the refined answer
     spec = GridSpec((16,) * 4)
     assert spec.npoints >= kwsolver.NEST_MIN_POINTS
     setup = GeometrySetup(2, 0.0)
@@ -359,7 +359,7 @@ def test_large_round_trip_starts_from_the_half_grid(monkeypatch):
     assert calls == {
         spec.dims: ["_solve_negative_c", "necessary_check", "build_supersolution",
                     *["restrict"] * 5, "newton_solve"],
-        (8,) * 4: ["newton_solve"],
+        (8,) * 4: ["restrict", "newton_solve"],
     }
     assert (rep.status, rep.method) == ("converged", "newton")
     assert rep.iterations <= 3 and len(rep.trace) == rep.iterations + 1
@@ -393,6 +393,66 @@ def test_nested_solve_on_a_small_threshold(monkeypatch):
         spec = GridSpec(dims)
         flat_prob = KWProblem(OneForm.zero(spec), -1.0, make_field(spec, -1.0))
         assert (kwsolver._coarse_start(flat_prob, kwsolver.DEFAULT_KW_TOL, None) is not None) == nests
+
+
+def _smallest_nesting_problem(rank):
+    # 4096 points, the fewest that nest: 1-D with constant drift, 3-D
+    # with a variable drift whose components skip their own axis
+    if rank == 1:
+        spec = GridSpec((4096,))
+        alpha = OneForm.constant(spec, (0.1,))
+    else:
+        spec = GridSpec((16,) * 3)
+        alpha = OneForm(spec, tuple(
+            field_from(spec, lambda *x, _ax=ax: 0.2 * np.sin(x[(_ax + 1) % 3] + _ax))
+            for ax in range(3)
+        ))
+    phi = field_from(spec, lambda *x: -2.0 - 0.6 * np.cos(x[0]) - 0.3 * np.sin(x[-1]))
+    return KWProblem(alpha, -2.0, phi)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_smallest_grids_above_the_threshold_nest(rank, monkeypatch):
+    prob = _smallest_nesting_problem(rank)
+    assert prob.spec.npoints == kwsolver.NEST_MIN_POINTS
+    calls = _spy_grids(monkeypatch)
+    rep = kwsolver._solve_negative_c(prob)
+    half = tuple(n // 2 for n in prob.spec.dims)
+    assert "restrict" in calls[prob.spec.dims] and calls[half] == ["newton_solve"]
+    assert (rep.status, rep.method, rep.min_step_trace) == ("converged", "newton", [])
+    monkeypatch.setattr(kwsolver, "NEST_MIN_POINTS", prob.spec.npoints + 1)
+    flat = kwsolver._solve_negative_c(prob)
+    assert "_monotone" in calls[prob.spec.dims] and flat.converged
+    assert np.max(np.abs(rep.solution.values - flat.solution.values)) <= kwsolver.DEFAULT_KW_TOL
+
+
+def test_threshold_grid_without_a_half_grid_keeps_its_path(monkeypatch):
+    # 8^4 holds NEST_MIN_POINTS points, but its half axis 4 makes no grid:
+    # the restriction fails and the un-nested solve runs, bit for bit
+    spec = GridSpec((8,) * 4)
+    assert spec.npoints == kwsolver.NEST_MIN_POINTS
+    alpha = OneForm.constant(spec, (0.1, 0.0, 0.05, 0.0))
+    phi = field_from(spec, lambda x0, x1, x2, x3: -1.0 - 0.3 * np.cos(x0) - 0.2 * np.sin(x3))
+    prob = KWProblem(alpha, -1.0, phi)
+    calls = _spy_grids(monkeypatch)
+    rep = kwsolver._solve_negative_c(prob)
+    assert list(calls) == [spec.dims] and calls[spec.dims].count("restrict") == 1
+    monkeypatch.setattr(kwsolver, "NEST_MIN_POINTS", spec.npoints + 1)
+    flat = kwsolver._solve_negative_c(prob)
+    assert rep.converged and (rep.method, rep.iterations) == (flat.method, flat.iterations)
+    assert rep.min_step_trace == flat.min_step_trace
+    assert np.array_equal(rep.solution.values, flat.solution.values)
+
+
+def test_nesting_threshold_boundary(monkeypatch):
+    # 62^2 = 3844 points stays on its own grid, 64^2 = 4096 nests
+    assert 62 * 62 < kwsolver.NEST_MIN_POINTS == 64 * 64
+    calls = _spy_grids(monkeypatch)
+    for n, nests in [(62, False), (64, True)]:
+        spec = GridSpec((n, n))
+        prob = KWProblem(OneForm.zero(spec), -1.0, make_field(spec, -1.0))
+        assert (kwsolver._coarse_start(prob, kwsolver.DEFAULT_KW_TOL, None) is not None) == nests
+    assert "restrict" not in calls.get((62, 62), []) and "restrict" in calls[(64, 64)]
 
 
 @pytest.mark.parametrize("failure", ["co-closedness", "max-iter"])
@@ -781,7 +841,7 @@ def test_bracket_sentinel_for_nonpositive_phi():
     phi = field_from(spec, lambda x: -(1 + 0.5 * np.sin(x)))
     br = critical_c_bracket(phi, OneForm.zero(spec), -1e6)
     assert br.c_lo == -1e6
-    assert br.lo_evidence == "search-limit"
+    assert br.lo_evidence == "search-limit" and br.lo_message == ""
     assert br.hi_evidence == "solved"
     assert all(outcome == "solved" for _, outcome in br.probes)
 
@@ -795,6 +855,27 @@ def test_bracket_on_unsolvable_instance():
     assert br.hi_evidence == "solved"
     assert br.c_lo <= br.c_hi < 0
     assert abs(br.c_lo - br.c_hi) <= 0.011 * abs(br.c_hi)
+
+
+def test_bracket_keeps_the_message_of_the_probe_at_c_lo(monkeypatch):
+    # the failed probe that sets c_lo explains itself: its report message,
+    # or its status when it has none
+    spec = GridSpec((16,))
+    alpha = OneForm.zero(spec)
+    phi = construct_unsolvable(_sin_field(spec), 0.1, -1.0, alpha)
+    failures = {}
+    real = kwsolver._solve_negative_c
+
+    def probe(prob, **kwargs):
+        report = real(prob, **kwargs)
+        if not report.converged:
+            failures[prob.c] = report.message or report.status
+        return report
+
+    monkeypatch.setattr(kwsolver, "_solve_negative_c", probe)
+    br = critical_c_bracket(phi, alpha, -1e6)
+    assert br.lo_evidence == "solver-failed" and br.c_lo in failures
+    assert br.lo_message == failures[br.c_lo] != ""
 
 
 def test_bracket_rejects_positive_mean():
