@@ -102,10 +102,6 @@ class ScalarField:
             raise GridError("field contains non-finite values")
         object.__setattr__(self, "values", arr)
 
-    @property
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
-
 
 @dataclass(frozen=True)
 class OneForm:
@@ -231,7 +227,7 @@ def refine_field(f: ScalarField) -> ScalarField:
     are real-to-complex, so only half of the fine spectrum is ever held.
     """
     coarse = f.spec.dims
-    spec = GridSpec(tuple(2 * n for n in coarse))
+    spec = f.spec.doubled()
     axes = tuple(range(spec.rank))
     spectrum = np.fft.rfftn(f.values, axes=axes)
     out = np.zeros(spec.dims[:-1] + (spectrum.shape[-1],), dtype=complex)

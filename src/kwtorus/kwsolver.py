@@ -5,8 +5,8 @@ For c < 0 the solvable region is certified constructively:
 * a constant subsolution always exists;
 * a supersolution is built either as a constant (phi strictly negative),
   from the mean-zero solve of  A v = phi - mean(phi)  (phi nonpositive),
-  or through an oscillation-bounded search on a v (phi changes sign,
-  possible only for c close enough to zero);
+  or, when phi changes sign, as a v + b from an exact pointwise search
+  over a and b, which finds one only for c close enough to zero;
 * an ordered pair feeds the monotone iteration
       (A + lambda) w_{i+1} = phi e^{w_i} - c + lambda w_i,   w_0 = w_-,
   whose iterates increase pointwise to the solution.
@@ -91,6 +91,8 @@ BRACKET_EPS = 0.01
 BRACKET_REL_WIDTH = 0.01
 # Picard steps of fixed_point_solve
 FIXED_POINT_MAXITER = 200
+# Newton corrections per step of continuation_solve
+CONTINUATION_NEWTON_MAXITER = 30
 # with constant s_hat and drift, fixed_point_solve refuses an operator
 # L = A - (2/k) s_hat whose Fourier symbol comes within this fraction of
 # |(2/k) s_hat| of zero: L^-1 would amplify the data more than 1/that
@@ -156,9 +158,10 @@ class SolveReport:
 class Bracket:
     """Interval estimate for the critical constant below which the
     equation stops being solvable.  c_hi carries solvable evidence, c_lo
-    unsolvable-or-search-limit evidence.  lo_message is the report message
-    of the failed probe at c_lo (its status when that message is empty),
-    and empty at a search limit."""
+    unsolvable evidence, either of them search-limit when no probe gave
+    it.  lo_message is the report message of the failed probe at c_lo
+    (its status when that message is empty), and empty at a search
+    limit."""
 
     c_lo: float
     c_hi: float
@@ -246,10 +249,14 @@ def build_supersolution(
 ) -> ScalarField | None:
     """Supersolution for c < 0, or None when the search cannot certify one.
 
-    Nonpositive phi admits a certificate at every c < 0; sign-changing phi
-    only for c >= a*mean(phi)/2 with a small enough to bound the
-    oscillation of e^{a v}, which fails for c far below zero even when the
-    equation happens to be solvable.
+    The candidates are built on v, the mean-zero solution of
+    A v = phi - mean(phi).  Nonpositive phi admits a v + b with
+    a mean(phi) < c at every c < 0, and strictly negative phi a constant
+    too.  Sign-changing phi gets the a v + b that _offset_search finds by
+    testing the defining inequality pointwise; it finds none for c far
+    below zero, even where the equation happens to be solvable.  Of the
+    candidates that is_supersolution accepts, the one with the lowest
+    maximum is returned.
     """
     c = prob.c
     if c >= 0:
@@ -261,7 +268,7 @@ def build_supersolution(
             f"necessary condition violated: mean(phi) = {phi_bar:.3e} >= 0"
         )
     phi_max = float(np.max(phi))
-    phi_sup = float(np.max(np.abs(phi)))
+    v, _ = _solve_for_v(prob, lin)
 
     candidates: list[ScalarField] = []
     if phi_max <= 0.0:
@@ -270,25 +277,13 @@ def build_supersolution(
             level = float(np.log(c / phi_max)) + 0.1
             candidates.append(make_field(prob.spec, level))
         # nonpositive phi: w_+ = a v + b with a mean(phi) < c and e^{a v + b} > a
-        v, _ = _solve_for_v(prob, lin)
         a = 1.1 * c / phi_bar
         b = float(np.log(a)) - a * float(np.min(v.values)) + 0.1
         candidates.append(ScalarField(prob.spec, a * v.values + b))
     else:
-        # sign change: largest a with sup|e^{a v} - 1| <= -mean/2 sup and
-        # a mean(phi)/2 <= c; if that oscillation recipe is infeasible, an
-        # exact pointwise search over the constant offset can still find a
-        # supersolution of the same a v + b shape
-        v, _ = _solve_for_v(prob, lin)
-        bound = -phi_bar / (2.0 * phi_sup)
-        a_min = 2.0 * c / phi_bar
-        if _oscillation(v.values, a_min) <= bound:
-            a = _largest_feasible(v.values, bound, a_min)
-            candidates.append(ScalarField(prob.spec, a * v.values + float(np.log(a))))
-        else:
-            cand = _offset_search(prob, v.values, phi_bar)
-            if cand is not None:
-                candidates.append(cand)
+        cand = _offset_search(prob, v.values, phi_bar)
+        if cand is not None:
+            candidates.append(cand)
 
     best = None
     for cand in candidates:
@@ -301,29 +296,6 @@ def build_supersolution(
 def _solve_for_v(prob: KWProblem, lin: LinearOptions | None):
     rhs = ScalarField(prob.spec, prob.phi.values - mean(prob.phi))
     return solve_meanzero(prob.alpha, rhs, lin=lin)
-
-
-def _oscillation(v: np.ndarray, a: float) -> float:
-    with np.errstate(over="ignore"):
-        return float(np.max(np.abs(np.expm1(a * v))))
-
-
-def _largest_feasible(v: np.ndarray, bound: float, a_min: float) -> float:
-    hi = max(a_min, 1.0)
-    for _ in range(200):
-        if _oscillation(v, hi) > bound:
-            break
-        hi *= 2.0
-    else:
-        return hi
-    lo = a_min
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _oscillation(v, mid) <= bound:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def _offset_search(prob: KWProblem, v: np.ndarray, phi_bar: float) -> ScalarField | None:
@@ -827,10 +799,14 @@ def critical_c_bracket(
 
     Nonpositive nonzero phi is solvable at every c < 0: the ladder of
     probes down to search_floor is solved and the floor is returned as
-    the minus-infinity sentinel.  Otherwise a geometric descent runs
-    until the positivity test or the solver fails, then bisects to
-    BRACKET_REL_WIDTH.  search_floor must lie below the first probe
-    -BRACKET_EPS, so every bracket holds at least one probe at each end.
+    the minus-infinity sentinel.  Otherwise c doubles from -BRACKET_EPS,
+    its last rung clipped to search_floor, until the positivity test or
+    the solver fails, then bisects to BRACKET_REL_WIDTH; a solved floor
+    gives c_lo = c_hi = search_floor.  If the first rung fails, c halves
+    toward zero for a solvable point; when none solves down to
+    BRACKET_EPS 2^-20, c_hi is half the last failed c.  search_floor must
+    lie below -BRACKET_EPS.  Every end is a probed c, except that last
+    c_hi, whose evidence is search-limit.
     """
     if mean(phi) >= 0:
         raise SolvabilityError("bracketing needs mean(phi) < 0")
@@ -873,38 +849,23 @@ def critical_c_bracket(
             probes=probes,
         )
 
+    # doubling descent, clipped so that search_floor is its last rung
     c = -BRACKET_EPS
-    while c > search_floor and solved(c):
-        c *= 2.0
-    if first_failed is None:
-        return Bracket(
-            c_lo=search_floor,
-            c_hi=last_solved,
-            lo_evidence="search-limit",
-            hi_evidence="solved",
-            probes=probes,
-        )
+    while solved(c) and c > search_floor:
+        c = max(2.0 * c, search_floor)
     if last_solved is None:
         # even the first rung failed; walk toward zero for a solvable point
         c = first_failed / 2.0
         while abs(c) > BRACKET_EPS * 2.0**-20 and not solved(c):
             c /= 2.0
-        if last_solved is None:
-            return Bracket(
-                c_lo=first_failed,
-                c_hi=first_failed / 2.0,
-                lo_evidence=fail_kind,
-                hi_evidence="search-limit",
-                probes=probes,
-                lo_message=fail_message,
-            )
-    while abs(first_failed - last_solved) > BRACKET_REL_WIDTH * abs(last_solved):
-        solved(0.5 * (first_failed + last_solved))
+    if first_failed is not None and last_solved is not None:
+        while abs(first_failed - last_solved) > BRACKET_REL_WIDTH * abs(last_solved):
+            solved(0.5 * (first_failed + last_solved))
     return Bracket(
-        c_lo=first_failed,
-        c_hi=last_solved,
-        lo_evidence=fail_kind,
-        hi_evidence="solved",
+        c_lo=search_floor if first_failed is None else first_failed,
+        c_hi=first_failed / 2.0 if last_solved is None else last_solved,
+        lo_evidence="search-limit" if first_failed is None else fail_kind,
+        hi_evidence="search-limit" if last_solved is None else "solved",
         probes=probes,
         lo_message=fail_message,
     )
@@ -1035,7 +996,6 @@ def continuation_solve(
     steps: int = 10,
     *,
     tol: float = DEFAULT_KW_TOL,
-    newton_maxiter: int = 30,
     lin: LinearOptions | None = None,
 ) -> SolveReport:
     """Homotopy in the data: solve with (tau s, tau s_hat) for increasing tau.
@@ -1073,7 +1033,7 @@ def continuation_solve(
         phi_tau = (2.0 * tau / k) * s_hat.values
         converged = floored = False
         prev_norm = np.inf
-        for _ in range(newton_maxiter):
+        for _ in range(CONTINUATION_NEWTON_MAXITER):
             # constant mode: the mean equation mean(s_hat e^u) = mean(s) is
             # solved exactly by a shift whenever both means are genuinely
             # nonzero and share a sign

@@ -166,6 +166,58 @@ def test_offset_search_matches_the_unhoisted_scan():
     assert moved >= 20
 
 
+def _oscillation_bound_reference(prob):
+    # the small-oscillation supersolution of Kazdan & Warner that
+    # build_supersolution used to try first for sign-changing phi: the
+    # largest a >= 2c / mean(phi) with sup|e^{a v} - 1| <= -mean(phi) /
+    # (2 sup|phi|), and w_+ = a v + log a.  None where it certifies nothing
+    def oscillation(a):
+        with np.errstate(over="ignore"):
+            return float(np.max(np.abs(np.expm1(a * v))))
+
+    v = kwsolver._solve_for_v(prob, None)[0].values
+    phi_bar = mean(prob.phi)
+    bound = -phi_bar / (2.0 * float(np.max(np.abs(prob.phi.values))))
+    lo = 2.0 * prob.c / phi_bar
+    if oscillation(lo) > bound:
+        return None
+    hi = max(lo, 1.0)
+    while oscillation(hi) <= bound:
+        hi *= 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if oscillation(mid) <= bound else (lo, mid)
+    w = ScalarField(prob.spec, lo * v + float(np.log(lo)))
+    return w if is_supersolution(w, prob)[0] else None
+
+
+def test_offset_search_certifies_wherever_the_oscillation_bound_does():
+    # random sign-changing instances in 1-D and 2-D, with zero or constant
+    # drift and c from -1e-4 to -0.3
+    rng = np.random.default_rng(19)
+    by_bound = by_search = 0
+    for _ in range(240):
+        spec = GridSpec((64,)) if rng.random() < 0.5 else GridSpec((24, 24))
+        vals = np.zeros(spec.dims)
+        while not (vals.max() > 0.0 > vals.mean()):
+            vals = random_smooth_field(spec, rng, band=3).values
+            vals += rng.uniform(-0.8, -0.05) * np.max(vals) - np.mean(vals)
+        if rng.random() < 0.5:
+            alpha = OneForm.zero(spec)
+        else:
+            drift = rng.uniform(-0.3, 0.3, spec.rank)
+            alpha = OneForm(spec, tuple(make_field(spec, d) for d in drift))
+        c = -(10.0 ** rng.uniform(-4.0, np.log10(0.3)))
+        prob = KWProblem(alpha, c, ScalarField(spec, vals))
+        wp = build_supersolution(prob)
+        certified = wp is not None and is_supersolution(wp, prob)[0]
+        if _oscillation_bound_reference(prob) is not None:
+            by_bound += 1
+            assert certified, (spec.dims, c)
+        by_search += certified
+    assert by_bound >= 150 and by_search > by_bound
+
+
 def test_build_supersolution_rejects_positive_mean():
     spec = GridSpec((64,))
     phi = field_from(spec, lambda x: np.sin(x) + 0.5)
@@ -878,6 +930,36 @@ def test_bracket_keeps_the_message_of_the_probe_at_c_lo(monkeypatch):
     assert br.lo_message == failures[br.c_lo] != ""
 
 
+def test_bracket_probes_the_search_floor():
+    # the floor is the descent's last rung: solved, it closes the bracket
+    # on itself; failed, it is bisected like any other failure
+    spec = GridSpec((64,))
+    alpha = OneForm.zero(spec)
+    phi = field_from(spec, lambda x: -1 + 1.2 * np.sin(x))
+    br = critical_c_bracket(phi, alpha, -0.015)
+    assert br.probes == [(-0.01, "solved"), (-0.015, "solved")]
+    assert br.c_lo == br.c_hi == -0.015
+    assert (br.lo_evidence, br.hi_evidence) == ("search-limit", "solved")
+
+    br = critical_c_bracket(phi, alpha, -1.2)  # fails from about -1.01
+    assert br.probes[6:8] == [(-0.64, "solved"), (-1.2, "solver-failed")]
+    assert br.lo_evidence == "solver-failed" and br.hi_evidence == "solved"
+    assert -1.2 < br.c_lo <= br.c_hi < -0.64
+    assert abs(br.c_lo - br.c_hi) <= kwsolver.BRACKET_REL_WIDTH * abs(br.c_hi)
+
+
+def test_bracket_with_no_solved_probe_ends_at_the_walk_limit():
+    # the first rung fails and no probe solves down to BRACKET_EPS 2^-20:
+    # c_hi is half the last failed c, with search-limit evidence
+    spec = GridSpec((64,))
+    phi = field_from(spec, lambda x: np.sin(x) - 1e-12)
+    br = critical_c_bracket(phi, OneForm.zero(spec), -1e6)
+    assert len(br.probes) == 20
+    assert all(outcome == "necessary-failed" for _, outcome in br.probes)
+    assert br.c_lo == -1.9073486328125e-08 and br.lo_evidence == "necessary-failed"
+    assert br.c_hi == -9.5367431640625002e-09 and br.hi_evidence == "search-limit"
+
+
 def test_bracket_rejects_positive_mean():
     spec = GridSpec((64,))
     phi = field_from(spec, lambda x: np.sin(x) + 0.5)
@@ -957,14 +1039,15 @@ def test_continuation_small_data():
     assert np.max(np.abs(rep.solution.values - ustar.values)) < 1e-8
 
 
-def test_continuation_failure_reports_tau():
+def test_continuation_failure_reports_tau(monkeypatch):
     # large sign-changing data: the corrector cannot follow the path
+    monkeypatch.setattr(kwsolver, "CONTINUATION_NEWTON_MAXITER", 6)
     spec = GridSpec((32,))
     setup = GeometrySetup(1, 1.0)
     alpha = OneForm.zero(spec)
     s = field_from(spec, lambda x: 5 * np.cos(x))
     s_hat = field_from(spec, lambda x: 40 + 39 * np.sin(x))
-    rep = continuation_solve(s, s_hat, alpha, setup, 4, newton_maxiter=6)
+    rep = continuation_solve(s, s_hat, alpha, setup, 4)
     if rep.status != "converged":
         assert "tau" in rep.message
     else:
