@@ -253,8 +253,9 @@ def build_supersolution(
     A v = phi - mean(phi).  Nonpositive phi admits a v + b with
     a mean(phi) < c at every c < 0, and strictly negative phi a constant
     too.  Sign-changing phi gets the a v + b that _offset_search finds by
-    testing the defining inequality pointwise; it finds none for c far
-    below zero, even where the equation happens to be solvable.  Of the
+    testing the defining inequality pointwise, which certifies wherever
+    the small-oscillation bound does; it finds none for c far below zero,
+    even where the equation happens to be solvable.  Of the
     candidates that is_supersolution accepts, the one with the lowest
     maximum is returned.
     """
@@ -303,8 +304,9 @@ def _offset_search(prob: KWProblem, v: np.ndarray, phi_bar: float) -> ScalarFiel
 
     The defining inequality phi e^{a v + b} <= a (phi - mean) + c is, for
     fixed a, an interval condition on e^b: bounded above on the set where
-    phi is positive and below where it is negative.  Scans a log grid in a
-    and returns the first candidate whose interval is nonempty.
+    phi is positive and below where it is negative.  Scans a log grid in a,
+    then a = 2c / mean(phi), and returns the first candidate whose interval
+    is nonempty.
     """
     phi = prob.phi.values
     c = prob.c
@@ -327,7 +329,10 @@ def _offset_search(prob: KWProblem, v: np.ndarray, phi_bar: float) -> ScalarFiel
     peak = None
     den_floor = float(np.min(np.abs(phi_neg))) if phi_neg.size else 0.0
     v_low = float(np.min(v_neg)) if phi_neg.size else 0.0
-    for a in scale * np.logspace(-4.0, 3.0, 141):
+    # the grid does not scale with phi; a = 2c / mean(phi) passes wherever
+    # the small-oscillation bound of Kazdan & Warner holds, at any scale:
+    # sup|e^{a v} - 1| <= -mean(phi) / (2 sup|phi|)
+    for a in np.append(scale * np.logspace(-4.0, 3.0, 141), 2.0 * c / phi_bar):
         if dev_zer.size and float(np.min(a * dev_zer + c)) < 0.0:
             continue
         num_pos = a * dev_pos + c
