@@ -252,12 +252,15 @@ def build_supersolution(
     The candidates are built on v, the mean-zero solution of
     A v = phi - mean(phi).  Nonpositive phi admits a v + b with
     a mean(phi) < c at every c < 0, and strictly negative phi a constant
-    too.  Sign-changing phi gets the a v + b that _offset_search finds by
+    too (_supersolution_level), the one candidate without v, which
+    _solve_negative_c tries alone on nested grids before calling this.
+    Sign-changing phi gets the a v + b that _offset_search finds by
     testing the defining inequality pointwise, which certifies wherever
     the small-oscillation bound does; it finds none for c far below zero,
     even where the equation happens to be solvable.  Of the
     candidates that is_supersolution accepts, the one with the lowest
-    maximum is returned.
+    maximum is returned: a v + b beats the constant where phi_max is
+    near zero, whose level log(c / phi_max) + 0.1 is then large.
     """
     c = prob.c
     if c >= 0:
@@ -274,9 +277,7 @@ def build_supersolution(
     candidates: list[ScalarField] = []
     if phi_max <= 0.0:
         if phi_max < 0.0:
-            # strictly negative phi: a constant high enough that phi e^w <= c
-            level = float(np.log(c / phi_max)) + 0.1
-            candidates.append(make_field(prob.spec, level))
+            candidates.append(make_field(prob.spec, _supersolution_level(c, phi_max)))
         # nonpositive phi: w_+ = a v + b with a mean(phi) < c and e^{a v + b} > a
         a = 1.1 * c / phi_bar
         b = float(np.log(a)) - a * float(np.min(v.values)) + 0.1
@@ -292,6 +293,12 @@ def build_supersolution(
         if ok and (best is None or np.max(cand.values) < np.max(best.values)):
             best = cand
     return best
+
+
+def _supersolution_level(c: float, phi_max: float) -> float:
+    """The constant supersolution of strictly negative phi (phi_max < 0):
+    high enough that phi e^w <= c e^0.1 < c everywhere."""
+    return float(np.log(c / phi_max)) + 0.1
 
 
 def _solve_for_v(prob: KWProblem, lin: LinearOptions | None):
@@ -1146,13 +1153,17 @@ def _solve_negative_c(
     starts from the half-size grids' answer (_coarse_start), and a
     converged answer inside the enclosure finishes the solve: its
     iterations and trace are the fine Newton steps alone, and its
-    min_step_trace is empty.  Otherwise at most budget monotone steps
-    run; as soon as they contract slowly the iterate goes to Newton, whose
-    answer is accepted only if it converged inside the enclosure, else
-    the iteration resumes with the same shift, and Newton polishes if
-    the budget runs out.  Without a certified supersolution, Newton
-    starts from initial_guess, else the half-size grids' answer, else
-    _averaged_start.
+    min_step_trace is empty.  Strictly negative phi has the constant
+    pair [min(w_-, w_+ - 0.1), w_+] with w_+ = _supersolution_level,
+    which needs no mean-zero solve, so its nested answer is tested
+    against that pair before build_supersolution runs, and against the
+    full pair only if the constant one rejects it.  Otherwise at most
+    budget monotone steps run; as soon as they contract slowly the
+    iterate goes to Newton, whose answer is accepted only if it
+    converged inside the enclosure, else the iteration resumes with the
+    same shift, and Newton polishes if the budget runs out.  Without a
+    certified supersolution, Newton starts from initial_guess, else the
+    half-size grids' answer, else _averaged_start.
     """
     nec = necessary_check(prob, lin)
     if not nec.positive:
@@ -1161,32 +1172,48 @@ def _solve_negative_c(
             make_field(prob.spec, 0.0), "certified-unsolvable", "necessary", message
         )
     del nec  # phi0 would stay beside every later solve
-    w_minus = build_subsolution(prob)
+    sub = float(build_subsolution(prob).values.flat[0])
+
+    def inside(report: SolveReport, lo: float, hi) -> bool:
+        # the pair [lo, hi] (hi a level or a field) certifies a solution
+        # and c < 0 makes it unique, so a converged Newton answer there,
+        # within tol (1 + sup|hi|), is it
+        slack = tol * (1.0 + float(np.max(np.abs(hi))))
+        u = report.solution.values
+        enclosed = float(np.min(u)) >= lo - slack and bool(np.all(u <= hi + slack))
+        return report.converged and enclosed
+
+    def nested() -> SolveReport | None:
+        # the fine Newton from the half-size grids' answer, if there is one
+        start = _coarse_start(prob, tol, lin)
+        return None if start is None else newton_solve(prob, start, tol=tol, lin=lin)
+
+    phi_max = float(np.max(prob.phi.values))
+    fast = nested() if phi_max < 0.0 else None
+    if fast is not None:
+        hi = _supersolution_level(prob.c, phi_max)
+        if inside(fast, min(sub, hi - 0.1), hi):
+            fast.min_step_trace = []  # trace.csv keeps its min_step column
+            return fast
     try:
         w_plus = build_supersolution(prob, lin)
     except SolverError:
         w_plus = None
 
     if w_plus is not None:
-        low = min(float(w_minus.values.flat[0]), float(np.min(w_plus.values)) - 0.1)
+        low = min(sub, float(np.min(w_plus.values)) - 0.1)
         w_minus = make_field(prob.spec, low)
 
         def newton_inside(w: ScalarField) -> SolveReport | None:
-            # the pair certifies a solution in [w_minus, w_plus] and c < 0
-            # makes it unique, so a converged Newton iterate there is it
-            fast = newton_solve(prob, w, tol=tol, lin=lin)
-            slack = tol * (1.0 + float(np.max(np.abs(w_plus.values))))
-            u = fast.solution.values
-            inside = np.all(u >= w_minus.values - slack) and np.all(u <= w_plus.values + slack)
-            return fast if fast.converged and inside else None
+            report = newton_solve(prob, w, tol=tol, lin=lin)
+            return report if inside(report, low, w_plus.values) else None
 
-        start = _coarse_start(prob, tol, lin)
-        if start is not None:
-            report = newton_inside(start)
-            del start  # the refined start would stay beside the monotone path
-            if report is not None:
-                report.min_step_trace = []  # trace.csv keeps its min_step column
-                return report
+        if phi_max >= 0.0:
+            fast = nested()
+        if fast is not None and inside(fast, low, w_plus.values):
+            fast.min_step_trace = []
+            return fast
+        del fast  # the rejected answer would stay beside the monotone path
         try:
             report = _monotone(prob, w_minus, w_plus, tol, budget, lin, newton_inside)
         except SolverError as e:
@@ -1197,7 +1224,14 @@ def _solve_negative_c(
             return report
         return _chain(report, newton_solve(prob, report.solution, tol=tol, lin=lin))
 
-    w0 = initial_guess or _coarse_start(prob, tol, lin) or _averaged_start(prob)
+    if fast is not None and initial_guess is None:
+        return fast  # the no-pair Newton from the half grids' answer
+    # strictly negative phi has tried the half grids already
+    w0 = (
+        initial_guess
+        or (phi_max >= 0.0 and _coarse_start(prob, tol, lin))
+        or _averaged_start(prob)
+    )
     return newton_solve(prob, w0, tol=tol, lin=lin)
 
 

@@ -399,7 +399,9 @@ def _spy_grids(monkeypatch):
 def test_large_round_trip_starts_from_the_half_grid(monkeypatch):
     # roundtrip-4d's data on 16^4, above NEST_MIN_POINTS: 8^4 runs Newton
     # alone (its own half axis, 4, makes no grid), and 16^4 runs its
-    # certificates, then only Newton from the refined answer
+    # positivity test, then only Newton from the refined answer, which the
+    # constant pair of its strictly negative phi accepts without the
+    # mean-zero solve of build_supersolution
     spec = GridSpec((16,) * 4)
     assert spec.npoints >= kwsolver.NEST_MIN_POINTS
     setup = GeometrySetup(2, 0.0)
@@ -411,8 +413,7 @@ def test_large_round_trip_starts_from_the_half_grid(monkeypatch):
     calls = _spy_grids(monkeypatch)
     u, rep = solve_prescribed(s, s_hat, alpha, setup, monotone_budget=40, maxiter=3000)
     assert calls == {
-        spec.dims: ["_solve_negative_c", "necessary_check", "build_supersolution",
-                    *["restrict"] * 5, "newton_solve"],
+        spec.dims: ["_solve_negative_c", "necessary_check", *["restrict"] * 5, "newton_solve"],
         (8,) * 4: ["restrict", "newton_solve"],
     }
     assert (rep.status, rep.method) == ("converged", "newton")
@@ -438,7 +439,9 @@ def test_nested_solve_on_a_small_threshold(monkeypatch):
     calls = _spy_grids(monkeypatch)
     rep = kwsolver._solve_negative_c(prob)
     assert calls[(16, 16)] == ["newton_solve"]
-    assert {"necessary_check", "build_supersolution"} <= set(calls[prob.spec.dims])
+    # strictly negative phi: the constant pair accepts, no build_supersolution
+    assert "necessary_check" in calls[prob.spec.dims]
+    assert "build_supersolution" not in calls[prob.spec.dims]
     assert (rep.status, rep.method, rep.min_step_trace) == ("converged", "newton", [])
     assert rep.iterations < flat.iterations
     assert np.max(np.abs(rep.solution.values - flat.solution.values)) <= kwsolver.DEFAULT_KW_TOL
@@ -577,8 +580,12 @@ def test_no_pair_solve_prefers_a_given_initial_guess(monkeypatch):
 
 def test_nested_newton_outside_the_enclosure_is_rejected(monkeypatch):
     # the fine Newton from the refined start converges above every
-    # supersolution: rejected, the monotone path finishes as today
+    # supersolution, the constant level log(c / phi_max) + 0.1 among them:
+    # the constant pair rejects it, then the full pair of
+    # build_supersolution, and the monotone path finishes as today, with no
+    # second fine Newton before it
     prob, flat = _nested_pair(monkeypatch)
+    hi = kwsolver._supersolution_level(prob.c, float(np.max(prob.phi.values)))
     starts = []
     real = kwsolver.newton_solve
 
@@ -586,15 +593,52 @@ def test_nested_newton_outside_the_enclosure_is_rejected(monkeypatch):
         if p.spec == prob.spec and not starts:
             starts.append(w0)
             far = ScalarField(p.spec, w0.values + 100.0)
+            assert float(np.min(far.values)) > hi
             return SolveReport(far, "converged", [0.0], 0.0, "newton", iterations=1)
         return real(p, w0, **kwargs)
 
     monkeypatch.setattr(kwsolver, "newton_solve", newton)
+    calls = _spy_grids(monkeypatch)
     rep = kwsolver._solve_negative_c(prob)
-    assert len(starts) == 1
+    fine = calls[prob.spec.dims]
+    before = fine[: fine.index("_monotone")]
+    assert len(starts) == 1 and before.count("newton_solve") == 1
+    assert before.index("newton_solve") < before.index("build_supersolution")
     assert rep.status == "converged" and rep.min_step_trace
     assert (rep.method, rep.iterations) == (flat.method, flat.iterations)
     assert np.array_equal(rep.solution.values, flat.solution.values)
+
+
+def test_nested_negative_phi_needs_no_mean_zero_solve(monkeypatch):
+    # strictly negative phi: the constant pair accepts the nested answer,
+    # so the v of build_supersolution is never solved for
+    prob, _ = _nested_pair(monkeypatch)
+    assert float(np.max(prob.phi.values)) < 0.0
+    nested = kwsolver._solve_negative_c(prob)
+
+    def no_v(*args, **kwargs):
+        raise AssertionError("mean-zero solve for v ran")
+
+    monkeypatch.setattr(kwsolver, "_solve_for_v", no_v)
+    rep = kwsolver._solve_negative_c(prob)
+    assert (rep.status, rep.method, rep.min_step_trace) == ("converged", "newton", [])
+    assert rep.iterations == nested.iterations
+    assert np.array_equal(rep.solution.values, nested.solution.values)
+
+
+def test_supersolution_keeps_a_v_plus_b_below_a_high_constant():
+    # phi_max = -1e-14 puts the constant level near 32.3; the a v + b
+    # candidate lies far lower.  Without it the monotone shift
+    # 1 + sup(-phi e^{w_+}) would overflow its 1e14 cap and the solve would
+    # take about 41 steps instead of 7
+    spec = GridSpec((64,))
+    phi = field_from(spec, lambda x: -(1e-14 + (1.0 + np.sin(x)) ** 2))
+    prob = KWProblem(OneForm.zero(spec), -1.0, phi)
+    level = kwsolver._supersolution_level(prob.c, float(np.max(phi.values)))
+    wp = build_supersolution(prob)
+    assert float(np.max(wp.values)) < level - 1.0
+    rep = kwsolver._solve_negative_c(prob)
+    assert rep.converged and rep.iterations <= 10
 
 
 # ---------------------------------------------------------------------------
