@@ -137,6 +137,22 @@ class OneForm:
                 out.append(float(first))
         return tuple(out)
 
+    @cached_property
+    def sup_norms(self) -> tuple[float, ...]:
+        """sup|alpha_i| per component, scanned once per form."""
+        return tuple(0.0 if v is None else float(np.max(np.abs(v))) for v in self.coefficients)
+
+    @cached_property
+    def divergence_sup(self) -> float:
+        """Sup-norm of the divergence, computed once per form; read it
+        through operators.gauduchon_defect.  A constant form skips the
+        stencil, which maps constants to exactly 0."""
+        if not any(isinstance(v, np.ndarray) for v in self.coefficients):
+            return 0.0
+        from .operators import divergence  # operators builds on this module
+
+        return float(np.max(np.abs(divergence(self).values)))
+
     @classmethod
     def zero(cls, spec: GridSpec) -> "OneForm":
         return cls(spec, tuple(make_field(spec, 0.0) for _ in range(spec.rank)))

@@ -551,7 +551,9 @@ def _newton_step(
     (b constant), with r = F(x) and reaction = -phi e^x: a capped Krylov
     solve of (A + reaction) delta = -r to the relative 2-norm tolerance
     rtol, then the line search along delta.  The solve hands back A
-    delta, so no trial applies the stencils.
+    delta, built from its Arnoldi residual (within round-off of the
+    stencils' image, and up to a constant with meanzero, which the
+    projected line search discards), so no trial applies the stencils.
 
     Returns (step, failure, inner_converged), where step is the line
     search's (trial, residual, reaction, norm) or None and failure names
@@ -621,8 +623,10 @@ def newton_solve(
     Each step solves the linearization A - phi e^w through the Krylov
     solver to an Eisenstat-Walker forcing term (_forcing) and backtracks
     by halving until the 2-norm of F decreases.  The residual of a step
-    is carried from the last one (see _line_search), so the stencils run
-    once per step, in the inner solve.  Stops when the sup-norm residual
+    is carried from the last one (see _line_search), and the inner solve
+    takes A delta from its Arnoldi residual, so a step applies no
+    stencil: they run for the first residual and for the fresh ones
+    below.  Stops when the sup-norm residual
     falls below tol times the problem scale, and only once a freshly
     applied stencil residual confirms it; a carried residual that passes
     alone is replaced by the fresh one and the iteration goes on.  So is

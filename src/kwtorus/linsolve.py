@@ -9,13 +9,16 @@ numpy only, matrix-free, cycles of GMRES_RESTART) solves the
 right-preconditioned system for the remainder, with no Laplacian inside
 the Krylov loop and one solve with P per iteration plus one per solve.
 
-Every solve is judged on its true residual by one test: the documented
-contract, a sup-norm residual of at most tol * (1 + sup|rhs|), plus the
-round-off of applying the stencil to the solution (see _solve_system).
-GMRES minimizes the 2-norm, so while the sup residual misses, the solve
-restarts warm with a tighter 2-norm target until the contract holds or
-the iteration budget is spent.  Inexact Newton steps instead pass their
-own relative 2-norm tolerance (a forcing term) and are judged by it.
+A solve to the documented contract is judged on its true residual, the
+stencils applied to the solution once: a sup-norm residual of at most
+tol * (1 + sup|rhs|), plus the round-off of that application (see
+_solve_system).  GMRES minimizes the 2-norm, so while the sup residual
+misses, the solve restarts warm with a tighter 2-norm target until the
+contract holds or the iteration budget is spent.  Inexact Newton steps
+instead pass their own relative 2-norm tolerance (a forcing term), and
+a GMRES solve judges it on the Arnoldi residual that GMRES already
+holds, so it applies no stencil; the Newton iteration confirms its own
+convergence on a freshly applied residual.
 
 The singular mean-zero problem (r = 0, kernel = constants) is solved on
 the mean-zero subspace: the right-hand side, every operator application,
@@ -72,9 +75,9 @@ class LinearOptions:
 @dataclass
 class SolveStats:
     """Outcome of one linear solve.  image is A x without the reaction
-    (Laplacian plus drift) from _solve_system's residual test, for a
-    caller that would otherwise apply the stencils to x again; the
-    public solves return stats without it."""
+    (Laplacian plus drift), as _solve_system documents it, for a caller
+    that would otherwise apply the stencils to x again; the public
+    solves return stats without it."""
 
     iterations: int
     residual_sup: float
@@ -183,24 +186,27 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback):
     """Restarted right-preconditioned GMRES for A x = b (Saad & Schultz 1986).
 
     matvec(v) returns (z, A z) with z = P v for the preconditioner P; r is
-    the residual b - A x, which the caller already holds, and x is updated
-    in place.  Each cycle of at most GMRES_RESTART iterations builds an
+    the residual b - A x, a C-contiguous array the caller already holds,
+    and x and r are updated in place.  Each cycle of at most GMRES_RESTART iterations builds an
     orthonormal basis v_k by modified Gram-Schmidt and keeps z_k = P v_k,
     as flexible GMRES does, so that x += sum_k c_k z_k costs no further
-    solve with P; the next cycle starts from the Arnoldi residual V (beta
-    e1 - H c), so no cycle spends an operator application outside its
-    iterations.  callback gets the 2-norm residual estimate once per
-    iteration.  Stops when that estimate is at most rtol * ||b||, on
-    breakdown (the Krylov space holds the solution), or after maxiter
-    iterations in all.  Returns (x, info): info is -1 when a norm
-    overflowed and 0 otherwise; the caller judges x on its true residual.
+    solve with P.  Every cycle ends by writing its Arnoldi residual
+    V_{k+1} Q^T (g_k e_{k+1}) into r in place, its last direction taken
+    as the orthogonalized w / h_next, so no basis row beyond the cycle's
+    iterations is filled: the next cycle starts from it, and on return r
+    holds b - A x to round-off without an operator application.
+    callback gets the 2-norm residual estimate once per iteration.  Stops
+    when that estimate is at most rtol * ||b||, on breakdown (the Krylov
+    space holds the solution), or after maxiter iterations in all.
+    Returns (x, info): info is -1 when a norm overflowed (r is then not
+    meaningful) and 0 otherwise.
     """
     eps = float(np.finfo(float).eps)
     target = rtol * float(np.linalg.norm(b))
     beta = float(np.linalg.norm(r))
     scratch = np.empty_like(r)
     cycle = min(GMRES_RESTART, maxiter)
-    basis = np.empty((cycle + 1,) + r.shape)  # reused by every cycle
+    basis = np.empty((cycle,) + r.shape)  # reused by every cycle
     while maxiter > 0 and math.isfinite(beta) and beta > target:
         m = min(cycle, maxiter)
         np.multiply(r, 1.0 / beta, out=basis[0])
@@ -229,7 +235,7 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback):
             if not math.isfinite(g[-1]):
                 return x, -1
             stop = abs(g[-1]) <= target or h_next == 0.0
-            if stop:
+            if stop or j + 1 == m:
                 break
             np.multiply(w, 1.0 / h_next, out=basis[j + 1])
         # back substitution on the rotated triangle, then x += sum c_k z_k
@@ -241,15 +247,18 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback):
         for ck, z in zip(coef, zs):
             x += np.multiply(z, ck, out=scratch)
         maxiter -= k
-        if stop:
-            return x, 0
-        # the residual V_{k+1} Q^T (g_k e_k) of the cycle, rotated back
+        # the residual V_{k+1} Q^T (g_k e_{k+1}) of the cycle, rotated back;
+        # on breakdown g_k = 0, and so is every u_i
         u = [0.0] * k + [g[k]]
         for i in reversed(range(k)):
             c, s = rots[i]
             u[i], u[i + 1] = c * u[i] - s * u[i + 1], s * u[i] + c * u[i + 1]
-        r = np.tensordot(np.array(u), basis[: k + 1], axes=1)
+        np.dot(np.array(u[:k]), basis[:k].reshape(k, -1), out=r.reshape(-1))
+        if h_next:
+            r += np.multiply(w, u[k] / h_next, out=scratch)
         beta = float(np.linalg.norm(r))
+        if stop:
+            return x, 0
     return x, 0 if math.isfinite(beta) else -1
 
 
@@ -274,30 +283,38 @@ def _solve_system(
     each Krylov iteration makes one solve with P and one application of
     R, and no Laplacian runs in the Krylov loop.
 
-    One test judges every solve, on its true residual.  By default it
-    holds when that residual is finite and at most lin.tol * (1 +
-    sup|rhs|) + eps * ||A||_inf * sup|x|, with ||A||_inf = sup|reaction| +
-    sum_i (64/h_i + 18 sup|alpha_i|) / (12 h_i): the added term is the
-    round-off of applying the stencil to x, which exceeds the contract on
-    fine grids.  While it fails, GMRES restarts from x and that true
-    residual with a tighter 2-norm rtol (never below RTOL_FLOOR).  Passing
-    rtol instead requests a plain relative 2-norm reduction (the
-    inexact-Newton mode, where the outer iteration absorbs the slack) and
-    judges by it.  No GMRES call runs past the lin.maxiter budget, and
-    stats.iterations counts every Krylov iteration.  A non-finite Krylov
-    norm (a right-hand side near the float range) stops the solve at once
-    with x = 0.  Never raises on non-convergence: inspect stats.converged.
+    By default a solve is judged on its true residual, the stencils
+    applied to x once.  It holds when that residual is finite and at most
+    lin.tol * (1 + sup|rhs|) + eps * ||A||_inf * sup|x|, with ||A||_inf =
+    sup|reaction| + sum_i (64/h_i + 18 sup|alpha_i|) / (12 h_i): the added
+    term is the round-off of applying the stencil to x, which exceeds the
+    contract on fine grids.  While it fails, GMRES restarts from x and
+    that true residual with a tighter 2-norm rtol (never below
+    RTOL_FLOOR).  Passing rtol instead requests a plain relative 2-norm
+    reduction (the inexact-Newton mode, where the outer iteration absorbs
+    the slack and confirms its own convergence on a fresh residual) and
+    judges by it.  A GMRES solve in that mode is judged on the Arnoldi
+    residual that gmres leaves behind, b - A x to round-off, and applies
+    no stencil; the direct FFT path and a GMRES call that overflowed are
+    judged on the true residual in both modes.  No GMRES call runs past
+    the lin.maxiter budget, and stats.iterations counts every Krylov
+    iteration.  A non-finite Krylov norm (a right-hand side near the
+    float range) stops the solve at once with x = 0.  Never raises on
+    non-convergence: inspect stats.converged.
 
-    The residual test applies the stencils to x once, and stats.image
-    hands that image back: A x without the reaction, the same bits as
-    _apply(alpha, x).  A caller that needs A x takes it from there rather
-    than applying the stencils again, and drops it before its next solve.
+    stats.image is A x without the reaction (Laplacian plus drift).
+    Where the true residual was taken it is that image, the same bits as
+    _apply(alpha, x).  From the Arnoldi residual it is b - resid -
+    reaction x, which differs from _apply(alpha, x) by round-off and,
+    with meanzero, by a constant as well: the Krylov residual is known
+    only on the mean-zero subspace, and the projected line search that
+    reads this image discards constants.  A caller that needs A x takes
+    it from there rather than applying the stencils again, and drops it
+    before its next solve.
     """
     lin = lin or LinearOptions()
     spec = alpha.spec
     coeffs = alpha.coefficients
-    rhs_scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
-    target = lin.tol * (1.0 + rhs_scale)
 
     b = rhs - np.mean(rhs) if meanzero else rhs
     if not np.any(b):
@@ -314,8 +331,11 @@ def _solve_system(
     shift = float(reaction) if scalar_reaction else _precondition_shift(reaction)
     reaction_left = None if scalar_reaction else reaction - shift
     krylov = any(varying) or not scalar_reaction
-    norm_a = float(np.max(np.abs(reaction))) + _stencil_norm(alpha)
-    floor = float(np.finfo(float).eps) * norm_a
+    arnoldi = krylov and rtol is not None  # judged on the residual gmres leaves
+    if rtol is None:
+        target = lin.tol * (1.0 + float(np.max(np.abs(rhs))))
+        norm_a = float(np.max(np.abs(reaction))) + _stencil_norm(alpha)
+        floor = float(np.finfo(float).eps) * norm_a
 
     def remainder(z):
         # R z, projected to zero mean when meanzero; krylov means R != 0
@@ -362,16 +382,22 @@ def _solve_system(
                 overflow = info < 0
                 if overflow:
                     x = np.zeros(spec.dims)
-            # b - A x with A x = image + reaction x, summed as _apply sums it
-            image = _apply(alpha, x)
-            if np.isscalar(reaction) and reaction == 0.0:
-                resid = b - image
+            if arnoldi and not overflow:
+                # resid = b - (image + reaction x) to round-off: no stencil
+                image = np.multiply(reaction, x)
+                image += resid
+                np.subtract(b, image, out=image)
             else:
-                resid = reaction * x
-                resid += image
-                np.subtract(b, resid, out=resid)
-            if meanzero:
-                resid -= np.mean(resid)
+                # b - A x with A x = image + reaction x, summed as _apply sums it
+                image = _apply(alpha, x)
+                if np.isscalar(reaction) and reaction == 0.0:
+                    resid = b - image
+                else:
+                    resid = reaction * x
+                    resid += image
+                    np.subtract(b, resid, out=resid)
+                if meanzero:
+                    resid -= np.mean(resid)
             resid_sup = float(np.max(np.abs(resid)))
             if rtol is None:
                 x_sup = float(np.max(np.abs(x)))
@@ -404,8 +430,8 @@ def _stencil_norm(alpha: OneForm) -> float:
     row, summed.  eps times it times sup|x| bounds the round-off of
     applying the stencils to x."""
     return sum(
-        (64.0 / h + 18.0 * (0.0 if v is None else float(np.max(np.abs(v))))) / (12.0 * h)
-        for h, v in zip(alpha.spec.spacings, alpha.coefficients)
+        (64.0 / h + 18.0 * sup) / (12.0 * h)
+        for h, sup in zip(alpha.spec.spacings, alpha.sup_norms)
     )
 
 

@@ -14,7 +14,7 @@ from kwtorus import (
     solve_shifted,
 )
 from helpers import divergence_free_form, field_from
-from kwtorus.linsolve import _apply, _solve_system, random_smooth_field
+from kwtorus.linsolve import _apply, _solve_system, _stencil_norm, random_smooth_field
 
 
 def shifted(alpha, shift, u):
@@ -402,6 +402,65 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _inexact_case(dims, drift):
+    # a Newton-like inner system: positive array reaction (-phi e^w for
+    # phi < 0), a smooth right-hand side, a constant or varying drift
+    spec = GridSpec(dims)
+    rng = np.random.default_rng(len(dims))
+    if drift == "constant":
+        alpha = OneForm.constant(spec, tuple(0.3 * rng.uniform(-1.0, 1.0, spec.rank)))
+    else:
+        # alpha_i varies along the next axis only (along its own in rank 1)
+        alpha = OneForm(spec, tuple(
+            field_from(spec, lambda *x, ax=ax: 0.4 * np.sin(x[(ax + 1) % spec.rank] + ax))
+            for ax in range(spec.rank)
+        ))
+    reaction = field_from(spec, lambda *x: 1.5 + 0.5 * np.cos(x[0] + 1.0)).values
+    rhs = random_smooth_field(spec, rng).values
+    return alpha, reaction, rhs
+
+
+@pytest.mark.parametrize("rtol", [0.1, 1e-6])
+@pytest.mark.parametrize("meanzero", [False, True], ids=["full", "meanzero"])
+@pytest.mark.parametrize("drift", ["constant", "variable"])
+@pytest.mark.parametrize("dims", [(4096,), (64, 64), (16, 16, 16), (12, 12, 12, 12)])
+def test_inexact_solve_image_matches_the_stencil(dims, drift, meanzero, rtol):
+    # an inexact solve takes A x from the Arnoldi residual, not from the
+    # stencils: it stays within the round-off of applying them, 10 (k + 1)
+    # eps ||A||_inf sup|x| after k Krylov iterations (modulo constants
+    # with meanzero, where the Krylov residual lives on the mean-zero
+    # subspace)
+    alpha, reaction, rhs = _inexact_case(dims, drift)
+    x, stats = _solve_system(alpha, reaction, rhs, meanzero=meanzero, rtol=rtol)
+    assert stats.converged and stats.iterations >= 1
+    diff = stats.image - _apply(alpha, x)
+    if meanzero:
+        diff -= np.mean(diff)
+    norm_a = float(np.max(np.abs(reaction))) + _stencil_norm(alpha)
+    unit = np.finfo(float).eps * norm_a * float(np.max(np.abs(x)))
+    assert float(np.max(np.abs(diff))) <= 10.0 * (stats.iterations + 1) * unit
+
+
+@pytest.mark.parametrize("meanzero", [False, True], ids=["full", "meanzero"])
+@pytest.mark.parametrize("drift", ["constant", "variable"])
+def test_inexact_solve_applies_no_stencil(monkeypatch, drift, meanzero):
+    # the Laplacian never runs in an inexact solve, and the drift stencil
+    # only inside the Krylov loop, where a varying drift needs it
+    import kwtorus.linsolve as linsolve
+
+    alpha, reaction, rhs = _inexact_case((32, 32), drift)
+    calls = []
+    for name in ("_laplacian", "_lee_pairing"):
+        real = getattr(linsolve, name)
+        monkeypatch.setattr(
+            linsolve, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a)
+        )
+    _, stats = _solve_system(alpha, reaction, rhs, meanzero=meanzero, rtol=1e-6)
+    assert stats.converged and stats.iterations >= 1
+    assert "_laplacian" not in calls
+    assert ("_lee_pairing" in calls) == (drift == "variable")
 
 
 def test_overflowed_newton_inner_solve_is_not_converged():

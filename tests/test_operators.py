@@ -393,8 +393,8 @@ def test_co_closed_drift_operator_image_has_mean_zero(spec, seed, amplitude):
 @pytest.mark.parametrize("values", [(0.0, 0.0), (0.3, 0.0), (-1.5, 2.0)])
 def test_constant_form_defect_skips_the_stencil(monkeypatch, values):
     # the first-difference stencil maps constants to exactly 0, so a
-    # constant form's defect is 0 without running it; a varying form still
-    # runs it, and both agree with the sup of the divergence
+    # constant form's defect is 0 without running it; a varying form runs
+    # it once, and both agree with the sup of the divergence
     import kwtorus.operators as operators
 
     spec = GridSpec((16, 16))
@@ -415,4 +415,7 @@ def test_constant_form_defect_skips_the_stencil(monkeypatch, values):
     assert gauduchon_defect(constant) == expect[0] == 0.0
     assert calls[0] == 0
     assert gauduchon_defect(varying) == expect[1] > 0.0
+    assert calls[0] == spec.rank
+    # kept on the form: asking again runs no stencil
+    assert gauduchon_defect(varying) == expect[1]
     assert calls[0] == spec.rank
