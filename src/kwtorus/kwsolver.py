@@ -7,15 +7,17 @@ For c < 0 the solvable region is certified constructively:
   from the mean-zero solve of  A v = phi - mean(phi)  (phi nonpositive),
   or, when phi changes sign, as a v + b from an exact pointwise search
   over a and b, which finds one only for c close enough to zero;
-* an ordered pair feeds the monotone iteration
+* an ordered pair encloses the unique solution, so it verifies the
+  answer of a damped Newton iteration, and when it rejects that answer
+  it feeds the monotone iteration
       (A + lambda) w_{i+1} = phi e^{w_i} - c + lambda w_i,   w_0 = w_-,
   whose iterates increase pointwise to the solution.
 
 The necessary test (the shifted solve of -phi must be positive) is the
 only nonexistence certificate; solver failure is never reported as
-nonexistence.  A damped Newton iteration provides fast polishing and a
-fallback when no supersolution certificate is found, and the fixed-point
-and continuation solvers cover the best-effort regimes c >= 0.
+nonexistence.  Without a pair, Newton's answer is reported unverified,
+and the fixed-point and continuation solvers cover the best-effort
+regimes c >= 0.
 """
 
 from __future__ import annotations
@@ -65,20 +67,15 @@ NEWTON_INNER_MAXITER = 2000
 # solves; newton_solve picks its own per step (see _forcing)
 NEWTON_INNER_RTOL = 1e-6
 LINE_SEARCH_HALVINGS = 40
-# the monotone iteration contracts like lambda / (lambda + gap), near 1 for a
-# loose supersolution; once a step shrinks the update by less than this
-# factor, _solve_negative_c hands the iterate to Newton
-HANDOFF_RATIO = 0.5
 # a c < 0 solve on at least this many points starts Newton from the
-# refined answer of Newton on the half-size grids (nested iteration).
-# Nesting once beat the un-nested path at every size tried (cli.main on
-# the drift-2d problem, min of 9 on a shared 2-vCPU host: 22 -> 19 ms at
-# 48^2, 27 -> 22 at 64^2, 43 -> 33 at 96^2, 69 -> 45 at 128^2, 140 -> 67
-# at 192^2; 1-D 4096 and 16384 points, 3-D 16^3 and 24^3 gain or tie),
-# but a coarsest level of 576 points or fewer loses: nesting 64^2 or 96^2
-# at every level is slower than once.  So 64^2 and 96^2 nest once and
-# 192^2 twice; 48^2 does not, as a threshold that nested it would take
-# 96^2 down to 24^2
+# refined answer of Newton on the half-size grids (nested iteration),
+# else from the averaged constant.  On the drift-2d problem
+# (_solve_negative_c, min of 7 on a shared 2-vCPU host, un-nested ->
+# nested once) nesting saves fine steps (4 -> 2 from 64^2 up) but no time
+# up to 96^2 (4.4 -> 9.4 ms at 48^2, 5.5 -> 6.6 at 64^2, 9.3 -> 9.6 at
+# 96^2); it pays from 192^2 (51 -> 42 ms) and 256^2 (83 -> 66 ms).  A
+# higher threshold would move the benchmark's 96^2 and 24^4 ops off
+# their nested path, so it waits for a change of the benchmark
 NEST_MIN_POINTS = 1 << 12
 # largest forcing term of newton_solve's inner solves, also its first one
 # (Eisenstat & Walker 1996, choice 2 with eta_0 = eta_max)
@@ -253,7 +250,7 @@ def build_supersolution(
     A v = phi - mean(phi).  Nonpositive phi admits a v + b with
     a mean(phi) < c at every c < 0, and strictly negative phi a constant
     too (_supersolution_level), the one candidate without v, which
-    _solve_negative_c tries alone on nested grids before calling this.
+    _solve_negative_c tries alone, on every grid, before calling this.
     Sign-changing phi gets the a v + b that _offset_search finds by
     testing the defining inequality pointwise, which certifies wherever
     the small-oscillation bound does; it finds none for c far below zero,
@@ -387,14 +384,6 @@ def monotone_solve(
     exceeds sup(-phi e^w) over all states between the bounds, which makes
     the updates pointwise nonnegative.
     """
-    return _monotone(prob, w_minus, w_plus, tol, maxiter, lin)
-
-
-def _monotone(prob, w_minus, w_plus, tol, maxiter, lin, handoff=None):
-    """monotone_solve that offers its iterate to handoff once, at the first
-    step that shrinks the update by less than HANDOFF_RATIO.  A Newton
-    report that handoff returns finishes the solve; None lets the
-    iteration go on."""
     lin = lin or LinearOptions()
     ok, margin = is_subsolution(w_minus, prob)
     if not ok:
@@ -405,7 +394,6 @@ def _monotone(prob, w_minus, w_plus, tol, maxiter, lin, handoff=None):
     if float(np.max(w_minus.values - w_plus.values)) > 1e-12:
         raise CertificateError("ordering violated: w_minus > w_plus somewhere")
 
-    spec = prob.spec
     phi = prob.phi.values
     with np.errstate(over="ignore"):
         lam = 1.0 + float(np.max(np.maximum(-phi, 0.0) * np.exp(w_plus.values)))
@@ -429,9 +417,6 @@ def _monotone(prob, w_minus, w_plus, tol, maxiter, lin, handoff=None):
     pe, step = _phi_exp(phi, w), np.empty_like(w)
     residual = defect_sup(_apply(prob.alpha, w), pe)
     status = "max-iter"
-    iterations = 0
-    prev_step = np.inf
-    tail = None
     for _ in range(maxiter):
         np.subtract(pe, prob.c, out=pe)
         pe += np.multiply(w, lam, out=step)  # phi e^w - c + lam w
@@ -443,45 +428,24 @@ def _monotone(prob, w_minus, w_plus, tol, maxiter, lin, handoff=None):
         np.subtract(w_next, w, out=step)
         min_steps.append(float(np.min(step)))
         w = w_next
-        iterations += 1
         trace.append(float(np.max(w)))
         _phi_exp(phi, w, out=pe)
         # the solve's residual test applied the stencils to w already
         residual = defect_sup(stats.image, pe)
         del stats  # no image beside the next solve
         scale = 1.0 + abs(prob.c) + float(np.max(np.abs(pe)))
-        step_sup = float(np.max(np.abs(step)))
-        if step_sup <= tol and residual <= 10.0 * lin.tol * scale:
+        if float(np.max(np.abs(step))) <= tol and residual <= 10.0 * lin.tol * scale:
             status = "converged"
             break
-        if handoff is not None and step_sup > HANDOFF_RATIO * prev_step:
-            del pe, step  # two fields fewer beside Newton's Krylov basis
-            tail = handoff(ScalarField(spec, w))
-            handoff = None  # at most once per solve
-            if tail is not None:
-                break
-            pe, step = _phi_exp(phi, w), np.empty_like(w)
-        prev_step = step_sup
-    report = SolveReport(
-        solution=ScalarField(spec, w),
+    return SolveReport(
+        solution=ScalarField(prob.spec, w),
         status=status,
         trace=trace,
         residual_sup=residual,
         method="monotone",
-        iterations=iterations,
+        iterations=len(min_steps),
         min_step_trace=min_steps,
     )
-    return report if tail is None else _chain(report, tail)
-
-
-def _chain(head: SolveReport, newton: SolveReport) -> SolveReport:
-    """newton, a Newton solve from head's last iterate, with head's
-    iterates and monotone steps put in front of its own."""
-    if head.trace:
-        newton.trace = head.trace + newton.trace[1:]
-    newton.min_step_trace = head.min_step_trace
-    newton.iterations += head.iterations
-    return newton
 
 
 # ---------------------------------------------------------------------------
@@ -1148,26 +1112,22 @@ def _solve_negative_c(
     lin: LinearOptions | None = None,
     initial_guess: ScalarField | None = None,
 ) -> SolveReport:
-    """Certificate-first solve for c < 0.
+    """Certificate-first solve for c < 0: Newton first, the pair verifies.
 
     Runs the positivity test first; its failure is reported as
-    certified-unsolvable, the only such report in the package.  Then,
-    when an ordered pair exists, it solves inside the certified
-    enclosure.  On grids of at least NEST_MIN_POINTS points Newton first
-    starts from the half-size grids' answer (_coarse_start), and a
-    converged answer inside the enclosure finishes the solve: its
-    iterations and trace are the fine Newton steps alone, and its
-    min_step_trace is empty.  Strictly negative phi has the constant
-    pair [min(w_-, w_+ - 0.1), w_+] with w_+ = _supersolution_level,
-    which needs no mean-zero solve, so its nested answer is tested
-    against that pair before build_supersolution runs, and against the
-    full pair only if the constant one rejects it.  Otherwise at most
-    budget monotone steps run; as soon as they contract slowly the
-    iterate goes to Newton, whose answer is accepted only if it
-    converged inside the enclosure, else the iteration resumes with the
-    same shift, and Newton polishes if the budget runs out.  Without a
-    certified supersolution, Newton starts from initial_guess, else the
-    half-size grids' answer, else _averaged_start.
+    certified-unsolvable, the only such report in the package.  Then
+    Newton starts from initial_guess, else the half-size grids' answer
+    (_coarse_start), else _averaged_start.  An ordered pair certifies a
+    solution, which c < 0 makes unique, so a converged answer inside it
+    (within tol (1 + sup|w_+|)) is that solution.  The verifiers run
+    cheapest first.  Strictly negative phi has the constant pair
+    [min(w_-, w_+ - 0.1), w_+] with w_+ = _supersolution_level, which
+    needs no mean-zero solve; only if it rejects the answer does
+    build_supersolution's full pair test it.  A verified report has an
+    empty min_step_trace.  When a pair exists and rejects the answer,
+    monotone_solve runs at most budget steps between its ends, and its
+    report stands as returned.  Without a pair, Newton's report stands,
+    unverified.
     """
     nec = necessary_check(prob, lin)
     if not nec.positive:
@@ -1177,66 +1137,45 @@ def _solve_negative_c(
         )
     del nec  # phi0 would stay beside every later solve
     sub = float(build_subsolution(prob).values.flat[0])
+    report = newton_solve(
+        prob,
+        initial_guess or _coarse_start(prob, tol, lin) or _averaged_start(prob),
+        tol=tol,
+        lin=lin,
+    )
 
-    def inside(report: SolveReport, lo: float, hi) -> bool:
-        # the pair [lo, hi] (hi a level or a field) certifies a solution
-        # and c < 0 makes it unique, so a converged Newton answer there,
-        # within tol (1 + sup|hi|), is it
+    def verified(report: SolveReport, lo: float, hi) -> bool:
+        # a converged answer inside the pair [lo, hi] (hi a level or a
+        # field), within tol (1 + sup|hi|), is the solution; its report
+        # gets an empty min_step_trace, so trace.csv keeps the column
         slack = tol * (1.0 + float(np.max(np.abs(hi))))
         u = report.solution.values
-        enclosed = float(np.min(u)) >= lo - slack and bool(np.all(u <= hi + slack))
-        return report.converged and enclosed
-
-    def nested() -> SolveReport | None:
-        # the fine Newton from the half-size grids' answer, if there is one
-        start = _coarse_start(prob, tol, lin)
-        return None if start is None else newton_solve(prob, start, tol=tol, lin=lin)
+        ok = report.converged and float(np.min(u)) >= lo - slack and bool(np.all(u <= hi + slack))
+        if ok:
+            report.min_step_trace = []
+        return ok
 
     phi_max = float(np.max(prob.phi.values))
-    fast = nested() if phi_max < 0.0 else None
-    if fast is not None:
+    if phi_max < 0.0:
         hi = _supersolution_level(prob.c, phi_max)
-        if inside(fast, min(sub, hi - 0.1), hi):
-            fast.min_step_trace = []  # trace.csv keeps its min_step column
-            return fast
+        if verified(report, min(sub, hi - 0.1), hi):
+            return report
     try:
         w_plus = build_supersolution(prob, lin)
     except SolverError:
         w_plus = None
-
-    if w_plus is not None:
-        low = min(sub, float(np.min(w_plus.values)) - 0.1)
-        w_minus = make_field(prob.spec, low)
-
-        def newton_inside(w: ScalarField) -> SolveReport | None:
-            report = newton_solve(prob, w, tol=tol, lin=lin)
-            return report if inside(report, low, w_plus.values) else None
-
-        if phi_max >= 0.0:
-            fast = nested()
-        if fast is not None and inside(fast, low, w_plus.values):
-            fast.min_step_trace = []
-            return fast
-        del fast  # the rejected answer would stay beside the monotone path
-        try:
-            report = _monotone(prob, w_minus, w_plus, tol, budget, lin, newton_inside)
-        except SolverError as e:
-            # Newton starts from the certified supersolution; w_minus lies
-            # below min(w_plus) - 0.1, where its first line search can stall
-            report = SolveReport.without_iterates(w_plus, "not-certified", "monotone", str(e))
-        if report.converged:
-            return report
-        return _chain(report, newton_solve(prob, report.solution, tol=tol, lin=lin))
-
-    if fast is not None and initial_guess is None:
-        return fast  # the no-pair Newton from the half grids' answer
-    # strictly negative phi has tried the half grids already
-    w0 = (
-        initial_guess
-        or (phi_max >= 0.0 and _coarse_start(prob, tol, lin))
-        or _averaged_start(prob)
-    )
-    return newton_solve(prob, w0, tol=tol, lin=lin)
+    if w_plus is None:
+        return report
+    low = min(sub, float(np.min(w_plus.values)) - 0.1)
+    if verified(report, low, w_plus.values):
+        return report
+    del report  # the rejected answer would stay beside the monotone steps
+    try:
+        return monotone_solve(
+            prob, make_field(prob.spec, low), w_plus, tol=tol, maxiter=budget, lin=lin
+        )
+    except SolverError as e:
+        return SolveReport.without_iterates(w_plus, "not-certified", "monotone", str(e))
 
 
 def solve_prescribed(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from kwtorus import GridSpec, OneForm, ScalarField, laplacian, lee_pairing
+from kwtorus import GridSpec, OneForm, ScalarField, SolveReport, laplacian, lee_pairing
 from kwtorus.linsolve import random_smooth_field
 
 
@@ -15,6 +15,13 @@ def grid(*dims: int) -> GridSpec:
 def field_from(spec: GridSpec, fn) -> ScalarField:
     """Field from a callable of the coordinate arrays."""
     return ScalarField(spec, np.broadcast_to(fn(*spec.coords()), spec.dims).copy())
+
+
+def escaping_newton(prob, w0, **kwargs) -> SolveReport:
+    """A newton_solve stand-in whose answer converges 100 above its start,
+    above every supersolution, so every pair rejects it."""
+    far = ScalarField(prob.spec, w0.values + 100.0)
+    return SolveReport(far, "converged", [0.0], 0.0, "newton", iterations=1)
 
 
 def divergence_free_form(spec: GridSpec, rng: np.random.Generator, amplitude: float = 0.3) -> OneForm:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from kwtorus import read_field
 from kwtorus.cli import RunConfig, build_parser, main
 from kwtorus.errors import ConfigError
+from helpers import escaping_newton
 
 
 def run(args, outdir):
@@ -354,14 +355,37 @@ def test_roundtrip_command(tmp_path):
 
 
 def test_shift_overflow_falls_back_to_newton(tmp_path):
-    # c = -2e14 puts the monotone shift at 4.1e14, past its 1e14 guard; the
-    # solve falls back to Newton from the certified supersolution
+    # c = -2e14 would put the monotone shift at 4.1e14, past its 1e14
+    # guard; the constant pair verifies Newton's answer, so no monotone
+    # step and no shift is needed
     code = run(["solve", "--dims", "16", "--n", "1", "--t", "1", "--s=-1e14",
                 "--s-hat=-1-0.3*cos(x0)"], tmp_path)
     assert code == 0
     rep = read_report(tmp_path)
     assert rep["status"] == "converged"
     assert rep["method"] == "newton"
+
+
+def test_exhausted_fallback_is_no_certificate(tmp_path, monkeypatch):
+    # when the pair rejects Newton's answer, the monotone fallback's report
+    # stands as returned: max-iter once monotone_budget runs out, and
+    # not-certified, with the reason, where c = -2e14 puts its shift at
+    # 4.1e14, past the 1e14 guard
+    from kwtorus import kwsolver
+
+    monkeypatch.setattr(kwsolver, "newton_solve", escaping_newton)
+    flags = ["--dims", "16", "--n", "1", "--t", "1", "--s-hat=-1-0.3*cos(x0)"]
+    assert run(["solve", *flags, "--s=-1", "--monotone-budget", "2"], tmp_path / "budget") == 3
+    rep = read_report(tmp_path / "budget")
+    assert (rep["status"], rep["method"], rep["iterations"]) == ("max-iter", "monotone", "2")
+    rows = (tmp_path / "budget" / "trace.csv").read_text().splitlines()
+    assert rows[0] == "iteration,sup_w,min_step" and len(rows) == 4
+    assert all(float(row.split(",")[2]) >= -1e-10 for row in rows[2:])
+
+    assert run(["solve", *flags, "--s=-1e14"], tmp_path / "shift") == 3
+    rep = read_report(tmp_path / "shift")
+    assert (rep["status"], rep["method"], rep["iterations"]) == ("not-certified", "monotone", "0")
+    assert rep["message"].startswith("iteration shift overflow (lambda = 4.")
 
 
 def test_parser_is_built_once_and_keeps_no_flags_between_calls(tmp_path):
@@ -482,6 +506,19 @@ def test_critical_c_reports_why_its_lower_end_failed(tmp_path):
     assert len(rows) - 1 == int(rep["probes"])
 
 
+def test_critical_c_bracket_of_the_64_point_unsolvable_instance(tmp_path):
+    # the probes warm-start Newton from the last solved answer, pair or
+    # no pair; the bracket stays where it was before Newton ran first
+    assert run(["construct-unsolvable", "--dims", "64", "--psi=sin(x0)",
+                "--alpha-const=0.1", "--c=-1"], tmp_path / "gen") == 0
+    out = tmp_path / "bracket"
+    assert run(["critical-c", "--phi-file", str(tmp_path / "gen" / "phi.kwf")], out) == 0
+    rep = read_report(out)
+    assert float(rep["c_lo"]) == -0.001259765625 and float(rep["c_hi"]) == -0.00125
+    assert (rep["lo_evidence"], rep["hi_evidence"]) == ("solver-failed", "solved")
+    assert rep["probes"] == "11" and rep["lo_message"] == "max-iter"
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -541,13 +578,13 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
 
 
 def test_roundtrip_applies_the_operator_once_per_iterate(tmp_path, monkeypatch):
-    # the roundtrip-4d benchmark op on 12^4.  One Laplacian each for the
-    # positivity test, the mean-zero solve for v, the supersolution
-    # candidate that is not constant, the 2 monotone steps, Newton's first
-    # residual, the fresh residual that confirms its convergence and the
-    # final unreduced residual: 8.  Newton's 4 inner solves apply none:
-    # each takes A delta from its Arnoldi residual.  Constants need none,
-    # and a step's defect or trial reuses its solve's image.
+    # the roundtrip-4d benchmark op on 12^4, below NEST_MIN_POINTS.  One
+    # Laplacian each for the positivity test, the fresh residual that
+    # confirms Newton's convergence and the final unreduced residual: 3.
+    # Newton starts from the averaged constant, whose residual needs none,
+    # and its 4 inner solves apply none: each takes A delta from its
+    # Arnoldi residual.  The constant pair verifies the answer with no
+    # stencil.
     from kwtorus import linsolve
 
     calls = []
@@ -562,9 +599,9 @@ def test_roundtrip_applies_the_operator_once_per_iterate(tmp_path, monkeypatch):
     )
     assert code == 0
     rep = read_report(tmp_path)
-    assert (rep["status"], rep["method"], rep["iterations"]) == ("converged", "newton", "6")
+    assert (rep["status"], rep["method"], rep["iterations"]) == ("converged", "newton", "4")
     assert float(rep["sup_error"]) < 1e-8
-    assert len(calls) <= 8
+    assert len(calls) <= 3
 
 
 # the drift-2d benchmark op's expressions at its phases
@@ -604,19 +641,20 @@ def test_drift_2d_op_nests_once_onto_its_half_grid(tmp_path, monkeypatch):
 
 
 # report.kv of the drift-2d op's expressions at 48^2, as written by the
-# un-nested path
+# un-nested path: Newton from the averaged constant, which the constant
+# pair verifies
 DRIFT_2D_48_REPORT = """\
 command = solve
 k_t = 1
 status = converged
 method = newton
-iterations = 6
-residual_sup = 2.5976135131777767e-10
-u_min = -0.17671420544295258
-u_max = 0.2317586826999099
-u_mean = 0.020569827396293254
-u_pgm_min = -0.17671420544295258
-u_pgm_max = 0.2317586826999099
+iterations = 4
+residual_sup = 6.6553931810098277e-10
+u_min = -0.17671420565037349
+u_max = 0.23175868272505495
+u_mean = 0.020569827319058882
+u_pgm_min = -0.17671420565037349
+u_pgm_max = 0.23175868272505495
 """
 
 

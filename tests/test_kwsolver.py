@@ -37,7 +37,7 @@ from kwtorus import (
 )
 from kwtorus import kwsolver
 from kwtorus.linsolve import random_smooth_field
-from helpers import divergence_free_form, field_from, manufactured_negative_phi
+from helpers import divergence_free_form, escaping_newton, field_from, manufactured_negative_phi
 
 
 def _sin_field(spec):
@@ -282,7 +282,7 @@ def test_monotone_ordering_precondition():
 
 
 # ---------------------------------------------------------------------------
-# handoff from the monotone iteration to Newton
+# Newton first, the pair verifies, the monotone iteration falls back
 # ---------------------------------------------------------------------------
 
 def _variable_drift_problem(n=48):
@@ -321,55 +321,29 @@ def test_variable_drift_solve_classifies_each_component_once(monkeypatch):
     assert [id(c) for c in classified] == [id(c) for c in alpha.components]
 
 
-def test_handoff_to_newton_inside_enclosure():
+def test_rejected_newton_answer_falls_back_to_the_monotone_iteration(monkeypatch):
+    # Newton's own answer converges inside the pair, which verifies it;
+    # one that the pair rejects leaves the solve to monotone_solve, whose
+    # report stands as returned
     prob = _variable_drift_problem()
-    rep = kwsolver._solve_negative_c(prob)
-    assert rep.status == "converged"
-    assert rep.method == "newton"
-    assert 1 <= len(rep.min_step_trace) <= 5
-    assert min(rep.min_step_trace) >= -1e-10
     full = monotone_solve(prob, build_subsolution(prob), build_supersolution(prob))
     assert full.status == "converged"
-    assert len(full.min_step_trace) > 5
+    rep = kwsolver._solve_negative_c(prob)
+    assert (rep.status, rep.method, rep.min_step_trace) == ("converged", "newton", [])
     assert np.max(np.abs(rep.solution.values - full.solution.values)) <= 1e-8
 
-
-def test_handoff_outside_enclosure_resumes_monotone(monkeypatch):
-    prob = _variable_drift_problem()
-    calls = []
-
-    def escaping_newton(prob, w0, **kwargs):
-        # a converged answer above every supersolution must be rejected
-        calls.append(w0)
-        far = ScalarField(prob.spec, w0.values + 100.0)
-        return SolveReport(far, "converged", [0.0], 0.0, "newton", iterations=1)
-
-    monkeypatch.setattr(kwsolver, "newton_solve", escaping_newton)
+    starts, monotone = [], []
+    real = kwsolver.monotone_solve
+    monkeypatch.setattr(kwsolver, "newton_solve",
+                        lambda p, w0, **kwargs: starts.append(w0) or escaping_newton(p, w0))
+    monkeypatch.setattr(kwsolver, "monotone_solve",
+                        lambda *args, **kwargs: monotone.append(1) or real(*args, **kwargs))
     rep = kwsolver._solve_negative_c(prob)
-    assert len(calls) == 1
-    assert rep.status == "converged"
-    assert rep.method == "monotone"
+    assert len(starts) == 1 and len(monotone) == 1
+    assert (rep.status, rep.method) == ("converged", "monotone")
     assert rep.iterations == len(rep.min_step_trace) == len(rep.trace) - 1
     assert min(rep.min_step_trace) >= -1e-10
-    full = monotone_solve(prob, build_subsolution(prob), build_supersolution(prob))
     assert np.max(np.abs(rep.solution.values - full.solution.values)) <= 1e-8
-
-
-def test_fast_contraction_needs_no_handoff(monkeypatch):
-    # phi = c: the pair is the constants -0.1 and 0.1 around the solution 0,
-    # and lambda = 1 + 1.1 |c| against a gap of |c| shrinks each update by
-    # about 0.17
-    spec = GridSpec((32, 32))
-    prob = KWProblem(OneForm.zero(spec), -10.0, make_field(spec, -10.0))
-
-    def no_newton(*args, **kwargs):
-        raise AssertionError("Newton ran on a fast-contracting iteration")
-
-    monkeypatch.setattr(kwsolver, "newton_solve", no_newton)
-    rep = kwsolver._solve_negative_c(prob)
-    assert rep.status == "converged"
-    assert rep.method == "monotone"
-    assert np.max(np.abs(rep.solution.values)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +352,7 @@ def test_fast_contraction_needs_no_handoff(monkeypatch):
 
 # every step of the c < 0 pipeline that a spy records, with the grid it ran on
 PIPELINE_STEPS = (
-    "_solve_negative_c", "necessary_check", "build_supersolution", "_monotone",
+    "_solve_negative_c", "necessary_check", "build_supersolution", "monotone_solve",
     "newton_solve", "restrict",
 )
 
@@ -401,7 +375,8 @@ def test_large_round_trip_starts_from_the_half_grid(monkeypatch):
     # alone (its own half axis, 4, makes no grid), and 16^4 runs its
     # positivity test, then only Newton from the refined answer, which the
     # constant pair of its strictly negative phi accepts without the
-    # mean-zero solve of build_supersolution
+    # mean-zero solve of build_supersolution.  Un-nested, the same Newton
+    # starts from the averaged constant and takes more steps
     spec = GridSpec((16,) * 4)
     assert spec.npoints >= kwsolver.NEST_MIN_POINTS
     setup = GeometrySetup(2, 0.0)
@@ -420,8 +395,10 @@ def test_large_round_trip_starts_from_the_half_grid(monkeypatch):
     assert rep.iterations <= 3 and len(rep.trace) == rep.iterations + 1
     assert rep.min_step_trace == []
     monkeypatch.setattr(kwsolver, "NEST_MIN_POINTS", spec.npoints + 1)
+    calls.clear()
     u_flat, rep_flat = solve_prescribed(s, s_hat, alpha, setup, monotone_budget=40, maxiter=3000)
-    assert "_monotone" in calls[spec.dims] and rep_flat.iterations > rep.iterations
+    assert calls == {spec.dims: ["_solve_negative_c", "necessary_check", "newton_solve"]}
+    assert rep_flat.iterations > rep.iterations
     assert np.max(np.abs(u.values - u_flat.values)) <= kwsolver.DEFAULT_KW_TOL
 
 
@@ -478,8 +455,10 @@ def test_smallest_grids_above_the_threshold_nest(rank, monkeypatch):
     assert "restrict" in calls[prob.spec.dims] and calls[half] == ["newton_solve"]
     assert (rep.status, rep.method, rep.min_step_trace) == ("converged", "newton", [])
     monkeypatch.setattr(kwsolver, "NEST_MIN_POINTS", prob.spec.npoints + 1)
+    calls.clear()
     flat = kwsolver._solve_negative_c(prob)
-    assert "_monotone" in calls[prob.spec.dims] and flat.converged
+    assert calls == {prob.spec.dims: ["_solve_negative_c", "necessary_check", "newton_solve"]}
+    assert (flat.status, flat.method, flat.min_step_trace) == ("converged", "newton", [])
     assert np.max(np.abs(rep.solution.values - flat.solution.values)) <= kwsolver.DEFAULT_KW_TOL
 
 
@@ -513,10 +492,11 @@ def test_nesting_threshold_boundary(monkeypatch):
 
 
 @pytest.mark.parametrize("failure", ["co-closedness", "max-iter"])
-def test_failed_coarse_solve_falls_back_to_the_monotone_path(failure, monkeypatch):
+def test_failed_coarse_solve_falls_back_to_the_unnested_solve(failure, monkeypatch):
     # a drift that is not co-closed on the half grid, or a half-grid Newton
-    # that does not converge: the fine solve runs the un-nested monotone
-    # path and gives its answer, bit for bit; a coarse status never shows
+    # that does not converge: the fine Newton starts from the averaged
+    # constant, as un-nested, and gives its answer, bit for bit; a coarse
+    # status never shows
     prob, flat = _nested_pair(monkeypatch)
     coarse = (16, 16)
     if failure == "co-closedness":
@@ -534,9 +514,9 @@ def test_failed_coarse_solve_falls_back_to_the_monotone_path(failure, monkeypatc
         monkeypatch.setattr(kwsolver, "newton_solve", newton)
     calls = _spy_grids(monkeypatch)
     rep = kwsolver._solve_negative_c(prob)
-    assert "_monotone" in calls[prob.spec.dims]
+    assert calls[prob.spec.dims][-1] == "newton_solve"
     assert calls.get(coarse, []) == ([] if failure == "co-closedness" else ["newton_solve"])
-    assert rep.status == "converged" and rep.min_step_trace
+    assert (rep.status, rep.min_step_trace) == ("converged", [])
     assert (rep.method, rep.iterations) == (flat.method, flat.iterations)
     assert np.array_equal(rep.solution.values, flat.solution.values)
 
@@ -559,7 +539,8 @@ def test_no_pair_solve_starts_from_the_half_grid(monkeypatch):
     calls = _spy_grids(monkeypatch)
     rep = kwsolver._solve_negative_c(prob)
     assert calls[(16, 16)] == ["newton_solve"]
-    assert calls[prob.spec.dims][-1] == "newton_solve" and "_monotone" not in calls[prob.spec.dims]
+    assert "newton_solve" in calls[prob.spec.dims]
+    assert "monotone_solve" not in calls[prob.spec.dims]
     assert (rep.status, rep.method) == ("converged", "newton")
     assert rep.iterations < flat.iterations
     assert np.max(np.abs(rep.solution.values - flat.solution.values)) <= kwsolver.DEFAULT_KW_TOL
@@ -582,8 +563,8 @@ def test_nested_newton_outside_the_enclosure_is_rejected(monkeypatch):
     # the fine Newton from the refined start converges above every
     # supersolution, the constant level log(c / phi_max) + 0.1 among them:
     # the constant pair rejects it, then the full pair of
-    # build_supersolution, and the monotone path finishes as today, with no
-    # second fine Newton before it
+    # build_supersolution, and monotone_solve finishes, with no second
+    # fine Newton
     prob, flat = _nested_pair(monkeypatch)
     hi = kwsolver._supersolution_level(prob.c, float(np.max(prob.phi.values)))
     starts = []
@@ -601,12 +582,11 @@ def test_nested_newton_outside_the_enclosure_is_rejected(monkeypatch):
     calls = _spy_grids(monkeypatch)
     rep = kwsolver._solve_negative_c(prob)
     fine = calls[prob.spec.dims]
-    before = fine[: fine.index("_monotone")]
-    assert len(starts) == 1 and before.count("newton_solve") == 1
-    assert before.index("newton_solve") < before.index("build_supersolution")
-    assert rep.status == "converged" and rep.min_step_trace
-    assert (rep.method, rep.iterations) == (flat.method, flat.iterations)
-    assert np.array_equal(rep.solution.values, flat.solution.values)
+    assert len(starts) == 1 and fine.count("newton_solve") == 1
+    assert fine[-3:] == ["newton_solve", "build_supersolution", "monotone_solve"]
+    assert (rep.status, rep.method) == ("converged", "monotone")
+    assert min(rep.min_step_trace) >= -1e-10
+    assert np.max(np.abs(rep.solution.values - flat.solution.values)) <= 1e-8
 
 
 def test_nested_negative_phi_needs_no_mean_zero_solve(monkeypatch):
@@ -628,9 +608,10 @@ def test_nested_negative_phi_needs_no_mean_zero_solve(monkeypatch):
 
 def test_supersolution_keeps_a_v_plus_b_below_a_high_constant():
     # phi_max = -1e-14 puts the constant level near 32.3; the a v + b
-    # candidate lies far lower.  Without it the monotone shift
-    # 1 + sup(-phi e^{w_+}) would overflow its 1e14 cap and the solve would
-    # take about 41 steps instead of 7
+    # candidate lies far lower.  The solve itself needs neither: the
+    # constant pair verifies Newton's answer.  But the monotone fallback
+    # runs on build_supersolution's pair, and with the constant as w_+ its
+    # shift 1 + sup(-phi e^{w_+}) would overflow the 1e14 cap
     spec = GridSpec((64,))
     phi = field_from(spec, lambda x: -(1e-14 + (1.0 + np.sin(x)) ** 2))
     prob = KWProblem(OneForm.zero(spec), -1.0, phi)
