@@ -15,7 +15,10 @@ For c < 0 the solvable region is certified constructively:
 
 The necessary test (the shifted solve of -phi must be positive) is the
 only nonexistence certificate; solver failure is never reported as
-nonexistence.  Without a pair, Newton's answer is reported unverified,
+nonexistence.  A solve runs it only where phi is positive somewhere or
+identically zero: nonpositive phi that is not identically zero is
+solvable at every c < 0 (Kazdan & Warner 1974, Ann. of Math. 99).
+Without a pair, Newton's answer is reported unverified,
 and the fixed-point and continuation solvers cover the best-effort
 regimes c >= 0.
 """
@@ -1114,9 +1117,12 @@ def _solve_negative_c(
 ) -> SolveReport:
     """Certificate-first solve for c < 0: Newton first, the pair verifies.
 
-    Runs the positivity test first; its failure is reported as
-    certified-unsolvable, the only such report in the package.  Then
-    Newton starts from initial_guess, else the half-size grids' answer
+    Runs the positivity test first when phi is positive somewhere or
+    identically zero; its failure is reported as certified-unsolvable, the
+    only such report in the package.  Nonpositive phi that is not
+    identically zero is solvable at every c < 0, the rule
+    critical_c_bracket also uses, so it skips the test.  Then Newton
+    starts from initial_guess, else the half-size grids' answer
     (_coarse_start), else _averaged_start.  An ordered pair certifies a
     solution, which c < 0 makes unique, so a converged answer inside it
     (within tol (1 + sup|w_+|)) is that solution.  The verifiers run
@@ -1127,15 +1133,18 @@ def _solve_negative_c(
     empty min_step_trace.  When a pair exists and rejects the answer,
     monotone_solve runs at most budget steps between its ends, and its
     report stands as returned.  Without a pair, Newton's report stands,
-    unverified.
+    unverified, so phi that skipped the test is never reported unsolvable.
     """
-    nec = necessary_check(prob, lin)
-    if not nec.positive:
-        message = f"positivity test failed: min phi0 = {float(np.min(nec.phi0.values)):.3e}"
-        return SolveReport.without_iterates(
-            make_field(prob.spec, 0.0), "certified-unsolvable", "necessary", message
-        )
-    del nec  # phi0 would stay beside every later solve
+    phi_max = float(np.max(prob.phi.values))
+    phi_min = float(np.min(prob.phi.values))
+    if not (phi_max <= 0.0 and phi_min < 0.0):
+        nec = necessary_check(prob, lin)
+        if not nec.positive:
+            message = f"positivity test failed: min phi0 = {float(np.min(nec.phi0.values)):.3e}"
+            return SolveReport.without_iterates(
+                make_field(prob.spec, 0.0), "certified-unsolvable", "necessary", message
+            )
+        del nec  # phi0 would stay beside every later solve
     sub = float(build_subsolution(prob).values.flat[0])
     report = newton_solve(
         prob,
@@ -1155,7 +1164,6 @@ def _solve_negative_c(
             report.min_step_trace = []
         return ok
 
-    phi_max = float(np.max(prob.phi.values))
     if phi_max < 0.0:
         hi = _supersolution_level(prob.c, phi_max)
         if verified(report, min(sub, hi - 0.1), hi):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kwtorus import read_field
+from kwtorus import GridSpec, OneForm, ScalarField, construct_unsolvable, read_field, write_field
 from kwtorus.cli import RunConfig, build_parser, main
 from kwtorus.errors import ConfigError
 from helpers import escaping_newton
@@ -64,6 +64,57 @@ def test_construct_unsolvable_then_necessary(tmp_path):
     rep = read_report(second)
     assert rep["positive"] == "false"
     assert float(rep["phi0_min"]) < 0
+
+
+def _spike_s_hat(tmp_path, base):
+    # 16-point s_hat, -0.5 at two points and base elsewhere; with s = -50
+    # the solve has c = -100 and phi = 2 s_hat
+    vals = np.full(16, base)
+    vals[[2, 6]] = -0.5
+    path = tmp_path / f"s_hat_{base:g}.kwf"
+    write_field(ScalarField(GridSpec((16,)), vals), path)
+    return path
+
+
+@pytest.mark.parametrize("base", [-0.5e-5, 0.0])
+def test_nonpositive_phi_is_solved_without_the_positivity_test(base, tmp_path, monkeypatch):
+    # phi <= 0, not identically 0, is solvable at every c < 0 (Kazdan &
+    # Warner).  The discrete positivity test on this spike gives
+    # min phi0 = -2.4e-6 < 0, a false certificate, because the 4th-order
+    # stencil has no maximum principle; the solve must not run it
+    from kwtorus import kwsolver
+
+    monkeypatch.setattr(kwsolver, "necessary_check",
+                        lambda *args, **kwargs: pytest.fail("positivity test ran"))
+    code = run(["solve", "--dims", "16", "--n", "1", "--t", "1", "--s=-50",
+                "--s-hat-file", str(_spike_s_hat(tmp_path, base))], tmp_path)
+    assert code == 0
+    rep = read_report(tmp_path)
+    assert (rep["status"], rep["method"]) == ("converged", "newton")
+
+
+def test_phi_positive_somewhere_or_zero_runs_the_positivity_test_first(tmp_path, monkeypatch):
+    # sign-changing phi (construct_unsolvable) and phi = 0 keep the
+    # certificate: the positivity test runs before any Newton step
+    from kwtorus import kwsolver
+
+    spec = GridSpec((64,))
+    psi = ScalarField(spec, np.sin(spec.coords()[0]))
+    phi = construct_unsolvable(psi, 0.1, -1.0, OneForm.zero(spec))
+    write_field(ScalarField(spec, phi.values / 2.0), tmp_path / "s_hat.kwf")
+    calls = []
+    for name in ("necessary_check", "newton_solve"):
+        real = getattr(kwsolver, name)
+        monkeypatch.setattr(kwsolver, name, lambda *args, _name=name, _real=real, **kwargs:
+                            calls.append(_name) or _real(*args, **kwargs))
+    for i, s_hat in enumerate((["--s-hat-file", str(tmp_path / "s_hat.kwf")], ["--s-hat=0"])):
+        calls.clear()
+        out = tmp_path / f"out{i}"
+        out.mkdir()
+        code = run(["solve", "--dims", "64", "--n", "1", "--t", "1", "--s=-0.5", *s_hat], out)
+        assert code == 4
+        assert read_report(out)["status"] == "certified-unsolvable"
+        assert calls == ["necessary_check"]
 
 
 def test_asymptotic_csv_values(tmp_path):
@@ -579,12 +630,12 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
 
 def test_roundtrip_applies_the_operator_once_per_iterate(tmp_path, monkeypatch):
     # the roundtrip-4d benchmark op on 12^4, below NEST_MIN_POINTS.  One
-    # Laplacian each for the positivity test, the fresh residual that
-    # confirms Newton's convergence and the final unreduced residual: 3.
-    # Newton starts from the averaged constant, whose residual needs none,
-    # and its 4 inner solves apply none: each takes A delta from its
-    # Arnoldi residual.  The constant pair verifies the answer with no
-    # stencil.
+    # Laplacian each for the fresh residual that confirms Newton's
+    # convergence and the final unreduced residual: 2.  Strictly negative
+    # phi runs no positivity test.  Newton starts from the averaged
+    # constant, whose residual needs none, and its 4 inner solves apply
+    # none: each takes A delta from its Arnoldi residual.  The constant
+    # pair verifies the answer with no stencil.
     from kwtorus import linsolve
 
     calls = []
@@ -601,7 +652,7 @@ def test_roundtrip_applies_the_operator_once_per_iterate(tmp_path, monkeypatch):
     rep = read_report(tmp_path)
     assert (rep["status"], rep["method"], rep["iterations"]) == ("converged", "newton", "4")
     assert float(rep["sup_error"]) < 1e-8
-    assert len(calls) <= 3
+    assert len(calls) <= 2
 
 
 # the drift-2d benchmark op's expressions at its phases
