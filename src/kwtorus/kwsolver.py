@@ -44,8 +44,8 @@ from .linsolve import (
     LinearOptions,
     _apply,
     _drift_symbol,
+    _round_off,
     _solve_system,
-    _stencil_norm,
     solve_meanzero,
     solve_shifted,
 )
@@ -563,14 +563,6 @@ def _forcing(norm: float, prev_norm: float | None, prev_eta: float, floor: float
     return min(FORCING_MAX, max(eta, floor))
 
 
-def _round_off(alpha: OneForm, w: np.ndarray) -> float:
-    """eps ||A||_inf sup|w|, the round-off of applying the stencils to w.
-    A residual carried below it keeps falling while the fresh one cannot,
-    so a corrector whose fresh residual no longer falls after such a step
-    has stalled."""
-    return float(np.finfo(float).eps) * _stencil_norm(alpha) * float(np.max(np.abs(w)))
-
-
 def _failure_message(message: str, unconverged: int) -> str:
     """A failed report's message, with the count of unconverged inner solves."""
     note = f"unconverged inner solves: {unconverged}" if unconverged else ""
@@ -593,13 +585,12 @@ def newton_solve(
     is carried from the last one (see _line_search), and the inner solve
     takes A delta from its Arnoldi residual, so a step applies no
     stencil: they run for the first residual and for the fresh ones
-    below.  Stops when the sup-norm residual
-    falls below tol times the problem scale, and only once a freshly
-    applied stencil residual confirms it; a carried residual that passes
-    alone is replaced by the fresh one and the iteration goes on.  So is
-    a carried residual at the round-off floor (_round_off), and if the
-    fresh 2-norm then did not fall below the last fresh one, the solve
-    has stalled.  That stall, a stalled line search or a non-finite step
+    below.  Stops when the sup-norm residual is at most tol times the
+    problem scale plus the stencils' round-off on w
+    (linsolve._round_off), confirmed on a fresh residual: a carried
+    residual that passes is replaced by the fresh one, and if that fails
+    and its 2-norm did not fall below the last fresh one, the solve has
+    stalled.  That stall, a stalled line search or a non-finite step
     reports status not-certified; the budget running out reports
     max-iter.  Every report carries the fresh residual of its solution,
     and one that did not converge counts its inner solves that missed
@@ -619,19 +610,19 @@ def newton_solve(
     unconverged = 0
     for i in range(maxiter + 1):
         scale = 1.0 + abs(prob.c) + float(np.max(np.abs(reaction)))
+        w_sup = max(float(np.max(w)), -float(np.min(w)))  # no |w| temporary
+        bound = tol * scale + _round_off(prob.alpha, 0.0, w_sup)
         r_sup = float(np.max(np.abs(r)))
-        floored = not fresh and r_sup <= _round_off(prob.alpha, w)
-        if floored or (not fresh and r_sup <= tol * scale):
-            # a carried residual passes, or measures nothing: confirm it
-            # on the stencils
+        if not fresh and r_sup <= bound:
+            # a carried residual passes: confirm it on the stencils
             r, fresh = _defect(w, prob), True
             norm, r_sup = _norm2(r), float(np.max(np.abs(r)))
-            if floored and r_sup > tol * scale and norm >= fresh_norm:
+            if r_sup > bound and norm >= fresh_norm:
                 status = "not-certified"
                 message = "line search stalled at the round-off floor"
                 break
             fresh_norm = norm
-        if r_sup <= tol * scale:
+        if r_sup <= bound:
             status = "converged"
             break
         if i == maxiter:
@@ -1014,8 +1005,8 @@ def continuation_solve(
 
         # the residual is A w + (2 tau / k) s - phi_tau e^w
         phi_tau = (2.0 * tau / k) * s_hat.values
-        converged = floored = False
-        prev_norm = np.inf
+        converged = False
+        prev_norm = carried = np.inf
         for _ in range(CONTINUATION_NEWTON_MAXITER):
             # constant mode: the mean equation mean(s_hat e^u) = mean(s) is
             # solved exactly by a shift whenever both means are genuinely
@@ -1026,17 +1017,17 @@ def continuation_solve(
                 u = u + float(np.log(s_mean / weight))
             r = residual(u)
             r_proj = r - np.mean(r)
-            full_ok = float(np.max(np.abs(r))) <= tol * scale
-            proj_ok = float(np.max(np.abs(r_proj))) <= tol * scale
+            bound = tol * scale + _round_off(alpha, 0.0, float(np.max(np.abs(u))))
+            full_ok = float(np.max(np.abs(r))) <= bound
+            proj_ok = float(np.max(np.abs(r_proj))) <= bound
             # intermediate waypoints only need the mean-zero part: their
             # constant-mode defect closes as tau reaches 1
             if full_ok or (proj_ok and j < steps):
                 converged = True
                 break
-            # a step carried below the round-off floor that left the
-            # fresh residual where it was has stalled (see _round_off)
+            # the carried residual passed, the fresh one fails and did not fall
             norm = _norm2(r_proj)
-            if floored and norm >= prev_norm:
+            if carried <= bound and norm >= prev_norm:
                 break
             prev_norm = norm
             # mean-zero mode: Newton step restricted to the subspace where
@@ -1049,7 +1040,7 @@ def continuation_solve(
             if step is None:
                 break
             u = step[0]
-            floored = float(np.max(np.abs(step[1]))) <= _round_off(alpha, u)
+            carried = float(np.max(np.abs(step[1])))
             iterations += 1
         if not converged:
             return SolveReport(
@@ -1203,11 +1194,12 @@ def solve_prescribed(
 
     Degenerate parameter values solve pointwise.  Otherwise the problem
     reduces to the exponential equation; negative c runs the positivity
-    test (failure is certified unsolvable) and then the certificate-based
-    solve.  Vanishing c with vanishing s_hat is the linear case.  The
-    remaining regimes (c > 0, or c = 0 with s_hat not identically zero)
-    have no general existence theory and run the requested strategy
-    (newton, fixed-point, or continuation) with an honest status.
+    test where phi is positive somewhere or identically zero (failure is
+    certified unsolvable), then the certificate-based solve.  Vanishing c
+    with vanishing s_hat is the linear case.  The remaining regimes
+    (c > 0, or c = 0 with s_hat not identically zero) have no general
+    existence theory and run the requested strategy (newton, fixed-point,
+    or continuation) with an honest status.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(

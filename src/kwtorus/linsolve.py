@@ -11,14 +11,14 @@ the Krylov loop and one solve with P per iteration plus one per solve.
 
 A solve to the documented contract is judged on its true residual, the
 stencils applied to the solution once: a sup-norm residual of at most
-tol * (1 + sup|rhs|), plus the round-off of that application (see
-_solve_system).  GMRES minimizes the 2-norm, so while the sup residual
-misses, the solve restarts warm with a tighter 2-norm target until the
-contract holds or the iteration budget is spent.  Inexact Newton steps
-instead pass their own relative 2-norm tolerance (a forcing term), and
-a GMRES solve judges it on the Arnoldi residual that GMRES already
-holds, so it applies no stencil; the Newton iteration confirms its own
-convergence on a freshly applied residual.
+tol * (1 + sup|rhs|) plus its round-off in IEEE double (_round_off,
+which the nonlinear solvers' tests add too).  GMRES minimizes the
+2-norm, so while the sup residual misses, the solve restarts warm with a
+tighter 2-norm target until the contract holds or the budget is spent.
+Inexact Newton steps instead pass their own relative 2-norm tolerance (a
+forcing term), and a GMRES solve judges it on the Arnoldi residual that
+GMRES already holds, so it applies no stencil; the Newton iteration
+confirms its own convergence on a freshly applied residual.
 
 The singular mean-zero problem (r = 0, kernel = constants) is solved on
 the mean-zero subspace: the right-hand side, every operator application,
@@ -37,6 +37,7 @@ from .errors import ConfigError, GauduchonError, SolvabilityError, SolverError
 from .grid import GridSpec, OneForm, ScalarField, same_grid
 from .operators import (
     DEFAULT_GAUDUCHON_TOL,
+    STENCIL_TERMS_PER_AXIS,
     _laplacian,
     _lee_pairing,
     gauduchon_defect,
@@ -285,10 +286,8 @@ def _solve_system(
 
     By default a solve is judged on its true residual, the stencils
     applied to x once.  It holds when that residual is finite and at most
-    lin.tol * (1 + sup|rhs|) + eps * ||A||_inf * sup|x|, with ||A||_inf =
-    sup|reaction| + sum_i (64/h_i + 18 sup|alpha_i|) / (12 h_i): the added
-    term is the round-off of applying the stencil to x, which exceeds the
-    contract on fine grids.  While it fails, GMRES restarts from x and
+    lin.tol * (1 + sup|rhs|) plus its round-off, _round_off(alpha,
+    reaction, sup|x|).  While it fails, GMRES restarts from x and
     that true residual with a tighter 2-norm rtol (never below
     RTOL_FLOOR).  Passing rtol instead requests a plain relative 2-norm
     reduction (the inexact-Newton mode, where the outer iteration absorbs
@@ -334,8 +333,6 @@ def _solve_system(
     arnoldi = krylov and rtol is not None  # judged on the residual gmres leaves
     if rtol is None:
         target = lin.tol * (1.0 + float(np.max(np.abs(rhs))))
-        norm_a = float(np.max(np.abs(reaction))) + _stencil_norm(alpha)
-        floor = float(np.finfo(float).eps) * norm_a
 
     def remainder(z):
         # R z, projected to zero mean when meanzero; krylov means R != 0
@@ -401,7 +398,7 @@ def _solve_system(
             resid_sup = float(np.max(np.abs(resid)))
             if rtol is None:
                 x_sup = float(np.max(np.abs(x)))
-                bound = target + floor * x_sup
+                bound = target + _round_off(alpha, reaction, x_sup)
                 converged = math.isfinite(x_sup) and math.isfinite(resid_sup) and (
                     resid_sup <= bound
                 )
@@ -427,12 +424,22 @@ def _solve_system(
 
 def _stencil_norm(alpha: OneForm) -> float:
     """||Delta + <alpha, d.>||_inf: the absolute stencil weights of one
-    row, summed.  eps times it times sup|x| bounds the round-off of
-    applying the stencils to x."""
+    row, summed."""
     return sum(
         (64.0 / h + 18.0 * sup) / (12.0 * h)
         for h, sup in zip(alpha.spec.spacings, alpha.sup_norms)
     )
+
+
+def _round_off(alpha: OneForm, reaction, x_sup: float) -> float:
+    """Round-off of a residual b - A x, A = Delta + <alpha, d.> + reaction,
+    sup|x| = x_sup, in IEEE double (u = eps/2): (gamma_m + eps log2 n)
+    ||A||_inf sup|x|, with gamma_m = m u / (1 - m u) (Higham 2002, ch. 3)
+    for the m = 10 rank + 2 terms a row sums (STENCIL_TERMS_PER_AXIS per
+    axis, reaction x and b) and eps log2 n for the FFTs behind x."""
+    u, m = 0.5 * float(np.finfo(float).eps), STENCIL_TERMS_PER_AXIS * alpha.spec.rank + 2
+    norm_a = float(np.max(np.abs(reaction))) + _stencil_norm(alpha)
+    return (m * u / (1.0 - m * u) + 2.0 * u * math.log2(alpha.spec.npoints)) * norm_a * x_sup
 
 
 def _precondition_shift(reaction: np.ndarray) -> float:

@@ -52,7 +52,8 @@ from .errors import ConfigError
 from .grid import OneForm, ScalarField, same_grid
 
 DEFAULT_GAUDUCHON_TOL = 1e-8
-
+# terms one axis adds to a stencil row: 6 of _second_difference, 4 of _first_difference
+STENCIL_TERMS_PER_AXIS = 10
 
 # Scratch budget of one slab (see the module docstring): half of the 2 MiB
 # per-core L2 cache, leaving the other half to the operand and result rows

@@ -531,6 +531,19 @@ def test_fine_grid_fft_solves_meet_their_contract(tmp_path, argv):
         assert float(rep["sup_error"]) < 1e-8
 
 
+@pytest.mark.parametrize("n", [4096, 8192])
+def test_sign_changing_solve_converges_at_the_round_off_floor(tmp_path, n):
+    # |u| is about 6.2 here, and from 4096 points the residual's round-off
+    # floor (about 2e-9 there) lies above kw_tol times the scale: Newton's
+    # test adds the round-off model, so the half-grid answer converges on
+    # the fine grid and no monotone fallback runs
+    argv = ["solve", "--dims", str(n), "--n", "1", "--t", "1", "--s=-0.001",
+            "--s-hat=-0.5+sin(x0)"]
+    assert run(argv, tmp_path) == 0
+    rep = read_report(tmp_path)
+    assert (rep["status"], rep["method"]) == ("converged", "newton")
+
+
 def test_critical_c_command(tmp_path):
     code = run(["critical-c", "--dims", "64", "--phi=-1-0.5*sin(x0)",
                 "--search-floor=-1000"], tmp_path)

@@ -14,7 +14,13 @@ from kwtorus import (
     solve_shifted,
 )
 from helpers import divergence_free_form, field_from
-from kwtorus.linsolve import _apply, _solve_system, _stencil_norm, random_smooth_field
+from kwtorus.linsolve import (
+    _apply,
+    _round_off,
+    _solve_system,
+    _stencil_norm,
+    random_smooth_field,
+)
 
 
 def shifted(alpha, shift, u):
@@ -441,6 +447,53 @@ def test_inexact_solve_image_matches_the_stencil(dims, drift, meanzero, rtol):
     norm_a = float(np.max(np.abs(reaction))) + _stencil_norm(alpha)
     unit = np.finfo(float).eps * norm_a * float(np.max(np.abs(x)))
     assert float(np.max(np.abs(diff))) <= 10.0 * (stats.iterations + 1) * unit
+
+
+def _positivity_case(n, seed):
+    # the positivity test's shifted solve (A - c) x = -phi with
+    # phi = -1 - a g, c log-uniform in [-10^-1.5, -10^-3.5] and a constant
+    # drift |d| <= 0.2: constant drift and a scalar shift, so FFT direct
+    spec = GridSpec((n,))
+    rng = np.random.default_rng(seed)
+    g = random_smooth_field(spec, rng).values
+    a = rng.uniform(0.0, 0.9)
+    c = -10 ** -rng.uniform(1.5, 3.5)
+    d = rng.uniform(-0.2, 0.2)
+    return OneForm.constant(spec, (d,)), -c, 1.0 + a * g
+
+
+@pytest.mark.parametrize("n, seed", [(1024, 17), (4096, 114), (4096, 120), (8192, 124), (8192, 130)])
+def test_direct_fft_solve_meets_its_contract_with_the_round_off_counted(n, seed):
+    # of 200 seeds per size, these direct solves left a residual of up to
+    # 1.07 times eps ||A||_inf sup|x|; gamma_m and the FFT term of the
+    # round-off model cover it
+    alpha, shift, rhs = _positivity_case(n, seed)
+    _, stats = _solve_system(alpha, shift, rhs)
+    assert stats.converged and stats.iterations == 1
+
+
+def test_contract_rejects_an_error_a_few_times_the_round_off():
+    # the round-off allowance must not admit wrong answers.  At rank 1 on
+    # 4096 points the model is gamma_12 + eps log2(4096), about 18 eps
+    # ||A||_inf sup|x|; x plus a Nyquist mode delta whose image A delta
+    # is 2.5 times that fails the contract that x itself passes, and a
+    # model loosened 3 times would accept it
+    alpha, shift, rhs = _positivity_case(4096, 114)
+    x, stats = _solve_system(alpha, shift, rhs)
+    assert stats.converged
+    norm_a = shift + _stencil_norm(alpha)
+    unit = np.finfo(float).eps * norm_a * float(np.max(np.abs(x)))
+    nyquist = np.cos(np.pi * np.arange(4096))  # (-1)^j: A maps it to about norm_a (-1)^j
+
+    def contract(y):
+        resid = float(np.max(np.abs(rhs - _apply(alpha, y, shift))))
+        target = LinearOptions().tol * (1.0 + float(np.max(np.abs(rhs))))
+        return resid, target + _round_off(alpha, shift, float(np.max(np.abs(y)))), target
+
+    resid, allowed, target = contract(x)
+    assert resid <= allowed and target < 0.1 * unit  # round-off dominates here
+    resid, allowed, _ = contract(x + 2.5 * 18.0 * unit / norm_a * nyquist)
+    assert resid > allowed
 
 
 @pytest.mark.parametrize("meanzero", [False, True], ids=["full", "meanzero"])
