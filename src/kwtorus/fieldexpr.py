@@ -261,16 +261,21 @@ def _print(expr: FieldExpr, parent_prec: int) -> str:
 def evaluate(expr: FieldExpr, spec: GridSpec) -> ScalarField:
     """Evaluate an expression on every grid point of spec.
 
+    An expression that evaluates to one number (no variable survives)
+    gives a read-only field: that number broadcast with zero strides, as
+    grid.make_field gives.  Any other expression is materialized as a
+    full, writable, C-contiguous array.
+
     Raises ExprEvalError for variables beyond the grid rank, departures
     from the real domain (log of a non-positive value, negative base with
     non-integer exponent, division by zero), and non-finite results.
     """
     with np.errstate(all="ignore"):
-        values = _eval(expr, spec)
-    values = np.broadcast_to(np.asarray(values, dtype=np.float64), spec.dims).copy()
+        values = np.asarray(_eval(expr, spec), dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ExprEvalError("expression produced non-finite values (overflow?)")
-    return ScalarField(spec, values)
+    full = np.broadcast_to(values, spec.dims)
+    return ScalarField(spec, full if values.ndim == 0 else full.copy())
 
 
 def _eval(expr: FieldExpr, spec: GridSpec):

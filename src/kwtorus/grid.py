@@ -83,7 +83,9 @@ class ScalarField:
     """Real-valued function sampled on a GridSpec.
 
     values has shape spec.dims; flattening in C order gives the canonical
-    row-major layout with the last axis fastest.
+    row-major layout with the last axis fastest.  values may be read-only:
+    make_field and constant expressions give one number broadcast with
+    zero strides.  Copy values before writing into them.
     """
 
     spec: GridSpec
@@ -175,11 +177,13 @@ def same_grid(*objs) -> None:
 
 
 def make_field(spec: GridSpec, fill: float) -> ScalarField:
-    """Constant field with the given fill value."""
+    """Constant field with the given fill value, held as one number: its
+    values are a read-only view with zero strides.  Copy them before
+    writing."""
     fill = float(fill)
     if not np.isfinite(fill):
         raise GridError("fill value must be finite")
-    return ScalarField(spec, np.full(spec.dims, fill))
+    return ScalarField(spec, np.broadcast_to(fill, spec.dims))
 
 
 def flat_index(spec: GridSpec, multi: tuple[int, ...]) -> int:

@@ -599,6 +599,7 @@ def newton_solve(
     same_grid(w0, prob)
     phi = prob.phi.values
     w = w0.values  # read only: every step rebinds w
+    del w0  # the start would stay beside every step
     r = _defect(w, prob)
     fresh = True  # r was applied to w, not carried
     reaction = _reaction(phi, w)

@@ -19,6 +19,47 @@ def test_two_pi_value():
     assert np.all(f.values == 6.283185307179586)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("text", ["0.1", "-1", "2*sin(pi/4)+e"])
+def test_constant_expression_holds_one_number_read_only(rank, text):
+    f = evaluate(parse(text), GridSpec((8, 10, 12, 8)[:rank]))
+    assert f.values.strides == (0,) * rank
+    assert f.values.flags.writeable is False
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("text", ["sin(x0)", "x0-x0", "0.1+0*x0"])
+def test_varying_expression_is_materialized(rank, text):
+    # only a 0-d result is held as one number: an expression of a
+    # variable is a full array even where its values do not vary
+    f = evaluate(parse(text), GridSpec((8, 10, 12, 8)[:rank]))
+    assert f.values.flags.writeable
+    assert f.values.flags.c_contiguous
+    assert 0 not in f.values.strides
+
+
+def test_constant_roundtrip_fields_trace_less_than_one_grid():
+    # s and the one-form of the benchmark's 4-D round trip (keys of its
+    # argv) on 24^4: five constants, the drift's x1 and x3 components by
+    # default "0", each one number instead of a 2.65 MB grid
+    import tracemalloc
+
+    from kwtorus.cli import RunConfig
+
+    cfg = RunConfig({"dims": "24,24,24,24", "n": "2", "t": "0", "s": "-1",
+                     "alpha0": "0.1", "alpha2": "0.05"})
+    grid_bytes = 8 * cfg.spec.npoints
+    tracemalloc.start()
+    try:
+        s, alpha = cfg.field("s"), cfg.one_form()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alpha.coefficients == (0.1, None, 0.05, None)
+    assert float(s.values.flat[0]) == -1.0
+    assert peak < grid_bytes
+
+
 def test_precedence_and_associativity():
     spec = GridSpec((8,))
 

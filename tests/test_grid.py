@@ -25,6 +25,37 @@ def test_make_field_constant():
     assert np.all(g.values == 1.5)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_make_field_holds_one_number_read_only(rank):
+    f = make_field(GridSpec((8, 10, 12, 8)[:rank]), -1.0)
+    assert f.values.strides == (0,) * rank
+    assert f.values.flags.writeable is False
+    with pytest.raises(ValueError):
+        f.values[(0,) * rank] = 0.0
+
+
+_REDUCTIONS = {
+    "mean": np.mean,
+    "sum": np.sum,
+    "2-norm": lambda v: np.linalg.norm(v.ravel()),
+    "max|.|": lambda v: np.max(np.abs(v)),
+}
+
+
+@pytest.mark.parametrize("shape", [
+    (7,), (8,), (255,), (3, 5), (24, 24), (97, 33), (9, 11, 13), (16, 16, 16),
+    (5, 6, 7, 8), (1, 3, 1, 5), (24, 24, 24, 24),
+])
+@pytest.mark.parametrize("name", sorted(_REDUCTIONS))
+def test_reductions_of_a_constant_view_match_its_copy(shape, name):
+    # a constant held as one number must reduce to the same bits as the
+    # full array it replaces, so reports stay byte-identical
+    reduce = _REDUCTIONS[name]
+    for c in (0.1, -1.0, 1.0 / 3.0, 0.05, -7.3, np.pi, 1e-300, 2.0**60 + 1.0):
+        view = np.broadcast_to(c, shape)
+        assert reduce(view) == reduce(view.copy()), c
+
+
 def test_grid_rejects_odd_small_and_high_rank():
     with pytest.raises(GridError):
         GridSpec((7,))

@@ -1209,6 +1209,88 @@ def test_pipeline_strategies_positive_degree():
 
 
 # ---------------------------------------------------------------------------
+# read-only inputs: make_field and constant expressions hold one number
+# in a read-only view, so a solver that wrote into a field it was given
+# would raise ValueError
+# ---------------------------------------------------------------------------
+
+def _frozen(f: ScalarField) -> ScalarField:
+    """f with read-only values, like every field these tests pass in."""
+    values = f.values.copy()
+    values.flags.writeable = False
+    return ScalarField(f.spec, values)
+
+
+@pytest.mark.parametrize("varying", [False, True])
+@pytest.mark.parametrize("strategy", ["newton", "fixed-point", "continuation"])
+def test_strategies_never_write_into_their_inputs(strategy, varying):
+    spec = GridSpec((32, 32))
+    setup = GeometrySetup(1, 1.0)
+    alpha = OneForm.constant(spec, (0.1, 0.05))
+    s = make_field(spec, 0.3)
+    if varying:
+        ustar = field_from(spec, lambda x0, x1: 0.05 * np.sin(x0) + 0.03 * np.cos(x1))
+        s_hat = _frozen(transform_s(s, ustar, alpha, setup))
+    else:
+        ustar, s_hat = make_field(spec, np.log(1.5)), make_field(spec, 0.2)
+    u, rep = solve_prescribed(s, s_hat, alpha, setup, strategy=strategy)
+    assert (rep.status, rep.method) == ("converged", strategy)
+    assert np.max(np.abs(u.values - ustar.values)) < 1e-6
+
+
+@pytest.mark.parametrize("varying", [False, True])
+def test_monotone_fallback_never_writes_into_its_inputs(monkeypatch, varying):
+    # the escaping Newton answer is rejected, so the monotone iteration
+    # starts from make_field(low) between constant or frozen data
+    spec = GridSpec((32, 32))
+    alpha = OneForm.constant(spec, (0.1, 0.05))
+    if varying:
+        phi = _frozen(field_from(spec, lambda x0, x1: -1.0 - 0.3 * np.cos(x0)))
+    else:
+        phi = make_field(spec, -0.5)
+    monkeypatch.setattr(kwsolver, "newton_solve", escaping_newton)
+    rep = kwsolver._solve_negative_c(KWProblem(alpha, -1.0, phi))
+    assert (rep.status, rep.method) == ("converged", "monotone")
+
+
+@pytest.mark.parametrize("varying", [False, True])
+def test_bracket_never_writes_into_its_inputs(varying):
+    spec = GridSpec((64,))
+    if varying:
+        phi = _frozen(field_from(spec, lambda x: -2.0 * np.sin(x) - 0.1))
+    else:
+        phi = make_field(spec, -1.0)
+    br = critical_c_bracket(phi, OneForm.zero(spec), search_floor=-100.0)
+    assert br.hi_evidence == "solved"
+    assert (br.c_lo == -100.0) is not varying
+
+
+def test_newton_drops_its_start_after_the_first_step(monkeypatch):
+    # no step reads the start after the first, so newton_solve keeps no
+    # reference to it: at 24^4 that is one 2.65 MB field less at the peak
+    import weakref
+
+    spec = GridSpec((64,))
+    prob = KWProblem(OneForm.zero(spec), -1.0, field_from(spec, lambda x: -1.0 - 0.5 * np.sin(x)))
+    refs, alive = [], []
+    real = kwsolver._newton_step
+
+    def step(*args, **kwargs):
+        alive.append(refs[0]() is not None)
+        return real(*args, **kwargs)
+
+    def start():
+        values = np.full(spec.dims, 0.5)
+        refs.append(weakref.ref(values))
+        return ScalarField(spec, values)
+
+    monkeypatch.setattr(kwsolver, "_newton_step", step)
+    rep = newton_solve(prob, start())
+    assert rep.converged and len(alive) >= 2
+    assert alive[0] and not any(alive[1:])
+
+
+# ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------
 
