@@ -7,11 +7,12 @@ For c < 0 the solvable region is certified constructively:
   from the mean-zero solve of  A v = phi - mean(phi)  (phi nonpositive),
   or, when phi changes sign, as a v + b from an exact pointwise search
   over a and b, which finds one only for c close enough to zero;
-* an ordered pair encloses the unique solution, so it verifies the
-  answer of a damped Newton iteration, and when it rejects that answer
-  it feeds the monotone iteration
+* an ordered pair proves that a solution lies between its ends; it is
+  unique for nonpositive phi, while sign-changing phi can have two.  The
+  pair verifies the answer of a damped Newton iteration, and when it
+  rejects that answer it feeds the monotone iteration
       (A + lambda) w_{i+1} = phi e^{w_i} - c + lambda w_i,   w_0 = w_-,
-  whose iterates increase pointwise to the solution.
+  whose iterates increase pointwise to the minimal solution in the pair.
 
 The necessary test (the shifted solve of -phi must be positive) is the
 only nonexistence certificate; solver failure is never reported as
@@ -1115,9 +1116,11 @@ def _solve_negative_c(
     identically zero is solvable at every c < 0, the rule
     critical_c_bracket also uses, so it skips the test.  Then Newton
     starts from initial_guess, else the half-size grids' answer
-    (_coarse_start), else _averaged_start.  An ordered pair certifies a
-    solution, which c < 0 makes unique, so a converged answer inside it
-    (within tol (1 + sup|w_+|)) is that solution.  The verifiers run
+    (_coarse_start), else _averaged_start.  An ordered pair certifies
+    that a solution lies between its ends, so a converged answer inside
+    it (within tol (1 + sup|w_+|)) is a solution in the pair.
+    Nonpositive phi has no other; sign-changing phi can have two, and the
+    monotone limit from w_- is the minimal one.  The verifiers run
     cheapest first.  Strictly negative phi has the constant pair
     [min(w_-, w_+ - 0.1), w_+] with w_+ = _supersolution_level, which
     needs no mean-zero solve; only if it rejects the answer does

@@ -40,6 +40,7 @@ from .operators import (
     STENCIL_TERMS_PER_AXIS,
     _laplacian,
     _lee_pairing,
+    _slabs,
     gauduchon_defect,
     gauduchon_scale,
     grad_squared,
@@ -152,29 +153,37 @@ def _drift_symbol(spec: GridSpec, alpha_const: tuple) -> np.ndarray:
 
 
 def _fft_inverse(spec: GridSpec, alpha_const, shift: float, zero_mode_null: bool):
-    """Closure solving (Delta + <alpha_const, d.> + shift) x = b by FFT.
+    """Closure solving (Delta + <alpha_const, d.> + shift) x = b by FFT:
+    solve(b, out=None) returns x, written into out when given.
 
     With zero_mode_null the constant mode of the input is discarded and
     the output has zero mean (pseudo-inverse on the mean-zero subspace).
-    Each solve runs in one complex spectrum owned by the closure: the
-    same transforms, in the same order, as np.fft.irfftn(np.fft.rfftn(b)
-    / denom), without their temporaries.
+    Each solve runs in one complex spectrum owned by the closure, and
+    forms the denominator symbol + shift slab by slab (operators._slabs)
+    in one slab of scratch, dividing there: the same transforms and
+    divisions, in the same order, as np.fft.irfftn(np.fft.rfftn(b) /
+    (symbol + shift)), without their temporaries or a whole denominator.
     """
-    denom = _drift_symbol(spec, tuple(alpha_const)) + shift
+    symbol = _drift_symbol(spec, tuple(alpha_const))
     zero = (0,) * spec.rank
-    if zero_mode_null:
-        denom[zero] = 1.0
     axes = tuple(range(spec.rank))
-    spectrum = np.empty_like(denom)
+    spectrum = np.empty_like(symbol)
+    slabs = _slabs(symbol.shape)
+    denom = np.empty_like(symbol[slabs[0]])
 
-    def solve(b: np.ndarray) -> np.ndarray:
+    def solve(b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         np.fft.rfftn(b, axes=axes, out=spectrum)
         if zero_mode_null:
             spectrum[zero] = 0.0
-        np.divide(spectrum, denom, out=spectrum)
+        for rows in slabs:
+            d = np.add(symbol[rows], shift, out=denom[: rows.stop - rows.start])
+            if zero_mode_null and rows.start == 0:
+                d[zero] = 1.0
+            part = spectrum[rows]
+            np.divide(part, d, out=part)
         for ax in axes[:-1]:
             np.fft.ifft(spectrum, spec.dims[ax], ax, out=spectrum)
-        return np.fft.irfft(spectrum, spec.dims[-1], axes[-1])
+        return np.fft.irfft(spectrum, spec.dims[-1], axes[-1], out=out)
 
     return solve
 
@@ -186,16 +195,24 @@ def _fft_inverse(spec: GridSpec, alpha_const, shift: float, zero_mode_null: bool
 def gmres(matvec, b, x, r, *, rtol, maxiter, callback):
     """Restarted right-preconditioned GMRES for A x = b (Saad & Schultz 1986).
 
-    matvec(v) returns (z, A z) with z = P v for the preconditioner P; r is
-    the residual b - A x, a C-contiguous array the caller already holds,
-    and x and r are updated in place.  Each cycle of at most GMRES_RESTART iterations builds an
-    orthonormal basis v_k by modified Gram-Schmidt and keeps z_k = P v_k,
-    as flexible GMRES does, so that x += sum_k c_k z_k costs no further
-    solve with P.  Every cycle ends by writing its Arnoldi residual
-    V_{k+1} Q^T (g_k e_{k+1}) into r in place, its last direction taken
-    as the orthogonalized w / h_next, so no basis row beyond the cycle's
-    iterations is filled: the next cycle starts from it, and on return r
-    holds b - A x to round-off without an operator application.
+    matvec(v, w, out=None) writes A z into w and returns z = P v for the
+    preconditioner P, written into out when given; r is the residual
+    b - A x, a C-contiguous array the caller already holds, and x and r
+    are updated in place.  Each cycle of at most GMRES_RESTART iterations
+    builds an orthonormal basis v_k by modified Gram-Schmidt, each A z_j
+    written straight into basis row j + 1 and orthogonalized and scaled
+    there.  It keeps z_k = P v_k, as flexible GMRES does, so that
+    x += sum_k c_k z_k costs no further solve with P; z_0 goes into r,
+    whose content no step reads from v_0 = r / beta until the cycle
+    writes its residual there after that update.  That residual is
+    V_{k+1} Q^T (g_k e_{k+1}), its last direction taken as the
+    orthogonalized last row before its scaling, so no basis row beyond
+    the cycle's iterations is written: the next cycle starts from it,
+    and on return r holds b - A x to round-off without an operator
+    application.  The basis reserves one row more than a cycle's
+    iterations, and rows never written take no memory.  Every update
+    y += v a runs slab by slab (operators._slabs) through one slab of
+    scratch.
     callback gets the 2-norm residual estimate once per iteration.  Stops
     when that estimate is at most rtol * ||b||, on breakdown (the Krylov
     space holds the solution), or after maxiter iterations in all.
@@ -205,21 +222,29 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback):
     eps = float(np.finfo(float).eps)
     target = rtol * float(np.linalg.norm(b))
     beta = float(np.linalg.norm(r))
-    scratch = np.empty_like(r)
+    slabs = _slabs(r.shape)
+    scratch = np.empty_like(r[slabs[0]])
     cycle = min(GMRES_RESTART, maxiter)
-    basis = np.empty((cycle,) + r.shape)  # reused by every cycle
+    basis = np.empty((cycle + 1,) + r.shape)  # reused by every cycle
+
+    def axpy(y, v, a):
+        # y += v * a; elementwise, so the slab cut changes no bit
+        for rows in slabs:
+            acc = y[rows]
+            acc += np.multiply(v[rows], a, out=scratch[: rows.stop - rows.start])
+
     while maxiter > 0 and math.isfinite(beta) and beta > target:
         m = min(cycle, maxiter)
         np.multiply(r, 1.0 / beta, out=basis[0])
         zs, cols, rots, g = [], [], [], [beta]
         for j in range(m):
-            z, w = matvec(basis[j])
-            zs.append(z)
+            w = basis[j + 1]
+            zs.append(matvec(basis[j], w, out=r if j == 0 else None))
             w_norm = float(np.linalg.norm(w))
             h = []
             for v in basis[: j + 1]:
                 h.append(float(np.vdot(v, w)))
-                w -= np.multiply(v, h[-1], out=scratch)
+                axpy(w, v, -h[-1])
             h_next = float(np.linalg.norm(w))
             if h_next <= eps * w_norm:
                 h_next = 0.0  # breakdown: A z_j lies in the basis already
@@ -238,15 +263,15 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback):
             stop = abs(g[-1]) <= target or h_next == 0.0
             if stop or j + 1 == m:
                 break
-            np.multiply(w, 1.0 / h_next, out=basis[j + 1])
+            w *= 1.0 / h_next
         # back substitution on the rotated triangle, then x += sum c_k z_k
         k = len(cols)
         coef = [0.0] * k
         for i in reversed(range(k)):
             t = g[i] - sum(cols[l][i] * coef[l] for l in range(i + 1, k))
             coef[i] = t / cols[i][i] if cols[i][i] else 0.0
-        for ck, z in zip(coef, zs):
-            x += np.multiply(z, ck, out=scratch)
+        for i, ck in enumerate(coef):
+            axpy(x, zs[i], ck)  # a loop name would hold z_k into the next cycle
         maxiter -= k
         # the residual V_{k+1} Q^T (g_k e_{k+1}) of the cycle, rotated back;
         # on breakdown g_k = 0, and so is every u_i
@@ -256,7 +281,7 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback):
             u[i], u[i + 1] = c * u[i] - s * u[i + 1], s * u[i] + c * u[i + 1]
         np.dot(np.array(u[:k]), basis[:k].reshape(k, -1), out=r.reshape(-1))
         if h_next:
-            r += np.multiply(w, u[k] / h_next, out=scratch)
+            axpy(r, w, u[k] / h_next)
         beta = float(np.linalg.norm(r))
         if stop:
             return x, 0
@@ -282,7 +307,11 @@ def _solve_system(
     reaction R = 0 and x = P rhs.  Otherwise GMRES solves A P y = rhs
     from x0 = P rhs, whose residual is -R x0, and keeps x = P y itself:
     each Krylov iteration makes one solve with P and one application of
-    R, and no Laplacian runs in the Krylov loop.
+    R, and no Laplacian runs in the Krylov loop.  The iteration writes R z
+    straight into the basis row gmres hands it, forming reaction - shift
+    there rather than holding it, so each Krylov iteration adds two
+    fields, its basis row and z = P v; the rest of its scratch is
+    slab-sized.
 
     By default a solve is judged on its true residual, the stencils
     applied to x once.  It holds when that residual is finite and at most
@@ -328,30 +357,31 @@ def _solve_system(
     drift_left = [v - m if var else None for v, m, var in zip(coeffs, mean_drift, varying)]
     scalar_reaction = np.isscalar(reaction)
     shift = float(reaction) if scalar_reaction else _precondition_shift(reaction)
-    reaction_left = None if scalar_reaction else reaction - shift
     krylov = any(varying) or not scalar_reaction
     arnoldi = krylov and rtol is not None  # judged on the residual gmres leaves
     if rtol is None:
         target = lin.tol * (1.0 + float(np.max(np.abs(rhs))))
 
-    def remainder(z):
-        # R z, projected to zero mean when meanzero; krylov means R != 0
-        if reaction_left is None:
-            out = _lee_pairing(drift_left, z, spec.spacings)
+    def remainder(z, out):
+        # writes R z into out, projected to zero mean when meanzero; krylov
+        # means R != 0
+        if scalar_reaction:
+            out[...] = _lee_pairing(drift_left, z, spec.spacings)
         else:
-            out = reaction_left * z
+            np.subtract(reaction, shift, out=out)
+            out *= z
             if any(varying):
                 out += _lee_pairing(drift_left, z, spec.spacings)
         if meanzero:
             out -= np.mean(out)
         return out
 
-    def matvec(v):
-        # (P v, A P v): A P v = v + R P v, as P inverts A - R
-        z = precond(v)
-        w = remainder(z)
+    def matvec(v, w, out=None):
+        # writes A P v = v + R P v into w, as P inverts A - R; returns P v
+        z = precond(v, out=out)
+        remainder(z, w)
         w += v
-        return z, w
+        return z
 
     iters = [0]
 
@@ -366,7 +396,8 @@ def _solve_system(
         precond = _fft_inverse(spec, mean_drift, shift, meanzero)
         x = precond(b)
         if krylov:
-            resid = -remainder(x)
+            resid = remainder(x, np.empty(spec.dims))
+            np.negative(resid, out=resid)
         while True:
             done = iters[0]
             overflow = False

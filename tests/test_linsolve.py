@@ -278,9 +278,9 @@ def test_krylov_solve_makes_one_fft_solve_per_iteration_plus_one(monkeypatch):
         built[0] += 1
         solve = real(*args, **kwargs)
 
-        def counted(b):
+        def counted(b, out=None):
             applies[0] += 1
-            return solve(b)
+            return solve(b, out=out)
 
         return counted
 
@@ -299,6 +299,72 @@ def test_krylov_solve_makes_one_fft_solve_per_iteration_plus_one(monkeypatch):
     assert applies[0] == stats.iterations + 1
 
 
+@pytest.mark.parametrize("reaction_kind", ["scalar", "array"])
+@pytest.mark.parametrize("drift_kind", ["constant", "varying"])
+@pytest.mark.parametrize("rtol", [None, 1e-8], ids=["contract", "newton"])
+def test_slab_cut_changes_no_bit_of_a_solve(rtol, drift_kind, reaction_kind, monkeypatch):
+    # the stencils, the FFT solve's divide and GMRES's updates run slab by
+    # slab; one-row slabs and one whole slab give the same bits.  Cycles of
+    # 4 restart GMRES several times, each from the residual left in r
+    import kwtorus.linsolve as linsolve
+    from kwtorus import operators
+
+    monkeypatch.setattr(linsolve, "GMRES_RESTART", 4)
+    spec = GridSpec((10, 8, 12))
+    if drift_kind == "constant":
+        alpha = OneForm.constant(spec, (0.3, 0.0, -0.2))
+    else:
+        alpha = OneForm(spec, (
+            field_from(spec, lambda x0, x1, x2: 0.3 * np.sin(x1)),
+            make_field(spec, 0.0),
+            field_from(spec, lambda x0, x1, x2: -0.2 + 0.4 * np.cos(x0 + x1)),
+        ))
+    reaction = 1.3
+    if reaction_kind == "array":
+        reaction = field_from(spec, lambda x0, x1, x2: 1.0 + 0.5 * np.cos(x0 + x2)).values
+    rhs = random_smooth_field(spec, np.random.default_rng(9)).values
+    solves = []
+    for slab_bytes in (1, 1 << 40):
+        monkeypatch.setattr(operators, "SLAB_BYTES", slab_bytes)
+        assert len(operators._slabs(spec.dims)) == (10 if slab_bytes == 1 else 1)
+        solves.append(_solve_system(alpha, reaction, rhs, rtol=rtol))
+    (x1, st1), (x2, st2) = solves
+    assert st1.converged
+    assert x1.tobytes() == x2.tobytes()
+    assert st1.image.tobytes() == st2.image.tobytes()
+    assert (st1.residual_sup, st1.iterations) == (st2.residual_sup, st2.iterations)
+
+
+def test_long_krylov_solve_holds_few_fields(monkeypatch):
+    # a 16^4 inexact-Newton solve of 74 Krylov iterations over cycles of 4,
+    # against a reaction near -1 that leaves P far from A.  Each iteration
+    # builds A z_j in its basis row, z_0 lives in the residual's storage,
+    # and the updates and P's divide use slab scratch: about 14 fields.  A
+    # fresh A z_j beside the basis, a whole-field scratch, and a held
+    # reaction - shift and denominator trace about 17.4
+    import tracemalloc
+
+    import kwtorus.linsolve as linsolve
+
+    monkeypatch.setattr(linsolve, "GMRES_RESTART", 4)
+    spec = GridSpec((16, 16, 16, 16))
+    alpha = OneForm.constant(spec, (0.1, 0.0, 0.05, 0.0))
+    reaction = field_from(
+        spec, lambda x0, x1, x2, x3: -(1.0 + 0.9 * np.sin(x0) * np.cos(x2))
+    ).values
+    rhs = np.random.default_rng(3).standard_normal(spec.dims)
+    linsolve._drift_symbol.cache_clear()  # its build counts, whatever ran before
+    tracemalloc.start()
+    try:
+        _, stats = _solve_system(alpha, reaction, rhs, rtol=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.converged
+    assert stats.iterations == 74
+    assert peak <= 15.5 * rhs.nbytes
+
+
 @pytest.mark.parametrize("restart", [50, 3])
 def test_gmres_matches_dense_solve(restart, monkeypatch):
     # a nonsymmetric 12 x 12 system with a Jacobi preconditioner; restart 3
@@ -313,9 +379,10 @@ def test_gmres_matches_dense_solve(restart, monkeypatch):
     b = rng.standard_normal(n)
     diag = np.diag(a).copy()
 
-    def matvec(v):
-        z = v / diag
-        return z, a @ z
+    def matvec(v, w, out=None):
+        z = np.divide(v, diag, out=out)
+        np.matmul(a, z, out=w)
+        return z
 
     estimates = []
     x, info = linsolve.gmres(
@@ -340,9 +407,16 @@ def test_gmres_stops_on_breakdown():
     a[2:, 2:] = np.diag([5.0, 6.0, 7.0, 8.0]) + np.eye(4, k=1)
     b = np.zeros(6)
     b[0] = 1.0
+    def matvec(v, w, out=None):
+        # P = I: z = v, written into out when given
+        np.matmul(a, v, out=w)
+        z = np.empty_like(v) if out is None else out
+        z[...] = v
+        return z
+
     estimates = []
     x, info = linsolve.gmres(
-        lambda v: (v.copy(), a @ v), b, np.zeros(6), b.copy(), rtol=0.0,
+        matvec, b, np.zeros(6), b.copy(), rtol=0.0,
         maxiter=50, callback=estimates.append,
     )
     assert info == 0
@@ -356,7 +430,7 @@ def test_gmres_returns_at_once_when_the_start_meets_its_target():
     calls = []
     x0 = np.ones(4)
     x, info = linsolve.gmres(
-        lambda v: calls.append(1), np.ones(4), x0, np.zeros(4), rtol=1e-10,
+        lambda v, w, out=None: calls.append(1), np.ones(4), x0, np.zeros(4), rtol=1e-10,
         maxiter=10, callback=calls.append,
     )
     assert (x is x0, info, calls) == (True, 0, [])

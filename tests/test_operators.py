@@ -266,6 +266,42 @@ def test_blocked_stencils_match_roll_reference_bitwise(rank):
         assert divergence(alpha).values.tobytes() == div.tobytes()
 
 
+@pytest.mark.parametrize("one_row_slabs", [False, True], ids=["budget", "one-row"])
+@pytest.mark.parametrize("zero_mode_null", [False, True], ids=["shifted", "meanzero"])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_fft_inverse_divides_slab_by_slab_bitwise(rank, zero_mode_null, one_row_slabs,
+                                                  monkeypatch):
+    # the FFT solve forms symbol + shift one slab at a time, and divides
+    # there: the same bytes as dividing by a whole denominator.  One-row
+    # slabs cut every spectrum of rank >= 2 into many slabs, whatever the
+    # budget leaves whole
+    from kwtorus import operators
+    from kwtorus.linsolve import _drift_symbol, _fft_inverse
+
+    dims = (64,) if rank == 1 else _multi_slab_dims(rank)
+    if one_row_slabs:
+        monkeypatch.setattr(operators, "SLAB_BYTES", 1)
+    spec = GridSpec(dims)
+    drift = tuple(0.1 * (ax + 1) for ax in range(rank))
+    shift = 0.0 if zero_mode_null else 1.3
+    zero = (0,) * rank
+    b = np.random.default_rng(rank).standard_normal(dims)
+    denom = _drift_symbol(spec, drift) + shift
+    spectrum = np.fft.rfftn(b)
+    if zero_mode_null:
+        denom[zero] = 1.0
+        spectrum[zero] = 0.0
+    expect = np.fft.irfftn(spectrum / denom, dims, axes=range(rank))
+    if rank > 1:
+        slabs = operators._slabs(denom.shape)
+        assert len(slabs) == dims[0] if one_row_slabs else len(slabs) >= 2
+    solve = _fft_inverse(spec, drift, shift, zero_mode_null)
+    assert solve(b).tobytes() == expect.tobytes()
+    out = np.empty(dims)
+    assert solve(b, out=out) is out
+    assert out.tobytes() == expect.tobytes()
+
+
 def test_apply_and_fft_solve_allocate_few_fields():
     # 24^4 fields exceed a core's L2 cache; the blocked stencils keep slab
     # scratch only, and an FFT solve transforms in its closure's spectrum
