@@ -459,15 +459,21 @@ def cmd_construct_unsolvable(cfg: RunConfig, rep: Reporter) -> int:
 
 
 def cmd_roundtrip(cfg: RunConfig, rep: Reporter) -> int:
+    """Transform s by a known u*, solve for the transformed curvature, and
+    report how far the solution lies from u*.  u* is not held through the
+    solve: it is evaluated (or read) again after it, before s_hat.kwf is
+    written, so a u_star_file naming this command's own s_hat.kwf still
+    reads u*.  The artifacts and report keys come in the order of a
+    write before the solve."""
     setup = cfg.setup()
     s = cfg.field("s")
-    u_star = cfg.field("u_star")
     alpha = cfg.one_form()
-    s_hat = transform_s(s, u_star, alpha, setup)
-    rep.save_field("s_hat", s_hat)
+    s_hat = transform_s(s, cfg.field("u_star"), alpha, setup)
     u, report = solve_prescribed(s, s_hat, alpha, setup, **solve_options(cfg))
+    sup_error = float(np.max(np.abs(u.values - cfg.field("u_star").values)))
+    rep.save_field("s_hat", s_hat)
     report_solve(rep, report)
-    rep.add("sup_error", float(np.max(np.abs(u.values - u_star.values))))
+    rep.add("sup_error", sup_error)
     return finish_solve(rep, u, report)
 
 

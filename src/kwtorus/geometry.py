@@ -122,7 +122,10 @@ def reduce_problem(
     """Reduce prescribed data (s, s_hat) to the exponential equation.
 
     Returns the reduced problem and the statistics of the linear solve for
-    g, which runs with the linear options lin.
+    g, which runs with the linear options lin.  Where the right-hand side
+    of g's equation is identically zero, as for a constant s whose grid
+    mean is that constant again (s = -1, say), g is one read-only number
+    (solve_meanzero).
     """
     same_grid(s, s_hat, alpha)
     if setup.degenerate:

@@ -44,9 +44,10 @@ from .grid import GridSpec, OneForm, ScalarField, make_field, refine_field, rest
 from .linsolve import (
     LinearOptions,
     _apply,
-    _drift_symbol,
+    _rfft_symbols,
     _round_off,
     _solve_system,
+    _sup,
     solve_meanzero,
     solve_shifted,
 )
@@ -611,14 +612,13 @@ def newton_solve(
     message = ""
     unconverged = 0
     for i in range(maxiter + 1):
-        scale = 1.0 + abs(prob.c) + float(np.max(np.abs(reaction)))
-        w_sup = max(float(np.max(w)), -float(np.min(w)))  # no |w| temporary
-        bound = tol * scale + _round_off(prob.alpha, 0.0, w_sup)
-        r_sup = float(np.max(np.abs(r)))
+        scale = 1.0 + abs(prob.c) + _sup(reaction)
+        bound = tol * scale + _round_off(prob.alpha, 0.0, _sup(w))
+        r_sup = _sup(r)
         if not fresh and r_sup <= bound:
             # a carried residual passes: confirm it on the stencils
             r, fresh = _defect(w, prob), True
-            norm, r_sup = _norm2(r), float(np.max(np.abs(r)))
+            norm, r_sup = _norm2(r), _sup(r)
             if r_sup > bound and norm >= fresh_norm:
                 status = "not-certified"
                 message = "line search stalled at the round-off floor"
@@ -650,7 +650,7 @@ def newton_solve(
         solution=ScalarField(prob.spec, w),
         status=status,
         trace=trace,
-        residual_sup=float(np.max(np.abs(r))),
+        residual_sup=_sup(r),
         method="newton",
         iterations=len(trace) - 1,
         message=message,
@@ -866,11 +866,11 @@ def fixed_point_solve(
     L u = A u - (2/k) s_hat u, starting from zero.  Requires L to be
     numerically invertible; identically vanishing s_hat leaves the
     constants in the kernel and raises SolverError.  So does a constant
-    s_hat with constant drift whose L is nearly singular: its symbol,
-    _drift_symbol - (2/k) s_hat, within FIXED_POINT_SINGULAR_RTOL of
-    |(2/k) s_hat| of zero (s_hat = k m^2 / 2 for a Laplacian eigenvalue
-    m^2, which the stencil matches to O(h^4)).  Variable s_hat or drift
-    has no such exact test.
+    s_hat with constant drift whose L is nearly singular: its symbol, the
+    stencils' (linsolve._rfft_symbols) - (2/k) s_hat, within
+    FIXED_POINT_SINGULAR_RTOL of |(2/k) s_hat| of zero (s_hat = k m^2 / 2
+    for a Laplacian eigenvalue m^2, which the stencil matches to
+    O(h^4)).  Variable s_hat or drift has no such exact test.
     """
     lin = lin or LinearOptions()
     if setup.degenerate:
@@ -886,7 +886,9 @@ def fixed_point_solve(
     level = float(reaction.flat[0])
     drift = alpha.coefficients
     if np.all(reaction == level) and not any(isinstance(v, np.ndarray) for v in drift):
-        symbol = _drift_symbol(spec, tuple(0.0 if v is None else v for v in drift))
+        laps, derivs = _rfft_symbols(spec)
+        drift = tuple(0.0 if v is None else v for v in drift)
+        symbol = sum(laps) + 1j * sum(a * d for a, d in zip(drift, derivs))
         distance = float(np.min(np.abs(symbol + level)))
         if distance <= FIXED_POINT_SINGULAR_RTOL * abs(level):
             raise SolverError(

@@ -34,12 +34,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, GauduchonError, SolvabilityError, SolverError
-from .grid import GridSpec, OneForm, ScalarField, same_grid
+from .grid import GridSpec, OneForm, ScalarField, make_field, same_grid
 from .operators import (
     DEFAULT_GAUDUCHON_TOL,
     STENCIL_TERMS_PER_AXIS,
     _laplacian,
     _lee_pairing,
+    _slab_scratch,
     _slabs,
     gauduchon_defect,
     gauduchon_scale,
@@ -94,11 +95,15 @@ def _apply(alpha: OneForm, arr: np.ndarray, reaction=0.0) -> np.ndarray:
     A constant arr whose double is finite skips the stencils: they map
     it to exactly +0.0, whatever the drift.  Above about 9e307 they
     overflow (see operators), so such a constant still runs them and
-    gets their non-finite result.
+    gets their non-finite result.  A zero-stride view is constant, and an
+    array whose last element differs from its first is not: only other
+    arrays are compared whole.
     """
     spacings = alpha.spec.spacings
     first = float(arr.flat[0])
-    if math.isfinite(2.0 * first) and np.all(arr == first):
+    if math.isfinite(2.0 * first) and (
+        not any(arr.strides) or (arr.flat[-1] == first and np.all(arr == first))
+    ):
         out = np.zeros_like(arr)
     else:
         out = _laplacian(arr, spacings)
@@ -116,10 +121,12 @@ def _apply(alpha: OneForm, arr: np.ndarray, reaction=0.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _rfft_symbols(spec: GridSpec):
-    """Laplacian symbol (summed) and per-axis drift symbols in rfftn layout."""
+    """Per-axis Laplacian and drift symbols in rfftn layout: lists of 1-D
+    factors, each shaped to broadcast along its axis.  The Laplacian's
+    symbol is the sum of its factors in axis order, the drift's
+    sum_i a_i derivs_i."""
     rank = spec.rank
-    lap_total = None
-    derivs = []
+    laps, derivs = [], []
     for ax in range(rank):
         n = spec.dims[ax]
         h = spec.spacings[ax]
@@ -132,51 +139,68 @@ def _rfft_symbols(spec: GridSpec):
         der1 = (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * h)
         shape = [1] * rank
         shape[ax] = k.size
-        lap1 = lap1.reshape(shape)
-        der1 = der1.reshape(shape)
-        lap_total = lap1 if lap_total is None else lap_total + lap1
-        derivs.append(der1)
-    return lap_total, derivs
+        laps.append(lap1.reshape(shape))
+        derivs.append(der1.reshape(shape))
+    return laps, derivs
 
 
 @functools.lru_cache(maxsize=8)
-def _drift_symbol(spec: GridSpec, alpha_const: tuple) -> np.ndarray:
-    """Complex symbol of Delta + <alpha_const, d.>, built once per grid and
-    constant drift; callers add their shift to a copy."""
-    lap, derivs = _rfft_symbols(spec)
-    if any(a != 0.0 for a in alpha_const):
-        symbol = lap + 1j * sum(a * d for a, d in zip(alpha_const, derivs))
-    else:
-        symbol = np.asarray(lap, dtype=complex)
-    symbol.setflags(write=False)  # shared by every solve on this grid and drift
-    return symbol
+def _drift_symbol(spec: GridSpec, alpha_const: tuple):
+    """Complex symbol of Delta + <alpha_const, d.>, built once per grid
+    and constant drift and held in two factors (head, tail) whose
+    broadcast sum is the symbol: head sums the axes but the last (a share
+    1/(n_last / 2 + 1) of the symbol), tail is the last axis alone.  Real
+    parts sum the Laplacian factors, imaginary parts the terms a d, each
+    from +0 in axis order, as the whole symbol sum(laps) + 1j * sum(a d)
+    sums them: head + tail has its bits."""
+    laps, derivs = _rfft_symbols(spec)
+    terms = [a * d for a, d in zip(alpha_const, derivs)]
+    start = np.zeros((1,) * spec.rank)  # rank 1 has no head: 0 + tail is tail
+    head = (sum(laps[:-1], start), sum(terms[:-1], start))
+    tail = (laps[-1], terms[-1])
+    factors = []
+    for real, imag in (head, tail):
+        part = real.astype(complex)
+        part.imag = imag
+        part.setflags(write=False)  # shared by every solve on this grid and drift
+        factors.append(part)
+    return tuple(factors)
 
 
 def _fft_inverse(spec: GridSpec, alpha_const, shift: float, zero_mode_null: bool):
     """Closure solving (Delta + <alpha_const, d.> + shift) x = b by FFT:
-    solve(b, out=None) returns x, written into out when given.
+    solve(b, out=None, work=None) returns x, written into out when given.
 
     With zero_mode_null the constant mode of the input is discarded and
     the output has zero mean (pseudo-inverse on the mean-zero subspace).
-    Each solve runs in one complex spectrum owned by the closure, and
-    forms the denominator symbol + shift slab by slab (operators._slabs)
-    in one slab of scratch, dividing there: the same transforms and
+    A solve transforms in work when given: C-contiguous float64 memory of
+    at least two fields (two GMRES basis rows), whose first bytes hold
+    the complex spectrum; else in a spectrum of its own, freed on return.
+    The denominator symbol + shift is formed slab by slab (operators._slabs)
+    in one slab of scratch, as head + tail + shift from _drift_symbol's
+    factors, and the spectrum divided there: the same transforms and
     divisions, in the same order, as np.fft.irfftn(np.fft.rfftn(b) /
-    (symbol + shift)), without their temporaries or a whole denominator.
+    (symbol + shift)), with no grid-sized symbol or denominator.
     """
-    symbol = _drift_symbol(spec, tuple(alpha_const))
+    head, tail = _drift_symbol(spec, tuple(alpha_const))
     zero = (0,) * spec.rank
     axes = tuple(range(spec.rank))
-    spectrum = np.empty_like(symbol)
-    slabs = _slabs(symbol.shape)
-    denom = np.empty_like(symbol[slabs[0]])
+    shape = spec.dims[:-1] + (spec.dims[-1] // 2 + 1,)
+    floats = 2 * math.prod(shape)  # of the spectrum, viewed in work
+    slabs = _slabs(shape)
+    denom = np.empty((slabs[0].stop,) + shape[1:], dtype=complex)
 
-    def solve(b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def solve(b: np.ndarray, out: np.ndarray | None = None, work=None) -> np.ndarray:
+        if work is None:
+            spectrum = np.empty(shape, dtype=complex)
+        else:
+            spectrum = work.reshape(-1)[:floats].view(complex).reshape(shape)
         np.fft.rfftn(b, axes=axes, out=spectrum)
         if zero_mode_null:
             spectrum[zero] = 0.0
         for rows in slabs:
-            d = np.add(symbol[rows], shift, out=denom[: rows.stop - rows.start])
+            d = np.add(head[rows], tail, out=denom[: rows.stop - rows.start])
+            d += shift
             if zero_mode_null and rows.start == 0:
                 d[zero] = 1.0
             part = spectrum[rows]
@@ -192,16 +216,21 @@ def _fft_inverse(spec: GridSpec, alpha_const, shift: float, zero_mode_null: bool
 # Core solve
 # ---------------------------------------------------------------------------
 
-def gmres(matvec, b, x, r, *, rtol, maxiter, callback):
+def gmres(matvec, b, x, r, *, rtol, maxiter, callback, basis=None):
     """Restarted right-preconditioned GMRES for A x = b (Saad & Schultz 1986).
 
-    matvec(v, w, out=None) writes A z into w and returns z = P v for the
-    preconditioner P, written into out when given; r is the residual
-    b - A x, a C-contiguous array the caller already holds, and x and r
-    are updated in place.  Each cycle of at most GMRES_RESTART iterations
-    builds an orthonormal basis v_k by modified Gram-Schmidt, each A z_j
-    written straight into basis row j + 1 and orthogonalized and scaled
-    there.  It keeps z_k = P v_k, as flexible GMRES does, so that
+    matvec(v, w, out=None, work=None) writes A z into w and returns
+    z = P v for the preconditioner P, written into out when given; work
+    is memory P may use for its transforms, basis rows j + 1 and j + 2 of
+    iteration j, which no step reads before that iteration writes them.
+    r is the residual b - A x, a C-contiguous array the caller already
+    holds, and x and r are updated in place.  basis holds at least
+    min(GMRES_RESTART, maxiter) + 2 rows shaped like r, reused by every
+    cycle (and by the caller's next call); gmres allocates it when none
+    is given.  Each cycle of at most GMRES_RESTART iterations builds an
+    orthonormal basis v_k by modified Gram-Schmidt, each A z_j written
+    straight into basis row j + 1 and orthogonalized and scaled there.
+    It keeps z_k = P v_k, as flexible GMRES does, so that
     x += sum_k c_k z_k costs no further solve with P; z_0 goes into r,
     whose content no step reads from v_0 = r / beta until the cycle
     writes its residual there after that update.  That residual is
@@ -209,10 +238,10 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback):
     orthogonalized last row before its scaling, so no basis row beyond
     the cycle's iterations is written: the next cycle starts from it,
     and on return r holds b - A x to round-off without an operator
-    application.  The basis reserves one row more than a cycle's
-    iterations, and rows never written take no memory.  Every update
-    y += v a runs slab by slab (operators._slabs) through one slab of
-    scratch.
+    application.  The basis reserves two rows more than a cycle's
+    iterations, the last for P's work only, and rows never written take
+    no memory.  Every update y += v a runs slab by slab
+    (operators._slabs) through one slab of scratch.
     callback gets the 2-norm residual estimate once per iteration.  Stops
     when that estimate is at most rtol * ||b||, on breakdown (the Krylov
     space holds the solution), or after maxiter iterations in all.
@@ -225,7 +254,8 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback):
     slabs = _slabs(r.shape)
     scratch = np.empty_like(r[slabs[0]])
     cycle = min(GMRES_RESTART, maxiter)
-    basis = np.empty((cycle + 1,) + r.shape)  # reused by every cycle
+    if basis is None:
+        basis = np.empty((cycle + 2,) + r.shape)
 
     def axpy(y, v, a):
         # y += v * a; elementwise, so the slab cut changes no bit
@@ -239,7 +269,8 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback):
         zs, cols, rots, g = [], [], [], [beta]
         for j in range(m):
             w = basis[j + 1]
-            zs.append(matvec(basis[j], w, out=r if j == 0 else None))
+            zs.append(matvec(basis[j], w, out=r if j == 0 else None,
+                             work=basis[j + 1 : j + 3]))
             w_norm = float(np.linalg.norm(w))
             h = []
             for v in basis[: j + 1]:
@@ -307,11 +338,15 @@ def _solve_system(
     reaction R = 0 and x = P rhs.  Otherwise GMRES solves A P y = rhs
     from x0 = P rhs, whose residual is -R x0, and keeps x = P y itself:
     each Krylov iteration makes one solve with P and one application of
-    R, and no Laplacian runs in the Krylov loop.  The iteration writes R z
-    straight into the basis row gmres hands it, forming reaction - shift
-    there rather than holding it, so each Krylov iteration adds two
-    fields, its basis row and z = P v; the rest of its scratch is
-    slab-sized.
+    R, and no Laplacian runs in the Krylov loop.  The GMRES basis is
+    allocated before x0 and reused by every GMRES call of the solve.  P
+    transforms in basis rows that are written next anyway: x0 in rows 1
+    and 2, iteration j in rows j + 1 and j + 2.  The iteration writes R z
+    straight into the basis row gmres hands it, the drift's pairing
+    accumulated there and reaction - shift formed there or slab by slab
+    rather than held, so each Krylov iteration adds two fields, its basis
+    row and z = P v; the rest of its scratch is slab-sized.  Only the
+    direct path (R = 0) transforms in a spectrum of its own.
 
     By default a solve is judged on its true residual, the stencils
     applied to x once.  It holds when that residual is finite and at most
@@ -345,7 +380,7 @@ def _solve_system(
     coeffs = alpha.coefficients
 
     b = rhs - np.mean(rhs) if meanzero else rhs
-    if not np.any(b):
+    if not np.any(b):  # x = 0, the one solve that reports 0 iterations
         return np.zeros(spec.dims), SolveStats(0, 0.0, True, np.zeros(spec.dims))
 
     # P inverts the mean drift and a constant shift; GMRES sees the rest
@@ -360,25 +395,33 @@ def _solve_system(
     krylov = any(varying) or not scalar_reaction
     arnoldi = krylov and rtol is not None  # judged on the residual gmres leaves
     if rtol is None:
-        target = lin.tol * (1.0 + float(np.max(np.abs(rhs))))
+        target = lin.tol * (1.0 + _sup(rhs))
+    if any(varying) and not scalar_reaction:
+        slabs = _slabs(spec.dims)
+        (scratch,) = _slab_scratch(b, 1)
 
     def remainder(z, out):
         # writes R z into out, projected to zero mean when meanzero; krylov
-        # means R != 0
-        if scalar_reaction:
-            out[...] = _lee_pairing(drift_left, z, spec.spacings)
+        # means R != 0.  The pairing accumulates in out, and (reaction -
+        # shift) z joins it a slab at a time: out + t sums as t + out
+        if any(varying):
+            _lee_pairing(drift_left, z, spec.spacings, out)
+            if not scalar_reaction:
+                for rows in slabs:
+                    t = scratch[: rows.stop - rows.start]
+                    np.subtract(reaction[rows], shift, out=t)
+                    t *= z[rows]
+                    out[rows] += t
         else:
             np.subtract(reaction, shift, out=out)
             out *= z
-            if any(varying):
-                out += _lee_pairing(drift_left, z, spec.spacings)
         if meanzero:
             out -= np.mean(out)
         return out
 
-    def matvec(v, w, out=None):
+    def matvec(v, w, out=None, work=None):
         # writes A P v = v + R P v into w, as P inverts A - R; returns P v
-        z = precond(v, out=out)
+        z = precond(v, out=out, work=work)
         remainder(z, w)
         w += v
         return z
@@ -394,10 +437,13 @@ def _solve_system(
     # residual then holds inf or nan and is judged not converged
     with np.errstate(over="ignore", invalid="ignore"):
         precond = _fft_inverse(spec, mean_drift, shift, meanzero)
-        x = precond(b)
         if krylov:
+            basis = np.empty((min(GMRES_RESTART, lin.maxiter) + 2,) + spec.dims)
+            x = precond(b, work=basis[1:3])
             resid = remainder(x, np.empty(spec.dims))
             np.negative(resid, out=resid)
+        else:
+            x = precond(b)
         while True:
             done = iters[0]
             overflow = False
@@ -405,17 +451,12 @@ def _solve_system(
                 image = None  # a stale image is not held beside the basis
                 x, info = gmres(
                     matvec, b, x, resid, rtol=rtol_eff, maxiter=lin.maxiter - done,
-                    callback=count,
+                    callback=count, basis=basis,
                 )
                 overflow = info < 0
                 if overflow:
                     x = np.zeros(spec.dims)
-            if arnoldi and not overflow:
-                # resid = b - (image + reaction x) to round-off: no stencil
-                image = np.multiply(reaction, x)
-                image += resid
-                np.subtract(b, image, out=image)
-            else:
+            if not arnoldi or overflow:
                 # b - A x with A x = image + reaction x, summed as _apply sums it
                 image = _apply(alpha, x)
                 if np.isscalar(reaction) and reaction == 0.0:
@@ -426,9 +467,9 @@ def _solve_system(
                     np.subtract(b, resid, out=resid)
                 if meanzero:
                     resid -= np.mean(resid)
-            resid_sup = float(np.max(np.abs(resid)))
+            resid_sup = _sup(resid)
             if rtol is None:
-                x_sup = float(np.max(np.abs(x)))
+                x_sup = _sup(x)
                 bound = target + _round_off(alpha, reaction, x_sup)
                 converged = math.isfinite(x_sup) and math.isfinite(resid_sup) and (
                     resid_sup <= bound
@@ -450,6 +491,12 @@ def _solve_system(
                 rtol_eff = max(rtol_eff * cut, RTOL_FLOOR)
             elif iters[0] == done:
                 break  # GMRES already holds x converged; another call cannot move it
+        if image is None:
+            # resid = b - (image + reaction x) to round-off: no stencil.  The
+            # image is formed in resid's storage, and reaction x in a basis
+            # row that no step reads any more (x + y rounds as y + x)
+            resid += np.multiply(reaction, x, out=basis[0])
+            image = np.subtract(b, resid, out=resid)
     return x, SolveStats(max(iters[0], 1), resid_sup, converged, image)
 
 
@@ -469,14 +516,21 @@ def _round_off(alpha: OneForm, reaction, x_sup: float) -> float:
     for the m = 10 rank + 2 terms a row sums (STENCIL_TERMS_PER_AXIS per
     axis, reaction x and b) and eps log2 n for the FFTs behind x."""
     u, m = 0.5 * float(np.finfo(float).eps), STENCIL_TERMS_PER_AXIS * alpha.spec.rank + 2
-    norm_a = float(np.max(np.abs(reaction))) + _stencil_norm(alpha)
+    norm_a = _sup(reaction) + _stencil_norm(alpha)
     return (m * u / (1.0 - m * u) + 2.0 * u * math.log2(alpha.spec.npoints)) * norm_a * x_sup
+
+
+def _sup(a) -> float:
+    """float(np.max(np.abs(a))) without the |a| temporary, and faster: the
+    larger of max a and -min a, with -0 (from an all-zero a) and a NaN's
+    sign cleared as np.abs clears them."""
+    return abs(max(float(np.max(a)), -float(np.min(a))))
 
 
 def _precondition_shift(reaction: np.ndarray) -> float:
     """P's constant stand-in for an array reaction: its mean, kept at
     least 5 % of its sup (and 1e-8) so that P stays well conditioned."""
-    return max(float(np.mean(reaction)), 1e-8, 0.05 * float(np.max(np.abs(reaction))))
+    return max(float(np.mean(reaction)), 1e-8, 0.05 * _sup(reaction))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +547,8 @@ def solve_meanzero(
 
     The problem is solvable exactly when f integrates to zero (the
     operator's cokernel is the constants for co-closed alpha); violating
-    inputs raise SolvabilityError.
+    inputs raise SolvabilityError.  Where f minus its mean is identically
+    zero, g = 0 is held as one number (grid.make_field): read-only.
     """
     same_grid(f, alpha)
     scale = 1.0 + float(np.max(np.abs(f.values)))
@@ -512,7 +567,8 @@ def solve_meanzero(
             f"mean-zero solve did not converge: residual {stats.residual_sup:.3e} "
             f"after {stats.iterations} iterations"
         )
-    return ScalarField(f.spec, x), replace(stats, image=None)
+    g = ScalarField(f.spec, x) if stats.iterations else make_field(f.spec, 0.0)
+    return g, replace(stats, image=None)
 
 
 def solve_shifted(

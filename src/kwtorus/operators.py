@@ -149,10 +149,14 @@ def _laplacian(a: np.ndarray, spacings) -> np.ndarray:
     return out
 
 
-def _lee_pairing(alpha_values, a: np.ndarray, spacings) -> np.ndarray:
+def _lee_pairing(alpha_values, a: np.ndarray, spacings, out=None) -> np.ndarray:
     """sum_i alpha_i da/dx_i, with alpha_values in the format of
-    grid.OneForm.coefficients."""
-    out = np.zeros_like(a)
+    grid.OneForm.coefficients; written into out when given (zero-filled,
+    then summed there as into a fresh array)."""
+    if out is None:
+        out = np.zeros_like(a)
+    else:
+        out.fill(0.0)
     axes = [ax for ax, alpha in enumerate(alpha_values) if alpha is not None]
     if not axes:
         return out

@@ -405,6 +405,34 @@ def test_roundtrip_command(tmp_path):
     assert float(rep["sup_error"]) < 1e-6
 
 
+def test_roundtrip_reads_u_star_before_writing_s_hat(tmp_path):
+    # u* is not held through the solve: it is read again after it, but
+    # before s_hat.kwf is written, so a u_star_file naming this command's
+    # own s_hat.kwf reports the sup_error of the expression
+    from kwtorus import fieldexpr
+
+    argv = ["roundtrip", "--dims", "64", "--n", "1", "--t", "1", "--s", "-1",
+            "--kw-maxiter", "2000"]
+    expr = "0.3*sin(x0) + 0.1*cos(2*x0)"
+    by_expr, by_file = tmp_path / "expr", tmp_path / "file"
+    assert run(argv + ["--u-star", expr], by_expr) == 0
+    by_file.mkdir()
+    own = by_file / "s_hat.kwf"
+    write_field(fieldexpr.evaluate(fieldexpr.parse(expr), GridSpec((64,))), own)
+    assert run(argv + ["--u-star-file", str(own)], by_file) == 0
+    assert read_report(by_file)["sup_error"] == read_report(by_expr)["sup_error"]
+    assert own.read_bytes() == (by_expr / "s_hat.kwf").read_bytes()
+
+
+def test_reduce_writes_a_zero_g_for_constant_s(tmp_path):
+    # g is held as one number for constant s, and g.kwf still holds the
+    # bytes of a whole grid of +0
+    assert run(["reduce", "--dims", "16,8", "--n", "2", "--t", "0", "--s=-1",
+                "--s-hat=-1-0.3*cos(x0)"], tmp_path) == 0
+    write_field(ScalarField(GridSpec((16, 8)), np.zeros((16, 8))), tmp_path / "zero.kwf")
+    assert (tmp_path / "g.kwf").read_bytes() == (tmp_path / "zero.kwf").read_bytes()
+
+
 def test_shift_overflow_falls_back_to_newton(tmp_path):
     # c = -2e14 would put the monotone shift at 4.1e14, past its 1e14
     # guard; the constant pair verifies Newton's answer, so no monotone

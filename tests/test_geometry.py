@@ -112,6 +112,22 @@ def test_reduce_constant_s():
     assert np.allclose(red.phi.values, s_hat.values, atol=1e-12)
 
 
+def test_reduce_constant_s_holds_g_as_one_number():
+    # s = -1, a constant whose grid mean is exact, makes the right-hand
+    # side of g's equation identically zero: g is +0 everywhere, held as
+    # one read-only number, and the solve reports no iteration and a zero
+    # residual
+    spec = GridSpec((16, 16))
+    alpha = OneForm.constant(spec, (0.2, -0.1))
+    s_hat = field_from(spec, lambda x0, x1: -1.0 - 0.3 * np.cos(x0))
+    red, stats = reduce_problem(make_field(spec, -1.0), s_hat, alpha, GeometrySetup(2, 0.0))
+    g = red.g.values
+    assert not g.flags.writeable
+    assert not any(g.strides)
+    assert g.tobytes() == np.zeros(spec.dims).tobytes()
+    assert (stats.iterations, stats.residual_sup, stats.converged) == (0, 0.0, True)
+
+
 def test_reduce_sin_oracle():
     spec = GridSpec((256,))
     setup = GeometrySetup(1, 1.0)

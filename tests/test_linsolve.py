@@ -19,6 +19,7 @@ from kwtorus.linsolve import (
     _round_off,
     _solve_system,
     _stencil_norm,
+    _sup,
     random_smooth_field,
 )
 
@@ -278,9 +279,9 @@ def test_krylov_solve_makes_one_fft_solve_per_iteration_plus_one(monkeypatch):
         built[0] += 1
         solve = real(*args, **kwargs)
 
-        def counted(b, out=None):
+        def counted(b, out=None, work=None):
             applies[0] += 1
-            return solve(b, out=out)
+            return solve(b, out=out, work=work)
 
         return counted
 
@@ -379,7 +380,7 @@ def test_gmres_matches_dense_solve(restart, monkeypatch):
     b = rng.standard_normal(n)
     diag = np.diag(a).copy()
 
-    def matvec(v, w, out=None):
+    def matvec(v, w, out=None, work=None):
         z = np.divide(v, diag, out=out)
         np.matmul(a, z, out=w)
         return z
@@ -407,7 +408,7 @@ def test_gmres_stops_on_breakdown():
     a[2:, 2:] = np.diag([5.0, 6.0, 7.0, 8.0]) + np.eye(4, k=1)
     b = np.zeros(6)
     b[0] = 1.0
-    def matvec(v, w, out=None):
+    def matvec(v, w, out=None, work=None):
         # P = I: z = v, written into out when given
         np.matmul(a, v, out=w)
         z = np.empty_like(v) if out is None else out
@@ -430,8 +431,8 @@ def test_gmres_returns_at_once_when_the_start_meets_its_target():
     calls = []
     x0 = np.ones(4)
     x, info = linsolve.gmres(
-        lambda v, w, out=None: calls.append(1), np.ones(4), x0, np.zeros(4), rtol=1e-10,
-        maxiter=10, callback=calls.append,
+        lambda v, w, out=None, work=None: calls.append(1), np.ones(4), x0, np.zeros(4),
+        rtol=1e-10, maxiter=10, callback=calls.append,
     )
     assert (x is x0, info, calls) == (True, 0, [])
 
@@ -462,9 +463,10 @@ def test_fft_symbol_is_built_once_per_grid_and_drift(monkeypatch):
     assert first.tobytes() == again.tobytes()
     assert builds[0] == 1
     drift = tuple(float(np.mean(c.values)) for c in alpha.components)
-    lap, derivs = real(spec)
-    whole = np.asarray(lap + 1.3 + 1j * sum(a * d for a, d in zip(drift, derivs)), complex)
-    assert (linsolve._drift_symbol(spec, drift) + 1.3).tobytes() == whole.tobytes()
+    laps, derivs = real(spec)
+    whole = sum(laps) + 1.3 + 1j * sum(a * d for a, d in zip(drift, derivs))
+    head, tail = linsolve._drift_symbol(spec, drift)
+    assert (head + tail + 1.3).tobytes() == whole.tobytes()
     assert builds[0] == 1
 
 
@@ -676,3 +678,19 @@ def test_solve_meanzero_insensitive_to_constant_perturbation():
     g1, _ = solve_meanzero(alpha, f)
     g2, _ = solve_meanzero(alpha, shifted)
     assert np.max(np.abs(g1.values - g2.values)) < 1e-9
+
+
+@pytest.mark.parametrize("values", [
+    [0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0],
+    [1e308, -1e308], [-1e308, 2.0], [np.inf], [-np.inf, 1.0], [-np.inf, np.inf],
+    [np.nan], [-np.nan, 1.0], [1.0, np.nan, -np.inf], [-2.5, -1e308],
+])
+def test_sup_is_the_sup_of_abs_bit_for_bit(values):
+    # max(max a, -min a) with the sign of -0 and of a NaN cleared: the
+    # bits of np.max(np.abs(a)), also on scalars and zero-stride views
+    import struct
+
+    a = np.array(values)
+    for arr in (a, a.reshape(-1, 1), np.broadcast_to(a[-1], (4, 3)), a[-1]):
+        expect = float(np.max(np.abs(arr)))
+        assert struct.pack("<d", _sup(arr)) == struct.pack("<d", expect)

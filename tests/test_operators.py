@@ -276,7 +276,7 @@ def test_fft_inverse_divides_slab_by_slab_bitwise(rank, zero_mode_null, one_row_
     # slabs cut every spectrum of rank >= 2 into many slabs, whatever the
     # budget leaves whole
     from kwtorus import operators
-    from kwtorus.linsolve import _drift_symbol, _fft_inverse
+    from kwtorus.linsolve import _fft_inverse
 
     dims = (64,) if rank == 1 else _multi_slab_dims(rank)
     if one_row_slabs:
@@ -286,7 +286,8 @@ def test_fft_inverse_divides_slab_by_slab_bitwise(rank, zero_mode_null, one_row_
     shift = 0.0 if zero_mode_null else 1.3
     zero = (0,) * rank
     b = np.random.default_rng(rank).standard_normal(dims)
-    denom = _drift_symbol(spec, drift) + shift
+    laps, derivs = _rfft_symbols(spec)
+    denom = sum(laps) + shift + 1j * sum(a * d for a, d in zip(drift, derivs))
     spectrum = np.fft.rfftn(b)
     if zero_mode_null:
         denom[zero] = 1.0
@@ -302,9 +303,83 @@ def test_fft_inverse_divides_slab_by_slab_bitwise(rank, zero_mode_null, one_row_
     assert out.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("one_row_slabs", [False, True], ids=["budget", "one-row"])
+@pytest.mark.parametrize("zero_mode_null", [False, True], ids=["shifted", "meanzero"])
+@pytest.mark.parametrize("drift", ["zero", "constant"])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_fft_solve_into_work_matches_the_whole_symbol_bitwise(rank, drift, zero_mode_null,
+                                                              one_row_slabs, monkeypatch):
+    # each slab's denominator is head + tail + shift from the cached
+    # factors, and the spectrum lives in the caller's work memory: the
+    # same bytes as the whole symbol sum(laps) + 1j * sum(a d) + shift and
+    # irfftn(rfftn(b) / denominator).  The drift has zero and negative
+    # components, whose products with the symbols carry signed zeros
+    from kwtorus import operators
+    from kwtorus.linsolve import _drift_symbol, _fft_inverse
+
+    dims = (64,) if rank == 1 else _multi_slab_dims(rank)
+    if one_row_slabs:
+        monkeypatch.setattr(operators, "SLAB_BYTES", 1)
+    spec = GridSpec(dims)
+    alpha_const = (0.0,) * rank if drift == "zero" else (-0.3, 0.0, 0.2, 0.1)[:rank]
+    shift = 0.0 if zero_mode_null else 1.3
+    zero = (0,) * rank
+    laps, derivs = _rfft_symbols(spec)
+    whole = sum(laps) + shift + 1j * sum(a * d for a, d in zip(alpha_const, derivs))
+    head, tail = _drift_symbol(spec, alpha_const)
+    for rows in operators._slabs(whole.shape):
+        assert (head[rows] + tail + shift).tobytes() == whole[rows].tobytes()
+    b = np.random.default_rng(rank).standard_normal(dims)
+    spectrum = np.fft.rfftn(b)
+    if zero_mode_null:
+        whole[zero] = 1.0
+        spectrum[zero] = 0.0
+    expect = np.fft.irfftn(spectrum / whole, dims, axes=range(rank))
+    solve = _fft_inverse(spec, alpha_const, shift, zero_mode_null)
+    work = np.full((2,) + dims, np.nan)  # what work held before is never read
+    out = np.empty(dims)
+    assert solve(b, out=out, work=work) is out
+    assert out.tobytes() == expect.tobytes()
+    assert solve(b, work=work).tobytes() == expect.tobytes()
+
+
+def test_fft_solve_holds_no_grid_sized_symbol_or_spectrum():
+    # at 24^4 the cached symbol is a head over the first three axes and a
+    # 1-D tail, under 0.1 of a field (a whole complex symbol is 1.08
+    # fields); a solve into work allocates at most slab scratch, and one
+    # without work frees its own spectrum on return
+    import tracemalloc
+
+    from kwtorus import operators
+    from kwtorus.linsolve import _drift_symbol, _fft_inverse
+
+    spec = GridSpec((24, 24, 24, 24))
+    drift = (0.1, 0.0, 0.05, 0.0)
+    b = np.random.default_rng(0).standard_normal(spec.dims)
+    out, work = np.empty(spec.dims), np.empty((2,) + spec.dims)
+    _drift_symbol.cache_clear()
+    tracemalloc.start()
+    try:
+        _drift_symbol(spec, drift)
+        cached = tracemalloc.get_traced_memory()[0]
+        solve = _fft_inverse(spec, drift, 1.3, False)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        solve(b, out=out, work=work)
+        into_work = tracemalloc.get_traced_memory()[1] - held
+        solve(b, out=out)
+        kept = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert cached < 0.1 * b.nbytes
+    assert into_work <= operators.SLAB_BYTES
+    assert kept <= operators.SLAB_BYTES
+
+
 def test_apply_and_fft_solve_allocate_few_fields():
     # 24^4 fields exceed a core's L2 cache; the blocked stencils keep slab
-    # scratch only, and an FFT solve transforms in its closure's spectrum
+    # scratch only, and an FFT solve transforms in the work memory its
+    # caller owns (GMRES basis rows), allocated here before the window
     import tracemalloc
 
     from kwtorus.linsolve import _fft_inverse
@@ -315,12 +390,13 @@ def test_apply_and_fft_solve_allocate_few_fields():
     alpha = OneForm.constant(spec, drift)
     alpha.coefficients  # classified with the form, not per apply
     solve = _fft_inverse(spec, drift, 1.3, False)
+    work = np.empty((2,) + spec.dims)
     tracemalloc.start()
     try:
         _apply(alpha, a, np.full(spec.dims, 1.3))
         apply_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        solve(a)
+        solve(a, work=work)
         fft_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -402,7 +478,8 @@ def test_apply_on_fourier_mode_is_symbol_times_mode(spec, data):
     mode.append(data.draw(st.integers(0, spec.dims[-1] // 2)))
     drift = [data.draw(st.floats(-2.0, 2.0)) for _ in range(spec.rank)]
     reaction = data.draw(st.floats(0.0, 10.0))
-    lap, derivs = _rfft_symbols(spec)
+    laps, derivs = _rfft_symbols(spec)
+    lap = sum(laps)
     index = tuple(k % n for k, n in zip(mode, spec.dims))
     symbol = complex(lap[index]) + reaction
     for ax, (a, d) in enumerate(zip(drift, derivs)):
