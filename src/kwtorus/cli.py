@@ -68,12 +68,7 @@ GAMMA_SAMPLES = 8
 # nothing, so the library's own default holds
 LINEAR_KEYS = {"lin_tol": ("tol", float), "lin_maxiter": ("maxiter", int)}
 KW_KEYS = {"kw_tol": ("tol", float), "kw_maxiter": ("maxiter", int)}
-SOLVE_KEYS = {
-    "strategy": ("strategy", str),
-    "steps": ("steps", int),
-    **KW_KEYS,
-    "monotone_budget": ("monotone_budget", int),
-}
+SOLVE_KEYS = {**KW_KEYS, "monotone_budget": ("monotone_budget", int)}
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +523,7 @@ _FLAG_KEYS = [
     *(key + suffix
       for key in (*FIELD_KEYS, *(f"alpha{ax}" for ax in range(MAX_RANK)))
       for suffix in ("", "_file")),
-    "c", "c_list", "alpha_const", "p", "samples", "gamma_hat",
-    "search_floor", "steps", "strategy",
+    "c", "c_list", "alpha_const", "p", "samples", "gamma_hat", "search_floor",
     "lin_tol", "lin_maxiter",
     "kw_tol", "kw_maxiter", "monotone_budget",
 ]

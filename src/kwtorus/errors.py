@@ -11,9 +11,9 @@ class KWTorusError(Exception):
 
 
 class ConfigError(KWTorusError, ValueError):
-    """Invalid configuration or option value (a bad config key, an
-    unknown strategy, a nonpositive linear tolerance, a nonnegative c
-    where c < 0 is required, ...).
+    """Invalid configuration or option value (a bad config key, a
+    nonpositive linear tolerance, a nonnegative c where c < 0 is
+    required, ...).
 
     It is also a ValueError, so callers that catch ValueError for bad
     arguments keep working."""

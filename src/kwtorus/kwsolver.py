@@ -19,9 +19,10 @@ only nonexistence certificate; solver failure is never reported as
 nonexistence.  A solve runs it only where phi is positive somewhere or
 identically zero: nonpositive phi that is not identically zero is
 solvable at every c < 0 (Kazdan & Warner 1974, Ann. of Math. 99).
-Without a pair, Newton's answer is reported unverified,
-and the fixed-point and continuation solvers cover the best-effort
-regimes c >= 0.
+Without a pair, Newton's answer is reported unverified.  For c >= 0,
+solve_prescribed runs Newton from zero, the fixed-point iteration and
+continuation, in that order, until one converges; at c = 0 an escape
+toward minus infinity is not-certified, whichever solver found it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .grid import GridSpec, OneForm, ScalarField, make_field, refine_field, rest
 from .linsolve import (
     LinearOptions,
     _apply,
-    _rfft_symbols,
+    _drift_symbol,
     _round_off,
     _solve_system,
     _sup,
@@ -93,13 +94,13 @@ BRACKET_EPS = 0.01
 BRACKET_REL_WIDTH = 0.01
 # Picard steps of fixed_point_solve
 FIXED_POINT_MAXITER = 200
-# Newton corrections per step of continuation_solve
+# tau steps of continuation_solve, and Newton corrections per step
+CONTINUATION_STEPS = 10
 CONTINUATION_NEWTON_MAXITER = 30
 # with constant s_hat and drift, fixed_point_solve refuses an operator
 # L = A - (2/k) s_hat whose Fourier symbol comes within this fraction of
 # |(2/k) s_hat| of zero: L^-1 would amplify the data more than 1/that
 FIXED_POINT_SINGULAR_RTOL = 1e-3
-STRATEGIES = ("auto", "newton", "fixed-point", "continuation")
 # bracket probe outcome of a _solve_negative_c status; the rest are solver-failed
 PROBE_OUTCOMES = {"converged": "solved", "certified-unsolvable": "necessary-failed"}
 
@@ -215,8 +216,7 @@ def is_subsolution(
 ) -> tuple[bool, float]:
     """True when the defining field is <= tol everywhere; margin is its max."""
     same_grid(w, prob)
-    d = _defect(w.values, prob)
-    margin = float(np.max(d))
+    margin = float(np.max(_defect(w.values, prob)))
     return margin <= tol, margin
 
 
@@ -225,8 +225,7 @@ def is_supersolution(
 ) -> tuple[bool, float]:
     """True when the defining field is >= -tol everywhere; margin is its min."""
     same_grid(w, prob)
-    d = _defect(w.values, prob)
-    margin = float(np.min(d))
+    margin = float(np.min(_defect(w.values, prob)))
     return margin >= -tol, margin
 
 
@@ -867,7 +866,7 @@ def fixed_point_solve(
     numerically invertible; identically vanishing s_hat leaves the
     constants in the kernel and raises SolverError.  So does a constant
     s_hat with constant drift whose L is nearly singular: its symbol, the
-    stencils' (linsolve._rfft_symbols) - (2/k) s_hat, within
+    stencils' (linsolve._drift_symbol) - (2/k) s_hat, within
     FIXED_POINT_SINGULAR_RTOL of |(2/k) s_hat| of zero (s_hat = k m^2 / 2
     for a Laplacian eigenvalue m^2, which the stencil matches to
     O(h^4)).  Variable s_hat or drift has no such exact test.
@@ -886,10 +885,8 @@ def fixed_point_solve(
     level = float(reaction.flat[0])
     drift = alpha.coefficients
     if np.all(reaction == level) and not any(isinstance(v, np.ndarray) for v in drift):
-        laps, derivs = _rfft_symbols(spec)
-        drift = tuple(0.0 if v is None else v for v in drift)
-        symbol = sum(laps) + 1j * sum(a * d for a, d in zip(drift, derivs))
-        distance = float(np.min(np.abs(symbol + level)))
+        head, tail = _drift_symbol(spec, tuple(0.0 if v is None else v for v in drift))
+        distance = float(np.min(np.abs(head + tail + level)))
         if distance <= FIXED_POINT_SINGULAR_RTOL * abs(level):
             raise SolverError(
                 "fixed-point operator is nearly singular: its Fourier symbol comes "
@@ -971,12 +968,11 @@ def continuation_solve(
     s_hat: ScalarField,
     alpha: OneForm,
     setup: GeometrySetup,
-    steps: int = 10,
     *,
     tol: float = DEFAULT_KW_TOL,
     lin: LinearOptions | None = None,
 ) -> SolveReport:
-    """Homotopy in the data: solve with (tau s, tau s_hat) for increasing tau.
+    """Homotopy in the data: solve with (tau s, tau s_hat), tau = j / CONTINUATION_STEPS.
 
     Newton-corrects at each step from the previous solution, starting at
     the exact solution u = 0 for tau = 0.  Near zero data the
@@ -989,8 +985,6 @@ def continuation_solve(
     """
     if setup.degenerate:
         raise DegenerateError("continuation solver needs a nondegenerate parameter")
-    if steps < 1:
-        raise ConfigError("need at least one continuation step")
     same_grid(s, s_hat, alpha)
     k = setup.k_t
     spec = s.spec
@@ -1001,12 +995,8 @@ def continuation_solve(
     trace = [0.0]
     iterations = 0
     unconverged = 0
-    for j in range(1, steps + 1):
-        tau = j / steps
-
-        def residual(w):
-            return _unreduced_defect(w, s, s_hat, alpha, k, tau)
-
+    for j in range(1, CONTINUATION_STEPS + 1):
+        tau = j / CONTINUATION_STEPS
         # the residual is A w + (2 tau / k) s - phi_tau e^w
         phi_tau = (2.0 * tau / k) * s_hat.values
         converged = False
@@ -1019,14 +1009,14 @@ def continuation_solve(
             mean_floor = 1e-13 * scale
             if abs(s_mean) > mean_floor and abs(weight) > mean_floor and s_mean * weight > 0.0:
                 u = u + float(np.log(s_mean / weight))
-            r = residual(u)
+            r = _unreduced_defect(u, s, s_hat, alpha, k, tau)
             r_proj = r - np.mean(r)
             bound = tol * scale + _round_off(alpha, 0.0, float(np.max(np.abs(u))))
             full_ok = float(np.max(np.abs(r))) <= bound
             proj_ok = float(np.max(np.abs(r_proj))) <= bound
             # intermediate waypoints only need the mean-zero part: their
             # constant-mode defect closes as tau reaches 1
-            if full_ok or (proj_ok and j < steps):
+            if full_ok or (proj_ok and j < CONTINUATION_STEPS):
                 converged = True
                 break
             # the carried residual passed, the fresh one fails and did not fall
@@ -1051,7 +1041,7 @@ def continuation_solve(
                 solution=ScalarField(spec, u),
                 status="not-certified",
                 trace=trace,
-                residual_sup=float(np.max(np.abs(residual(u)))),
+                residual_sup=_sup(_unreduced_defect(u, s, s_hat, alpha, k, tau)),
                 method="continuation",
                 iterations=iterations,
                 message=_failure_message(
@@ -1188,9 +1178,7 @@ def solve_prescribed(
     s_hat: ScalarField,
     alpha: OneForm,
     setup: GeometrySetup,
-    strategy: str = "auto",
     *,
-    steps: int = 10,
     tol: float = DEFAULT_KW_TOL,
     maxiter: int = DEFAULT_KW_MAXITER,
     monotone_budget: int | None = None,
@@ -1204,13 +1192,16 @@ def solve_prescribed(
     certified unsolvable), then the certificate-based solve.  Vanishing c
     with vanishing s_hat is the linear case.  The remaining regimes
     (c > 0, or c = 0 with s_hat not identically zero) have no general
-    existence theory and run the requested strategy (newton, fixed-point,
-    or continuation) with an honest status.
+    existence theory.  They run newton_solve from zero, then
+    fixed_point_solve, then continuation_solve, and the first converged
+    report stands.  At c = 0 a solution has mean F = -mean(phi e^w) = 0,
+    so an answer with |mean F| > sqrt(tol) mean(|phi| e^w) has shrunk
+    phi e^w below the residual test: an escape toward minus infinity,
+    reported not-certified whichever solver found it.  A fallback that
+    raises SolverError has failed.  When all three fail, Newton's report
+    stands, its message naming each fallback, its status and its reason
+    (the message or the error's text).
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(
-            f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}"
-        )
     if not tol > 0:
         raise ConfigError(f"kw tolerance must be positive, got {tol!r}")
 
@@ -1264,21 +1255,34 @@ def solve_prescribed(
         )
         return finish(u, report)
 
+    def reject_escape(u: ScalarField, report: SolveReport) -> None:
+        # the docstring's escape test, with phi e^w = (2/k) s_hat e^u
+        if report.converged and abs(c) <= C_ZERO_TOL:
+            gap = abs(float(np.mean(_unreduced_defect(u.values, s, s_hat, alpha, k))))
+            size = float(np.mean((2.0 / k) * np.abs(s_hat.values) * np.exp(u.values)))
+            if gap > np.sqrt(tol) * size:
+                report.status = "not-certified"
+                report.message = (f"escaped toward -inf: |mean F| = {gap:.3e}, mean(|phi| e^w)"
+                                  f" = {size:.3e}, max u = {float(np.max(u.values)):.3e}")
+
     # c > 0, or c = 0 with s_hat not identically zero: best effort
-    chosen = "newton" if strategy == "auto" else strategy
-    try:
-        if chosen == "fixed-point":
-            report = fixed_point_solve(s, s_hat, alpha, setup, tol=tol, lin=lin)
-            return finish(report.solution, report)
-        if chosen == "continuation":
-            report = continuation_solve(s, s_hat, alpha, setup, steps, tol=tol, lin=lin)
-            return finish(report.solution, report)
-        prob = KWProblem(alpha, c, red.phi)
-        report = newton_solve(prob, make_field(spec, 0.0), tol=tol, lin=lin)
-        u = recover_metric(report.solution, red)
-        return finish(u, report)
-    except SolverError as e:
-        report = SolveReport.without_iterates(
-            make_field(spec, 0.0), "not-certified", chosen, str(e)
-        )
-        return report.solution, report
+    report = newton_solve(KWProblem(alpha, c, red.phi), make_field(spec, 0.0), tol=tol, lin=lin)
+    u = recover_metric(report.solution, red)
+    reject_escape(u, report)
+    if not report.converged:
+        outcomes = []
+        fallbacks = (("fixed-point", fixed_point_solve), ("continuation", continuation_solve))
+        for name, solver in fallbacks:
+            try:
+                fallback = solver(s, s_hat, alpha, setup, tol=tol, lin=lin)
+            except SolverError as e:
+                outcomes.append(f"{name} not-certified ({e})")
+                continue
+            reject_escape(fallback.solution, fallback)
+            if fallback.converged:
+                return finish(fallback.solution, fallback)
+            reason = f" ({fallback.message})" if fallback.message else ""
+            outcomes.append(f"{name} {fallback.status}{reason}")
+        note = "fallbacks: " + ", ".join(outcomes)
+        report.message = "; ".join(filter(None, (report.message, note)))
+    return finish(u, report)

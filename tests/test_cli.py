@@ -10,10 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kwtorus import GridSpec, OneForm, ScalarField, construct_unsolvable, read_field, write_field
+from kwtorus import (
+    GeometrySetup,
+    GridSpec,
+    OneForm,
+    ScalarField,
+    construct_unsolvable,
+    fixed_point_solve,
+    read_field,
+    write_field,
+)
 from kwtorus.cli import RunConfig, build_parser, main
 from kwtorus.errors import ConfigError
-from helpers import escaping_newton
+from helpers import escaping_newton, field_from
 
 
 def run(args, outdir):
@@ -156,16 +165,15 @@ DRIFT_SOLVE_16 = [
 @pytest.mark.parametrize(
     "bad",
     [DRIFT_SOLVE_16 + opts for opts in (
-        ["--lin-maxiter", "0"], ["--lin-maxiter=-5"], ["--lin-tol=-1"],
-        ["--strategy", "bogus"])]
+        ["--lin-maxiter", "0"], ["--lin-maxiter=-5"], ["--lin-tol=-1"])]
+    + [["solve", "--config", "{tmp}/strategy.cfg"]]
     + [
         ["asymptotic", "--dims", "16", "--f=sin(x0)", "--c-list=1"],
         ["gamma-estimate", "--dims", "16", "--p", "0.5", "--c=-1"],
         ["solve", "--dims", "16", "--n", "0", "--t", "1", "--s=-1", "--s-hat=-1"],
         ["critical-c", "--dims", "16", "--phi=sin(x0)-0.5", "--search-floor=1"],
         ["sufficient", "--dims", "16", "--phi=-1", "--c=-1", "--gamma-hat=-2"],
-        ["solve", "--dims", "16", "--n", "1", "--t", "1", "--s=1",
-         "--s-hat=1+0.3*sin(x0)", "--strategy", "continuation", "--steps", "0"],
+        ["solve", "--config", "{tmp}/steps.cfg"],
         ["sufficient", "--dims", "16", "--phi=-1", "--c=-1", "--gamma-hat", "1",
          "--p", "0"],
         ["critical-c", "--dims", "16", "--phi=-1", "--search-floor=-0.001"],
@@ -197,12 +205,14 @@ DRIFT_SOLVE_16 = [
 )
 def test_bad_options_exit_code(tmp_path, capsys, bad):
     # {tmp} names tmp_path, which holds a config file that is not UTF-8,
-    # one that sets a removed key and a plain file in the way of an output
-    # directory
+    # three that set a removed key and a plain file in the way of an
+    # output directory
     (tmp_path / "latin1.cfg").write_bytes(b"dims = 16\nphi = -1  # \xe9t\xe9\n")
-    (tmp_path / "removed-key.cfg").write_text(
-        "dims = 16\nn = 1\nt = 1\ns = -1\ns_hat = -1-0.3*cos(x0)\nlin_precondition = 0\n"
-    )
+    for name, key in [("removed-key", "lin_precondition = 0"), ("strategy", "strategy = newton"),
+                      ("steps", "steps = 10")]:
+        (tmp_path / f"{name}.cfg").write_text(
+            f"dims = 16\nn = 1\nt = 1\ns = -1\ns_hat = -1-0.3*cos(x0)\n{key}\n"
+        )
     (tmp_path / "taken").write_text("")
     bad = [arg.replace("{tmp}", str(tmp_path)) for arg in bad]
     code = main(bad) if "--out" in bad else run(bad, tmp_path)
@@ -329,6 +339,38 @@ def test_report_key_order_and_artifacts(tmp_path, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["report.kv"] + files)
 
 
+@pytest.mark.parametrize(
+    "data", [["--s=0", "--s-hat=1"], ["--s=sin(x0)", "--s-hat=1"],
+             ["--s=cos(x0)", "--s-hat=0.5+sin(x0)"], ["--s=0", "--s-hat=0.5"]]
+)
+def test_zero_degree_escape_is_not_converged(tmp_path, data):
+    # zero degree with mean(phi) > 0 has no solution: Newton walks down
+    # the constant mode until phi e^w passes the residual test, and that
+    # escape, like both fallbacks' failures, exits 3.  s_hat = 0.5 puts
+    # (2/k) s_hat on the Laplacian's |m| = 1 eigenvalue: the fixed-point
+    # fallback raises, and its reason reaches the message
+    assert run(["solve", "--dims", "64", "--n", "1", "--t", "1", *data], tmp_path) == 3
+    rep = read_report(tmp_path)
+    assert (rep["status"], rep["method"]) == ("not-certified", "newton")
+    assert rep["message"].startswith("escaped toward -inf")
+    assert "fallbacks: fixed-point " in rep["message"]
+    assert ", continuation not-certified (newton correction failed at tau = " in rep["message"]
+    singular = "fixed-point not-certified (fixed-point operator is nearly singular: "
+    assert (singular in rep["message"]) is (data[1] == "--s-hat=0.5")
+
+
+@pytest.mark.parametrize("u_star", ["0.3*cos(x0)", "0.5+0.3*cos(x0)"])
+def test_zero_degree_round_trip_recovers_u_star(tmp_path, u_star):
+    # Newton escapes from both.  The fixed-point fallback runs next and
+    # recovers u*, also the shifted one, whose mean continuation (which
+    # also recovers the first) never reaches
+    assert run(["roundtrip", "--dims", "64", "--n", "1", "--t", "1", "--s=sin(x0)",
+                f"--u-star={u_star}"], tmp_path) == 0
+    rep = read_report(tmp_path)
+    assert (rep["status"], rep["method"]) == ("converged", "fixed-point")
+    assert float(rep["sup_error"]) <= 1e-8
+
+
 def test_huge_rhs_is_a_solver_failure(tmp_path):
     # the Krylov norms overflow; that must read as non-convergence (exit 3),
     # not leak a RuntimeWarning.  The line search measures its merit with a
@@ -339,24 +381,25 @@ def test_huge_rhs_is_a_solver_failure(tmp_path):
     assert read_report(tmp_path)["status"] == "max-iter"
 
 
-def test_diverging_fixed_point_is_not_blamed_on_the_operator(tmp_path):
+def test_diverging_fixed_point_is_not_blamed_on_the_operator():
     # the Picard iterate grows until e^u overflows: the solve stops on the
     # non-finite right-hand side, with no RuntimeWarning (an error under
     # tier-1's filterwarnings), and reports the divergence and the last
-    # finite iterate instead of a singular linear solve
-    code = run(["solve", "--dims", "32,32", "--n", "1", "--t", "1",
-                "--s=0.5+0.1*sin(x0)", "--s-hat=0.5+0.05*cos(x1)",
-                "--strategy", "fixed-point",
-                "--alpha0=0.1*sin(x1)", "--alpha1=0.1*cos(x0)"], tmp_path)
-    assert code == 3
-    rep = read_report(tmp_path)
-    assert rep["status"] == "not-certified"
-    assert rep["method"] == "fixed-point"
-    assert "diverged" in rep["message"] and "last finite iterate" in rep["message"]
-    assert "singular" not in rep["message"]
-    assert int(rep["iterations"]) >= 1
-    assert math.isfinite(float(rep["u_max"]))
-    assert np.all(np.isfinite(read_field(tmp_path / "u.kwf").values))
+    # finite iterate instead of a singular linear solve.  Newton solves
+    # this problem, so solve never reaches the fixed-point fallback here
+    spec = GridSpec((32, 32))
+    s = field_from(spec, lambda x0, x1: 0.5 + 0.1 * np.sin(x0))
+    s_hat = field_from(spec, lambda x0, x1: 0.5 + 0.05 * np.cos(x1))
+    alpha = OneForm(spec, (field_from(spec, lambda x0, x1: 0.1 * np.sin(x1)),
+                           field_from(spec, lambda x0, x1: 0.1 * np.cos(x0))))
+    rep = fixed_point_solve(s, s_hat, alpha, GeometrySetup(1, 1.0))
+    assert rep.status == "not-certified"
+    assert rep.method == "fixed-point"
+    assert "diverged" in rep.message and "last finite iterate" in rep.message
+    assert "singular" not in rep.message
+    assert rep.iterations >= 1
+    assert math.isfinite(float(np.max(rep.solution.values)))
+    assert np.all(np.isfinite(rep.solution.values))
 
 
 def test_degenerate_t_and_rejection(tmp_path):

@@ -31,6 +31,8 @@ from kwtorus import (
     monotone_solve,
     necessary_check,
     newton_solve,
+    recover_metric,
+    reduce_problem,
     solve_prescribed,
     sufficient_check,
     transform_s,
@@ -813,8 +815,8 @@ def test_reports_carry_the_fresh_residual(offset, monkeypatch):
     hard = (make_field(square, 0.3), field_from(square, lambda x0, x1: 0.3 + 0.02 * np.sin(x0)),
             _strong_drift(square))
     cases = [
-        ((s, s_hat, alpha), continuation_solve(s, s_hat, alpha, setup, 5)),
-        (hard, continuation_solve(*hard, setup, 10, lin=STARVED)),
+        ((s, s_hat, alpha), continuation_solve(s, s_hat, alpha, setup)),
+        (hard, continuation_solve(*hard, setup, lin=STARVED)),
     ]
     assert cases[0][1].converged and not cases[1][1].converged
     for data, rep in cases:
@@ -1068,7 +1070,7 @@ def test_continuation_zero_data():
     spec = GridSpec((64,))
     setup = GeometrySetup(1, 1.0)
     z = make_field(spec, 0.0)
-    rep = continuation_solve(z, z, OneForm.zero(spec), setup, 5)
+    rep = continuation_solve(z, z, OneForm.zero(spec), setup)
     assert rep.status == "converged"
     assert np.all(rep.solution.values == 0.0)
 
@@ -1080,7 +1082,7 @@ def test_continuation_small_data():
     s = field_from(spec, lambda x: 0.02 * np.cos(x))
     ustar = field_from(spec, lambda x: 0.04 * np.sin(x))
     s_hat = transform_s(s, ustar, alpha, setup)
-    rep = continuation_solve(s, s_hat, alpha, setup, 10)
+    rep = continuation_solve(s, s_hat, alpha, setup)
     assert rep.status == "converged"
     assert np.max(np.abs(rep.solution.values - ustar.values)) < 1e-8
 
@@ -1088,12 +1090,13 @@ def test_continuation_small_data():
 def test_continuation_failure_reports_tau(monkeypatch):
     # large sign-changing data: the corrector cannot follow the path
     monkeypatch.setattr(kwsolver, "CONTINUATION_NEWTON_MAXITER", 6)
+    monkeypatch.setattr(kwsolver, "CONTINUATION_STEPS", 4)
     spec = GridSpec((32,))
     setup = GeometrySetup(1, 1.0)
     alpha = OneForm.zero(spec)
     s = field_from(spec, lambda x: 5 * np.cos(x))
     s_hat = field_from(spec, lambda x: 40 + 39 * np.sin(x))
-    rep = continuation_solve(s, s_hat, alpha, setup, 4)
+    rep = continuation_solve(s, s_hat, alpha, setup)
     if rep.status != "converged":
         assert "tau" in rep.message
     else:
@@ -1107,7 +1110,7 @@ def test_corrector_stalled_at_the_round_off_floor_stops():
     spec = GridSpec((64,))
     s = field_from(spec, lambda x: 0.02 * np.cos(x))
     s_hat = field_from(spec, lambda x: 0.02 * np.cos(x) + 0.001 * np.sin(x))
-    rep = continuation_solve(s, s_hat, OneForm.zero(spec), GeometrySetup(1, 1.0), 10)
+    rep = continuation_solve(s, s_hat, OneForm.zero(spec), GeometrySetup(1, 1.0))
     assert rep.status == "not-certified"
     assert rep.message == "newton correction failed at tau = 1"
     assert rep.iterations <= 21
@@ -1134,7 +1137,7 @@ def test_continuation_failure_reports_unconverged_inner_solves():
     setup = GeometrySetup(1, 1.0)
     s = make_field(spec, 0.3)
     s_hat = field_from(spec, lambda x0, x1: 0.3 + 0.02 * np.sin(x0))
-    rep = continuation_solve(s, s_hat, _strong_drift(spec), setup, 10, lin=STARVED)
+    rep = continuation_solve(s, s_hat, _strong_drift(spec), setup, lin=STARVED)
     assert rep.status == "not-certified"
     assert rep.message == (
         "newton correction failed at tau = 0.1; unconverged inner solves: 30"
@@ -1202,10 +1205,123 @@ def test_pipeline_strategies_positive_degree():
     ustar = field_from(spec, lambda x: 0.05 * np.sin(x))
     s = make_field(spec, 0.3)
     s_hat = transform_s(s, ustar, alpha, setup)
-    for strategy in ("newton", "fixed-point", "continuation"):
-        u, rep = solve_prescribed(s, s_hat, alpha, setup, strategy=strategy)
-        assert rep.status == "converged", strategy
-        assert np.max(np.abs(u.values - ustar.values)) < 1e-6, strategy
+    for method, rep in _three_solves(s, s_hat, alpha, setup):
+        assert rep.status == "converged", method
+        assert np.max(np.abs(rep.solution.values - ustar.values)) < 1e-6, method
+
+
+def _three_solves(s, s_hat, alpha, setup):
+    """(method, report) of the default path, which Newton solves first,
+    and of the two fallbacks called directly."""
+    _, rep = solve_prescribed(s, s_hat, alpha, setup)
+    return [("newton", rep), ("fixed-point", fixed_point_solve(s, s_hat, alpha, setup)),
+            ("continuation", continuation_solve(s, s_hat, alpha, setup))]
+
+
+def _three_modes(rng, spec, amp, level=0.0):
+    """level plus three random Fourier modes of amplitude at most amp."""
+    x = spec.coords()
+    v = np.full(spec.dims, level)
+    for _ in range(3):
+        wave = rng.integers(1, 3) * x[rng.integers(spec.rank)] + rng.uniform(0.0, 2.0 * np.pi)
+        v = v + amp * rng.uniform(-1.0, 1.0) * np.cos(wave)
+    return ScalarField(spec, v)
+
+
+def _escape_ratio(u, s, s_hat, alpha, k):
+    """|mean F| / mean(|phi| e^w) of the unreduced equation at u: the
+    reduced ratio, since phi e^w = (2/k) s_hat e^u."""
+    defect = kwsolver._unreduced_defect(u.values, s, s_hat, alpha, k)
+    return abs(float(np.mean(defect))) / float(np.mean((2.0 / k) * np.abs(s_hat.values)
+                                                       * np.exp(u.values)))
+
+
+def test_fixed_order_solves_every_case_that_one_of_its_solvers_solves():
+    # 20 seeded problems: zero-degree round trips (with mean-zero and
+    # shifted u*), zero-degree general s_hat and c > 0, on 64 points with
+    # constant drift and on 32^2 without.  Wherever Newton from 0,
+    # fixed-point or continuation alone converges to an answer that has
+    # not escaped, solve_prescribed converges; none of its converged
+    # answers has escaped toward -inf, and a converged round trip lies
+    # within 10 kw_tol of u*
+    rng = np.random.default_rng(29)
+    setup = GeometrySetup(1, 1.0)
+    bound = np.sqrt(kwsolver.DEFAULT_KW_TOL)
+    problems = []
+    for i in range(20):
+        kind = ("round-trip", "shifted-round-trip", "zero-degree", "positive")[i % 4]
+        if i // 4 % 2 == 0:
+            spec = GridSpec((64,))
+            alpha = OneForm.constant(spec, (0.2,))
+        else:
+            spec = GridSpec((32, 32))
+            alpha = OneForm.zero(spec)
+        s = _three_modes(rng, spec, 0.5)
+        s = ScalarField(spec, s.values - mean(s))  # mean(s) = 0: zero degree
+        u_star = None
+        if kind == "positive":
+            s = ScalarField(spec, s.values + rng.uniform(0.05, 0.5))
+            s_hat = _three_modes(rng, spec, 0.3, rng.uniform(0.2, 1.0))
+        elif kind == "zero-degree":
+            s_hat = _three_modes(rng, spec, 0.5, rng.uniform(-1.0, 1.0))
+        else:
+            level = rng.uniform(-1.0, 1.0) if kind == "shifted-round-trip" else 0.0
+            u_star = _three_modes(rng, spec, 0.3, level)
+            s_hat = transform_s(s, u_star, alpha, setup)
+        problems.append((kind, alpha, s, s_hat, u_star))
+    # and a round trip that only continuation solves: Newton escapes and
+    # the Picard iterate overflows (problem 0 of seed 104, its
+    # coefficients rounded)
+    spec = GridSpec((64,))
+    alpha = OneForm.constant(spec, (0.2,))
+    s = field_from(spec, lambda x: -0.28 * np.cos(2 * x + 4.35) - 0.12 * np.cos(2 * x + 0.79)
+                   - 0.09 * np.cos(x + 4.62))
+    u_star = field_from(spec, lambda x: 0.19 * np.cos(2 * x + 4.05) + 0.15 * np.cos(x + 3.38)
+                        - 0.17 * np.cos(x + 5.19))
+    problems.append(("continuation-only", alpha, s, transform_s(s, u_star, alpha, setup), u_star))
+    methods = []
+    for i, (kind, alpha, s, s_hat, u_star) in enumerate(problems):
+        spec = s.spec
+        u, rep = solve_prescribed(s, s_hat, alpha, setup)
+        if rep.converged:
+            methods.append(rep.method)
+            assert _escape_ratio(u, s, s_hat, alpha, setup.k_t) <= bound, (i, kind, rep.method)
+            if u_star is not None:
+                assert np.max(np.abs(u.values - u_star.values)) <= 10.0 * kwsolver.DEFAULT_KW_TOL
+            continue
+        red, _ = reduce_problem(s, s_hat, alpha, setup)
+        newton = newton_solve(KWProblem(alpha, red.c, red.phi), make_field(spec, 0.0))
+        answers = [recover_metric(newton.solution, red)] if newton.converged else []
+        for solver in (fixed_point_solve, continuation_solve):
+            try:
+                direct = solver(s, s_hat, alpha, setup)
+            except SolverError:
+                continue
+            if direct.converged:
+                answers.append(direct.solution)
+        for answer in answers:
+            assert _escape_ratio(answer, s, s_hat, alpha, setup.k_t) > bound, (i, kind)
+    # 14 at this writing: each of the three solvers is needed
+    assert len(methods) >= 14 and methods[-1] == "continuation"
+    assert {"newton", "fixed-point"} <= set(methods)
+
+
+def test_fallback_escape_is_not_converged(monkeypatch):
+    # zero degree with s_hat > 0 has no solution.  A fixed-point answer
+    # shifted down to u = -30 passes a residual test of its size, as
+    # Newton's escape does, so solve_prescribed puts it to the same
+    # escape test and goes on to continuation
+    spec = GridSpec((64,))
+    setup = GeometrySetup(1, 1.0)
+    s, s_hat, alpha = make_field(spec, 0.0), make_field(spec, 1.0), OneForm.zero(spec)
+
+    def shifted(s, s_hat, alpha, setup, **kwargs):
+        return SolveReport(make_field(spec, -30.0), "converged", [0.0, -30.0], 0.0, "fixed-point")
+
+    monkeypatch.setattr(kwsolver, "fixed_point_solve", shifted)
+    _, rep = solve_prescribed(s, s_hat, alpha, setup)
+    assert (rep.status, rep.method) == ("not-certified", "newton")
+    assert "fallbacks: fixed-point not-certified (escaped toward -inf: " in rep.message
 
 
 # ---------------------------------------------------------------------------
@@ -1224,6 +1340,7 @@ def _frozen(f: ScalarField) -> ScalarField:
 @pytest.mark.parametrize("varying", [False, True])
 @pytest.mark.parametrize("strategy", ["newton", "fixed-point", "continuation"])
 def test_strategies_never_write_into_their_inputs(strategy, varying):
+    # newton is the default path; the fallbacks are called directly
     spec = GridSpec((32, 32))
     setup = GeometrySetup(1, 1.0)
     alpha = OneForm.constant(spec, (0.1, 0.05))
@@ -1233,9 +1350,9 @@ def test_strategies_never_write_into_their_inputs(strategy, varying):
         s_hat = _frozen(transform_s(s, ustar, alpha, setup))
     else:
         ustar, s_hat = make_field(spec, np.log(1.5)), make_field(spec, 0.2)
-    u, rep = solve_prescribed(s, s_hat, alpha, setup, strategy=strategy)
+    rep = dict(_three_solves(s, s_hat, alpha, setup))[strategy]
     assert (rep.status, rep.method) == ("converged", strategy)
-    assert np.max(np.abs(u.values - ustar.values)) < 1e-6
+    assert np.max(np.abs(rep.solution.values - ustar.values)) < 1e-6
 
 
 @pytest.mark.parametrize("varying", [False, True])

@@ -13,6 +13,7 @@ import pytest
 
 from kwtorus import (
     LinearOptions,
+    continuation_solve,
     critical_c_bracket,
     degenerate_solve,
     estimate_gamma,
@@ -25,8 +26,8 @@ from kwtorus import (
 from kwtorus.cli import main
 
 SIGNATURES = {
-    solve_prescribed: ["s", "s_hat", "alpha", "setup", "strategy", "steps", "tol",
-                       "maxiter", "monotone_budget", "lin"],
+    solve_prescribed: ["s", "s_hat", "alpha", "setup", "tol", "maxiter", "monotone_budget",
+                       "lin"],
     monotone_solve: ["prob", "w_minus", "w_plus", "tol", "maxiter", "lin"],
     critical_c_bracket: ["phi", "alpha", "search_floor", "tol", "maxiter", "lin"],
     sufficient_check: ["prob", "gamma_hat", "p"],
@@ -34,6 +35,7 @@ SIGNATURES = {
     solve_meanzero: ["alpha", "f", "lin"],
     degenerate_solve: ["s", "s_hat"],
     fixed_point_solve: ["s", "s_hat", "alpha", "setup", "tol", "lin"],
+    continuation_solve: ["s", "s_hat", "alpha", "setup", "tol", "lin"],
 }
 
 
@@ -54,4 +56,21 @@ def test_removed_linear_flags_are_rejected(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--dims", "16", "--n", "1", "--t", "1", "--s=-1", "--s-hat=-1",
               flag, "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--dims", "16,16", "--n", "1", "--t", "1", "--s=-1", "--s-hat=-1-0.3*cos(x0)",
+         "--alpha0=0.2*sin(x1)", "--alpha1=0.2*cos(x0)", "--strategy", "bogus"],
+        ["solve", "--dims", "16", "--n", "1", "--t", "1", "--s=1", "--s-hat=1+0.3*sin(x0)",
+         "--strategy", "continuation", "--steps", "0"],
+    ],
+)
+def test_removed_solver_flags_are_rejected(tmp_path, argv):
+    # the solver picks the c >= 0 method in a fixed order; the flags that
+    # chose it are gone
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
     assert exc.value.code == 2
