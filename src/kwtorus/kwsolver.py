@@ -46,6 +46,7 @@ from .linsolve import (
     LinearOptions,
     _apply,
     _drift_symbol,
+    _norm,
     _round_off,
     _solve_system,
     _sup,
@@ -135,7 +136,10 @@ class SolveReport:
     certificate).  trace records the supremum of each iterate; for the
     monotone method it is nondecreasing.  min_step_trace records the
     pointwise minimum of each update, which certifies the pointwise
-    monotonicity of the iteration.
+    monotonicity of the iteration.  image is A solution (Laplacian plus
+    drift) where a converged Newton solve formed it for its last fresh
+    residual, for solve_prescribed, which takes the unreduced residual
+    from it and drops it; None otherwise.
     """
 
     solution: ScalarField
@@ -146,6 +150,7 @@ class SolveReport:
     iterations: int = 0
     min_step_trace: list[float] | None = None
     message: str = ""
+    image: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -209,6 +214,16 @@ def _reaction(phi_vals: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
 def _defect(w: np.ndarray, prob: KWProblem) -> np.ndarray:
     # laplacian(w) + <alpha, dw> + c - phi e^w
     return _apply(prob.alpha, w) + prob.c - _phi_exp(prob.phi.values, w)
+
+
+def _newton_residual(w: np.ndarray, prob: KWProblem, reaction: np.ndarray):
+    # (A w + c) + reaction with reaction = -phi e^w: the bits of
+    # _defect(w, prob), since t + (-p) rounds as t - p, from the reaction
+    # the caller holds.  Returns the residual and A w
+    image = _apply(prob.alpha, w)
+    r = image + prob.c
+    r += reaction
+    return r, image
 
 
 def is_subsolution(
@@ -461,11 +476,11 @@ def _norm2(r: np.ndarray) -> float:
     # by its sup; one that still overflows reads as inf, which every caller
     # rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.linalg.norm(r.ravel()))
+        norm = _norm(r)
         if np.isinf(norm):
             peak = float(np.max(np.abs(r)))
             if np.isfinite(peak):
-                norm = peak * float(np.linalg.norm((r / peak).ravel()))
+                norm = peak * _norm(r / peak)
     return norm
 
 
@@ -477,28 +492,31 @@ def _line_search(x, delta, r, a_delta, reaction, phi, meanzero=False):
 
         F(x + s delta) = (r - reaction) + s a_delta - phi e^(x + s delta)
 
-    then applies no stencil.  With meanzero, r and every trial residual
-    are projected to zero mean.  Returns (trial, residual, reaction,
-    norm) for the first step whose residual 2-norm falls below that of
-    r, or None after LINE_SEARCH_HALVINGS rejected trials.  A trial that
-    overflows has a non-finite norm and is rejected, so its
-    floating-point warnings are silenced.
+    then applies no stencil, and it forms phi e^(x + s delta) once:
+    the accepted trial's reaction is that product, negated.  With
+    meanzero, r and every trial residual are projected to zero mean.
+    Returns (trial, residual, reaction, norm) for the first step whose
+    residual 2-norm falls below that of r, or None after
+    LINE_SEARCH_HALVINGS rejected trials.  A trial that overflows has a
+    non-finite norm and is rejected, so its floating-point warnings are
+    silenced.
 
-    Every trial runs in the caller's fields, which it overwrites: r
-    becomes r - reaction, a_delta is halved with s (exactly), the trial
-    residual goes into reaction, the accepted point into delta and its
-    reaction into a_delta.
+    Every trial runs in the caller's fields, which it overwrites, and in
+    one scratch field of its own: r becomes r - reaction, a_delta is
+    halved with s (exactly), the trial's phi e^(x + s delta) goes into
+    the scratch, which becomes the accepted trial's reaction, the trial
+    residual into reaction and the accepted point into delta.
     """
     merit0 = _norm2(r)
     base = np.subtract(r, reaction, out=r)  # A x + b
-    r_try = reaction
+    r_try, pe = reaction, np.empty_like(r)
     s = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(LINE_SEARCH_HALVINGS):
-            np.multiply(delta, s, out=r_try)
-            r_try += x
-            _phi_exp(phi, r_try, out=r_try)
-            np.subtract(base, r_try, out=r_try)
+            np.multiply(delta, s, out=pe)
+            pe += x
+            _phi_exp(phi, pe, out=pe)
+            np.subtract(base, pe, out=r_try)
             r_try += a_delta  # s A delta
             if meanzero:
                 r_try -= np.mean(r_try)
@@ -506,7 +524,7 @@ def _line_search(x, delta, r, a_delta, reaction, phi, meanzero=False):
             if np.isfinite(norm) and norm < merit0:
                 trial = np.multiply(delta, s, out=delta)
                 trial += x
-                return trial, r_try, _reaction(phi, trial, out=a_delta), norm
+                return trial, r_try, np.negative(pe, out=pe), norm
             s *= 0.5
             a_delta *= 0.5
     return None
@@ -586,24 +604,28 @@ def newton_solve(
     is carried from the last one (see _line_search), and the inner solve
     takes A delta from its Arnoldi residual, so a step applies no
     stencil: they run for the first residual and for the fresh ones
-    below.  Stops when the sup-norm residual is at most tol times the
-    problem scale plus the stencils' round-off on w
-    (linsolve._round_off), confirmed on a fresh residual: a carried
-    residual that passes is replaced by the fresh one, and if that fails
-    and its 2-norm did not fall below the last fresh one, the solve has
-    stalled.  That stall, a stalled line search or a non-finite step
-    reports status not-certified; the budget running out reports
-    max-iter.  Every report carries the fresh residual of its solution,
-    and one that did not converge counts its inner solves that missed
-    their forcing term.
+    below.  Each iterate's phi e^w is formed once, by the line search
+    that accepts it (by the start for w0), and every fresh residual
+    (_newton_residual) takes it from the reaction -phi e^w held for w.
+    Stops when the sup-norm residual is at most tol times the problem
+    scale plus the stencils' round-off on w (linsolve._round_off),
+    confirmed on a fresh residual: a carried residual that passes is
+    replaced by the fresh one, and if that fails and its 2-norm did not
+    fall below the last fresh one, the solve has stalled.  That stall, a
+    stalled line search or a non-finite step reports status
+    not-certified; the budget running out reports max-iter.  Every report
+    carries the fresh residual of its solution, and one that did not
+    converge counts its inner solves that missed their forcing term.  A
+    converged report also carries the A w of that fresh residual, its
+    image, which is dropped before any step, so no step holds it.
     """
     same_grid(w0, prob)
     phi = prob.phi.values
     w = w0.values  # read only: every step rebinds w
     del w0  # the start would stay beside every step
-    r = _defect(w, prob)
-    fresh = True  # r was applied to w, not carried
     reaction = _reaction(phi, w)
+    r, image = _newton_residual(w, prob, reaction)
+    fresh = True  # r was applied to w, not carried
     norm, prev_norm, eta = _norm2(r), None, FORCING_MAX
     fresh_norm = norm  # 2-norm of the last fresh residual
     trace = [float(np.max(w))]
@@ -616,7 +638,7 @@ def newton_solve(
         r_sup = _sup(r)
         if not fresh and r_sup <= bound:
             # a carried residual passes: confirm it on the stencils
-            r, fresh = _defect(w, prob), True
+            (r, image), fresh = _newton_residual(w, prob, reaction), True
             norm, r_sup = _norm2(r), _sup(r)
             if r_sup > bound and norm >= fresh_norm:
                 status = "not-certified"
@@ -626,6 +648,7 @@ def newton_solve(
         if r_sup <= bound:
             status = "converged"
             break
+        image = None  # a step does not hold A w beside its Krylov basis
         if i == maxiter:
             break
         eta = _forcing(norm, prev_norm, eta, 0.5 * tol * scale / r_sup)
@@ -637,13 +660,15 @@ def newton_solve(
         if step is None:
             status = "not-certified"
             message = failure
+            reaction = _reaction(phi, w)  # the line search overwrote it
             break
         w, r, reaction, rn = step
         norm, prev_norm = rn, norm
         trace.append(float(np.max(w)))
     if not fresh:
-        r = _defect(w, prob)
+        r, _ = _newton_residual(w, prob, reaction)
     if status != "converged":
+        image = None
         message = _failure_message(message, unconverged)
     return SolveReport(
         solution=ScalarField(prob.spec, w),
@@ -653,6 +678,7 @@ def newton_solve(
         method="newton",
         iterations=len(trace) - 1,
         message=message,
+        image=image,
     )
 
 
@@ -952,15 +978,22 @@ def fixed_point_solve(
     )
 
 
-def _unreduced_defect(u, s, s_hat, alpha, k, tau=1.0) -> np.ndarray:
-    # A u + (2 tau / k)(s - s_hat e^u): the unreduced equation scaled by tau
-    return _apply(alpha, u) + (2.0 * tau / k) * (s.values - s_hat.values * np.exp(u))
+def _unreduced_defect(u, s, s_hat, alpha, k, tau=1.0, image=None) -> np.ndarray:
+    # A u + (2 tau / k)(s - s_hat e^u): the unreduced equation scaled by
+    # tau, summed into image, the A u the caller holds, when given
+    if image is None:
+        image = _apply(alpha, u)
+    image += (2.0 * tau / k) * (s.values - s_hat.values * np.exp(u))
+    return image
 
 
-def _unreduced_residual(u, s, s_hat, alpha, k) -> float:
-    # inf, without a warning, where e^u overflows (a diverged iterate)
+def _unreduced_residual(u, s, s_hat, alpha, k, image=None) -> float:
+    """sup|A u + (2/k)(s - s_hat e^u)|, summed into image when the caller
+    holds A u (which it then gives up), else from the stencils applied to
+    u.  inf, without a warning, where e^u overflows (a diverged
+    iterate)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(np.abs(_unreduced_defect(u, s, s_hat, alpha, k))))
+        return _sup(_unreduced_defect(u, s, s_hat, alpha, k, image=image))
 
 
 def continuation_solve(
@@ -1121,6 +1154,8 @@ def _solve_negative_c(
     monotone_solve runs at most budget steps between its ends, and its
     report stands as returned.  Without a pair, Newton's report stands,
     unverified, so phi that skipped the test is never reported unsolvable.
+    Newton's image (A w) survives only on the constant pair's path: the
+    report drops it before build_supersolution's full-grid solve.
     """
     phi_max = float(np.max(prob.phi.values))
     phi_min = float(np.min(prob.phi.values))
@@ -1155,6 +1190,7 @@ def _solve_negative_c(
         hi = _supersolution_level(prob.c, phi_max)
         if verified(report, min(sub, hi - 0.1), hi):
             return report
+    report.image = None  # not held beside the mean-zero solve
     try:
         w_plus = build_supersolution(prob, lin)
     except SolverError:
@@ -1201,6 +1237,11 @@ def solve_prescribed(
     raises SolverError has failed.  When all three fail, Newton's report
     stands, its message naming each fallback, its status and its reason
     (the message or the error's text).
+
+    Every report's residual_sup is the unreduced residual of u.  Where g
+    is the zero constant, as for every constant s, u = w + 0 has the A w
+    that a verified or best-effort Newton report carries (its image), and
+    that residual applies no stencil; the report drops the image.
     """
     if not tol > 0:
         raise ConfigError(f"kw tolerance must be positive, got {tol!r}")
@@ -1224,9 +1265,14 @@ def solve_prescribed(
     k = setup.k_t
     c = red.c
     spec = s.spec
+    g = red.g.values
+    # u = w + g is w up to the sign of its zeros: a report's image is A u
+    zero_g = not any(g.strides) and float(g.flat[0]) == 0.0
 
     def finish(u: ScalarField, report: SolveReport) -> tuple[ScalarField, SolveReport]:
-        resid = _unreduced_residual(u.values, s, s_hat, alpha, k)
+        image = report.image if zero_g else None
+        report.image = None
+        resid = _unreduced_residual(u.values, s, s_hat, alpha, k, image)
         report.solution = u
         report.residual_sup = resid
         return u, report
@@ -1270,6 +1316,7 @@ def solve_prescribed(
     u = recover_metric(report.solution, red)
     reject_escape(u, report)
     if not report.converged:
+        report.image = None  # an escape's A w would stay beside the fallbacks
         outcomes = []
         fallbacks = (("fixed-point", fixed_point_solve), ("continuation", continuation_solve))
         for name, solver in fallbacks:

@@ -241,7 +241,9 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback, basis=None):
     application.  The basis reserves two rows more than a cycle's
     iterations, the last for P's work only, and rows never written take
     no memory.  Every update y += v a runs slab by slab
-    (operators._slabs) through one slab of scratch.
+    (operators._slabs) through one slab of scratch, the cycle's residual
+    as such updates in basis order, and every inner product and norm by
+    _dot, so no BLAS call (and no BLAS thread count) touches the bits.
     callback gets the 2-norm residual estimate once per iteration.  Stops
     when that estimate is at most rtol * ||b||, on breakdown (the Krylov
     space holds the solution), or after maxiter iterations in all.
@@ -249,8 +251,8 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback, basis=None):
     meaningful) and 0 otherwise.
     """
     eps = float(np.finfo(float).eps)
-    target = rtol * float(np.linalg.norm(b))
-    beta = float(np.linalg.norm(r))
+    target = rtol * _norm(b)
+    beta = _norm(r)
     slabs = _slabs(r.shape)
     scratch = np.empty_like(r[slabs[0]])
     cycle = min(GMRES_RESTART, maxiter)
@@ -271,12 +273,12 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback, basis=None):
             w = basis[j + 1]
             zs.append(matvec(basis[j], w, out=r if j == 0 else None,
                              work=basis[j + 1 : j + 3]))
-            w_norm = float(np.linalg.norm(w))
+            w_norm = _norm(w)
             h = []
             for v in basis[: j + 1]:
-                h.append(float(np.vdot(v, w)))
+                h.append(_dot(v, w))
                 axpy(w, v, -h[-1])
-            h_next = float(np.linalg.norm(w))
+            h_next = _norm(w)
             if h_next <= eps * w_norm:
                 h_next = 0.0  # breakdown: A z_j lies in the basis already
             for i, (c, s) in enumerate(rots):
@@ -310,10 +312,12 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback, basis=None):
         for i in reversed(range(k)):
             c, s = rots[i]
             u[i], u[i + 1] = c * u[i] - s * u[i + 1], s * u[i] + c * u[i + 1]
-        np.dot(np.array(u[:k]), basis[:k].reshape(k, -1), out=r.reshape(-1))
+        np.multiply(basis[0], u[0], out=r)
+        for i in range(1, k):
+            axpy(r, basis[i], u[i])
         if h_next:
             axpy(r, w, u[k] / h_next)
-        beta = float(np.linalg.norm(r))
+        beta = _norm(r)
         if stop:
             return x, 0
     return x, 0 if math.isfinite(beta) else -1
@@ -475,10 +479,10 @@ def _solve_system(
                     resid_sup <= bound
                 )
             else:
-                resid_l2 = float(np.linalg.norm(resid.ravel()))
+                resid_l2 = _norm(resid)
                 # after an overflow both norms read inf, and inf <= inf would pass
                 converged = math.isfinite(resid_l2) and (
-                    resid_l2 <= 1.01 * rtol_eff * float(np.linalg.norm(b.ravel()))
+                    resid_l2 <= 1.01 * rtol_eff * _norm(b)
                 )
             if (converged or overflow or not krylov or iters[0] >= lin.maxiter
                     or not math.isfinite(resid_sup)):
@@ -518,6 +522,18 @@ def _round_off(alpha: OneForm, reaction, x_sup: float) -> float:
     u, m = 0.5 * float(np.finfo(float).eps), STENCIL_TERMS_PER_AXIS * alpha.spec.rank + 2
     norm_a = _sup(reaction) + _stencil_norm(alpha)
     return (m * u / (1.0 - m * u) + 2.0 * u * math.log2(alpha.spec.npoints)) * norm_a * x_sup
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The inner product of a and b by einsum's own summation loop, not
+    BLAS: its bits do not depend on how many threads BLAS may use.  Views
+    a C-contiguous a or b without a copy."""
+    return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1)))
+
+
+def _norm(a: np.ndarray) -> float:
+    """The 2-norm of a, from _dot."""
+    return math.sqrt(_dot(a, a))
 
 
 def _sup(a) -> float:

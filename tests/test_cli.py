@@ -784,7 +784,7 @@ k_t = 1
 status = converged
 method = newton
 iterations = 4
-residual_sup = 6.6553931810098277e-10
+residual_sup = 6.6553548783154781e-10
 u_min = -0.17671420565037349
 u_max = 0.23175868272505495
 u_mean = 0.020569827319058882

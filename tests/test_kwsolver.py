@@ -835,8 +835,9 @@ def test_carried_residual_alone_never_converges(monkeypatch):
     steps = newton_solve(prob, w0).iterations
     _offset_images(monkeypatch, [1e-6])
     applied = []
-    real = kwsolver._defect
-    monkeypatch.setattr(kwsolver, "_defect", lambda w, p: applied.append(1) or real(w, p))
+    real = kwsolver._newton_residual
+    monkeypatch.setattr(kwsolver, "_newton_residual",
+                        lambda *args: applied.append(1) or real(*args))
     rep = newton_solve(prob, w0, maxiter=steps)
     assert rep.status == "max-iter"
     assert len(applied) == 2  # the start and the rejected confirmation
@@ -846,7 +847,169 @@ def test_carried_residual_alone_never_converges(monkeypatch):
     assert rep.converged and rep.iterations > steps
     u = rep.solution.values
     scale = 1.0 - prob.c + float(np.max(np.abs(prob.phi.values * np.exp(u))))
-    assert rep.residual_sup == float(np.max(np.abs(real(u, prob)))) <= kwsolver.DEFAULT_KW_TOL * scale
+    fresh = kwsolver._defect(u, prob)
+    assert rep.residual_sup == float(np.max(np.abs(fresh))) <= kwsolver.DEFAULT_KW_TOL * scale
+
+
+# ---------------------------------------------------------------------------
+# phi e^w once per iterate, A w once per fresh residual
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, module, name, record=lambda *args: 1):
+    # calls of module.name, each recorded as record(*args)
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(record(*a)) or real(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["negative", "zeros", "overflow"])
+def test_line_search_keeps_the_accepted_phi_exp(case, monkeypatch):
+    # the accepted trial's reaction is the phi e^w its residual used,
+    # negated: _reaction(phi, trial) to the byte, with phi e^w formed once.
+    # phi vanishes on every eighth point in the last two cases, where the
+    # trial is e^800, which overflows, in the last
+    spec = GridSpec((64,))
+    x = field_from(spec, lambda x: 0.1 * np.sin(x)).values
+    phi = field_from(spec, lambda x: -1.0 - 0.5 * np.cos(x)).values
+    delta = np.full(spec.dims, -0.5)
+    if case != "negative":
+        phi[::8] = 0.0
+        delta[::8] = 800.0 if case == "overflow" else 0.3
+    reaction = kwsolver._reaction(phi, x)
+    full_step = x + delta
+    exps = _count_calls(monkeypatch, kwsolver, "_phi_exp")
+    trial, _, reaction_try, _ = kwsolver._line_search(
+        x, delta, np.full(spec.dims, 10.0), np.zeros(spec.dims), reaction, phi
+    )
+    monkeypatch.undo()
+    assert len(exps) == 1  # the first trial, accepted
+    assert np.array_equal(trial, full_step)
+    assert reaction_try.tobytes() == kwsolver._reaction(phi, trial).tobytes()
+    if case == "overflow":
+        assert np.all(trial[::8] > np.log(np.finfo(float).max))  # e^w is inf
+
+
+def test_newton_forms_phi_exp_once_per_iterate(monkeypatch):
+    # a converged solve forms phi e^w for its start and for each line-search
+    # trial, and applies the stencils for its start and for the one
+    # confirmation of its answer; its inner solves apply none.  From -3 the
+    # first step backtracks
+    from kwtorus import linsolve
+
+    prob = _variable_drift_problem(32)
+    w0 = make_field(prob.spec, -3.0)
+    trials = []
+    real_search = kwsolver._line_search
+
+    def search(x, delta, *args):
+        x0, d0 = np.array(x), delta.copy()
+        step = real_search(x, delta, *args)
+        # the accepted step size 2^-j is the (j + 1)-th trial
+        trials.append(next(j + 1 for j in range(kwsolver.LINE_SEARCH_HALVINGS)
+                           if np.array_equal(step[0], d0 * 0.5**j + x0)))
+        return step
+
+    monkeypatch.setattr(kwsolver, "_line_search", search)
+    exps = _count_calls(monkeypatch, kwsolver, "_phi_exp")
+    applied = _count_calls(monkeypatch, kwsolver, "_apply", lambda alpha, w, *rest: w.copy())
+    monkeypatch.setattr(linsolve, "_apply", kwsolver._apply)  # the inner solves' binding
+    rep = newton_solve(prob, w0)
+    assert rep.converged and len(trials) == rep.iterations > 1 and sum(trials) > rep.iterations
+    assert len(exps) == 1 + sum(trials)
+    assert len(applied) == 2
+    assert np.array_equal(applied[0], w0.values)
+    assert np.array_equal(applied[1], rep.solution.values)
+
+
+def test_constant_s_takes_the_unreduced_residual_from_newton(monkeypatch):
+    # a constant s reduces with g the zero constant, so u = w + 0 and the
+    # unreduced residual sums Newton's A w: no stencil runs once Newton has
+    # converged.  A varying s (g != 0) applies them once.  Both residuals
+    # have the bytes of the one recomputed with the stencils
+    from kwtorus import linsolve
+
+    spec = GridSpec((32, 32))
+    alpha = OneForm(spec, (
+        field_from(spec, lambda x0, x1: 0.2 * np.sin(x1)),
+        field_from(spec, lambda x0, x1: 0.2 * np.cos(x0)),
+    ))
+    s_hat = field_from(spec, lambda x0, x1: -1.0 - 0.3 * np.cos(x0))
+    setup = GeometrySetup(1, 1.0)
+    stencils = _count_calls(monkeypatch, linsolve, "_laplacian")
+    returned = []  # stencil count when each Newton solve returns
+    real_newton = kwsolver.newton_solve
+
+    def newton(*args, **kwargs):
+        rep = real_newton(*args, **kwargs)
+        returned.append(len(stencils))
+        return rep
+
+    monkeypatch.setattr(kwsolver, "newton_solve", newton)
+    varying = field_from(spec, lambda x0, x1: -1.0 + 0.2 * np.cos(x1))
+    for s, after in ((make_field(spec, -1.0), 0), (varying, 1)):
+        u, rep = solve_prescribed(s, s_hat, alpha, setup)
+        assert (rep.status, rep.method) == ("converged", "newton")
+        assert len(stencils) - returned[-1] == after
+        assert rep.image is None
+        resid = kwsolver._unreduced_residual(u.values, s, s_hat, alpha, setup.k_t)
+        assert np.float64(rep.residual_sup).tobytes() == np.float64(resid).tobytes()
+
+
+def test_no_caller_keeps_a_newton_image(monkeypatch):
+    # a report verified by the constant pair carries A w, the stencils'
+    # bits; one that the full pair verifies dropped it before its
+    # mean-zero solve.  The bracket's probes keep only their solutions:
+    # every image a probe's report carried is freed when the bracket returns
+    import weakref
+
+    from kwtorus.linsolve import _apply
+
+    spec = GridSpec((64,))
+    phi = field_from(spec, lambda x: -1.0 - 0.3 * np.cos(x))
+    real = kwsolver._solve_negative_c
+    rep = real(KWProblem(OneForm.zero(spec), -1.0, phi))
+    assert (rep.status, rep.method) == ("converged", "newton")
+    assert rep.image.tobytes() == _apply(OneForm.zero(spec), rep.solution.values).tobytes()
+    rep = real(KWProblem(OneForm.zero(spec), -1.0, field_from(spec, lambda x: -1.0 - np.sin(x))))
+    assert (rep.status, rep.method) == ("converged", "newton") and rep.image is None
+    images = []
+
+    def probe(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        if rep.image is not None:
+            images.append(weakref.ref(rep.image))
+        return rep
+
+    monkeypatch.setattr(kwsolver, "_solve_negative_c", probe)
+    critical_c_bracket(phi, OneForm.zero(spec), search_floor=-10.0)
+    assert images and all(ref() is None for ref in images)
+
+
+def test_round_trip_solve_holds_no_more_fields():
+    # the traced peak of a 16^4 round trip's solve, in fields: the GMRES
+    # basis (GMRES_RESTART + 2 allocated rows) and what the Newton loop
+    # holds beside it, 61.511 fields with no Newton image among them.
+    # Holding an image beside a solve adds a whole field
+    import tracemalloc
+
+    spec = GridSpec((16,) * 4)
+    alpha = OneForm(spec, tuple(make_field(spec, a) for a in (0.1, 0.0, 0.05, 0.0)))
+    setup = GeometrySetup(2, 0.0)
+    u_star = field_from(spec, lambda *x: 0.4 * np.sin(x[0]) + 0.2 * np.cos(2 * x[0])
+                        + 0.3 * np.sin(x[2]))
+    s = make_field(spec, -1.0)
+    s_hat = transform_s(s, u_star, alpha, setup)
+    solve = lambda: solve_prescribed(s, s_hat, alpha, setup, maxiter=3000, monotone_budget=40)
+    solve()  # caches: the FFT symbols of both grids
+    tracemalloc.start()
+    try:
+        u, rep = solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and float(np.max(np.abs(u.values - u_star.values))) <= 1e-8
+    assert peak / (8 * spec.npoints) <= 61.52
 
 
 # ---------------------------------------------------------------------------
