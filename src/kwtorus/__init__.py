@@ -46,9 +46,7 @@ from .kwsolver import (
     build_subsolution,
     build_supersolution,
     construct_unsolvable,
-    continuation_solve,
     critical_c_bracket,
-    fixed_point_solve,
     is_subsolution,
     is_supersolution,
     monotone_solve,

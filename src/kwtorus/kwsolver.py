@@ -20,9 +20,11 @@ nonexistence.  A solve runs it only where phi is positive somewhere or
 identically zero: nonpositive phi that is not identically zero is
 solvable at every c < 0 (Kazdan & Warner 1974, Ann. of Math. 99).
 Without a pair, Newton's answer is reported unverified.  For c >= 0,
-solve_prescribed runs Newton from zero, the fixed-point iteration and
-continuation, in that order, until one converges; at c = 0 an escape
-toward minus infinity is not-certified, whichever solver found it.
+which has no existence theory, damped Newton is the one method: at
+zero degree on the scale-free merit e^(-mean w) |F(w)|, which the
+escape toward minus infinity does not decrease, from a small-oscillation
+start (see _solve_zero_degree); for c > 0 from zero, then from the
+averaged constant.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 from .errors import (
     CertificateError,
     ConfigError,
-    DegenerateError,
     GauduchonError,
     GridError,
     SolvabilityError,
@@ -45,7 +46,6 @@ from .grid import GridSpec, OneForm, ScalarField, make_field, refine_field, rest
 from .linsolve import (
     LinearOptions,
     _apply,
-    _drift_symbol,
     _norm,
     _round_off,
     _solve_system,
@@ -70,9 +70,6 @@ C_ZERO_TOL = 1e-12
 # inexact Newton steps cap the inner Krylov work; stagnating past this
 # point never helps because the line search judges the step anyway
 NEWTON_INNER_MAXITER = 2000
-# fixed relative 2-norm tolerance of the continuation corrector's inner
-# solves; newton_solve picks its own per step (see _forcing)
-NEWTON_INNER_RTOL = 1e-6
 LINE_SEARCH_HALVINGS = 40
 # a c < 0 solve on at least this many points starts Newton from the
 # refined answer of Newton on the half-size grids (nested iteration),
@@ -93,15 +90,6 @@ SUFFICIENT_KMAX = 40
 # critical_c_bracket probes -BRACKET_EPS first and bisects to this relative width
 BRACKET_EPS = 0.01
 BRACKET_REL_WIDTH = 0.01
-# Picard steps of fixed_point_solve
-FIXED_POINT_MAXITER = 200
-# tau steps of continuation_solve, and Newton corrections per step
-CONTINUATION_STEPS = 10
-CONTINUATION_NEWTON_MAXITER = 30
-# with constant s_hat and drift, fixed_point_solve refuses an operator
-# L = A - (2/k) s_hat whose Fourier symbol comes within this fraction of
-# |(2/k) s_hat| of zero: L^-1 would amplify the data more than 1/that
-FIXED_POINT_SINGULAR_RTOL = 1e-3
 # bracket probe outcome of a _solve_negative_c status; the rest are solver-failed
 PROBE_OUTCOMES = {"converged": "solved", "certified-unsolvable": "necessary-failed"}
 
@@ -484,7 +472,7 @@ def _norm2(r: np.ndarray) -> float:
     return norm
 
 
-def _line_search(x, delta, r, a_delta, reaction, phi, meanzero=False):
+def _line_search(x, delta, r, a_delta, reaction, phi, tilt=0.0):
     """Backtracking along delta: step sizes 1, 1/2, 1/4, ...
 
     The residual is F(w) = A w + b - phi e^w with b constant, r = F(x),
@@ -493,11 +481,12 @@ def _line_search(x, delta, r, a_delta, reaction, phi, meanzero=False):
         F(x + s delta) = (r - reaction) + s a_delta - phi e^(x + s delta)
 
     then applies no stencil, and it forms phi e^(x + s delta) once:
-    the accepted trial's reaction is that product, negated.  With
-    meanzero, r and every trial residual are projected to zero mean.
-    Returns (trial, residual, reaction, norm) for the first step whose
-    residual 2-norm falls below that of r, or None after
-    LINE_SEARCH_HALVINGS rejected trials.  A trial that overflows has a
+    the accepted trial's reaction is that product, negated.  Returns
+    (trial, residual, reaction, norm) for the first step whose residual
+    2-norm falls below that of r times e^(s tilt), or None after
+    LINE_SEARCH_HALVINGS rejected trials.  With tilt = mean delta that
+    compares the scale-free merit e^(-mean w) |F(w)| of trial and x;
+    tilt = 0 compares |F| itself.  A trial that overflows has a
     non-finite norm and is rejected, so its floating-point warnings are
     silenced.
 
@@ -518,10 +507,8 @@ def _line_search(x, delta, r, a_delta, reaction, phi, meanzero=False):
             _phi_exp(phi, pe, out=pe)
             np.subtract(base, pe, out=r_try)
             r_try += a_delta  # s A delta
-            if meanzero:
-                r_try -= np.mean(r_try)
             norm = _norm2(r_try)
-            if np.isfinite(norm) and norm < merit0:
+            if np.isfinite(norm) and norm < (merit0 * float(np.exp(s * tilt)) if tilt else merit0):
                 trial = np.multiply(delta, s, out=delta)
                 trial += x
                 return trial, r_try, np.negative(pe, out=pe), norm
@@ -530,34 +517,45 @@ def _line_search(x, delta, r, a_delta, reaction, phi, meanzero=False):
     return None
 
 
-def _newton_step(
-    x, r, reaction, phi, alpha, lin, meanzero=False, rtol=NEWTON_INNER_RTOL
-):
+def _newton_step(x, r, reaction, phi, alpha, lin, rtol, scale_free=False):
     """Inexact Newton step from x for the residual F(w) = A w + b - phi e^w
     (b constant), with r = F(x) and reaction = -phi e^x: a capped Krylov
     solve of (A + reaction) delta = -r to the relative 2-norm tolerance
     rtol, then the line search along delta.  The solve hands back A
     delta, built from its Arnoldi residual (within round-off of the
-    stencils' image, and up to a constant with meanzero, which the
-    projected line search discards), so no trial applies the stencils.
+    stencils' image), so no trial applies the stencils.
+
+    With scale_free the step is that of H(w) = e^(-mean w) F(w): H' =
+    e^(-mean w) (F' - F mean) is a rank-one update of F', so by
+    Sherman-Morrison its step is delta / (1 + mean delta), and A delta
+    scales with it; the line search's tilt is the rescaled mean.  At a
+    constant x, F'(-1) = phi e^x = c - F: delta = -1 up to c, so H' is
+    singular, and no solve runs.
 
     Returns (step, failure, inner_converged), where step is the line
     search's (trial, residual, reaction, norm) or None and failure names
     the reason.  The line search overwrites r and reaction.
     """
+    if scale_free and float(np.max(x)) == float(np.min(x)):
+        return None, "scale-free step is singular: 1 + mean(delta) = 0 at a constant iterate", True
     lin = lin or LinearOptions()
     inner = replace(lin, maxiter=min(lin.maxiter, NEWTON_INNER_MAXITER))
     # every operation of the solve is odd in its right-hand side, so
     # solving with r gives -delta exactly, without a copy -r beside the
     # Krylov basis
-    delta, stats = _solve_system(
-        alpha, reaction, r, lin=inner, meanzero=meanzero, rtol=rtol
-    )
+    delta, stats = _solve_system(alpha, reaction, r, lin=inner, rtol=rtol)
     np.negative(delta, out=delta)
+    a_delta = np.negative(stats.image, out=stats.image)
+    tilt = 0.0
+    if scale_free:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            border = 1.0 + float(np.mean(delta))
+            delta /= border
+            a_delta /= border
+            tilt = float(np.mean(delta))
     if not np.all(np.isfinite(delta)):
         return None, "linearized solve produced a non-finite step", stats.converged
-    a_delta = np.negative(stats.image, out=stats.image)
-    step = _line_search(x, delta, r, a_delta, reaction, phi, meanzero)
+    step = _line_search(x, delta, r, a_delta, reaction, phi, tilt)
     return step, "line search stalled", stats.converged
 
 
@@ -600,34 +598,48 @@ def newton_solve(
 
     Each step solves the linearization A - phi e^w through the Krylov
     solver to an Eisenstat-Walker forcing term (_forcing) and backtracks
-    by halving until the 2-norm of F decreases.  The residual of a step
-    is carried from the last one (see _line_search), and the inner solve
-    takes A delta from its Arnoldi residual, so a step applies no
-    stencil: they run for the first residual and for the fresh ones
-    below.  Each iterate's phi e^w is formed once, by the line search
-    that accepts it (by the start for w0), and every fresh residual
-    (_newton_residual) takes it from the reaction -phi e^w held for w.
-    Stops when the sup-norm residual is at most tol times the problem
-    scale plus the stencils' round-off on w (linsolve._round_off),
-    confirmed on a fresh residual: a carried residual that passes is
-    replaced by the fresh one, and if that fails and its 2-norm did not
-    fall below the last fresh one, the solve has stalled.  That stall, a
-    stalled line search or a non-finite step reports status
-    not-certified; the budget running out reports max-iter.  Every report
-    carries the fresh residual of its solution, and one that did not
-    converge counts its inner solves that missed their forcing term.  A
-    converged report also carries the A w of that fresh residual, its
-    image, which is dropped before any step, so no step holds it.
+    by halving until the merit, the 2-norm of F, decreases.  At zero
+    degree (|c| <= C_ZERO_TOL) |F| falls along the escape w -> -inf, so
+    the merit, also for the forcing term and the stall test below, is
+    that of H(w) = e^(-mean w) F(w), which equals -phi at every constant:
+    its step is Newton's, rescaled (_newton_step), and does not exist at
+    a constant w0.  The residual of a step is carried from the last one
+    (see _line_search), and the inner solve takes A delta from its
+    Arnoldi residual, so a step applies no stencil: they run for the
+    first residual and for the fresh ones below.  Each iterate's phi e^w
+    is formed once, by the line search that accepts it (by the start for
+    w0), and every fresh residual (_newton_residual) takes it from the
+    reaction -phi e^w held for w.  Stops when the sup-norm residual is at
+    most tol times the problem scale plus the stencils' round-off on w
+    (linsolve._round_off), confirmed on a fresh residual: a carried
+    residual that passes is replaced by the fresh one, and if that fails
+    and its merit did not fall below the last fresh one's, the solve has
+    stalled.  That stall, a stalled line search, a singular scale-free
+    step or a non-finite step reports status not-certified; the budget
+    running out reports max-iter.  Every report carries the fresh
+    residual of its solution, and one that did not converge counts its
+    inner solves that missed their forcing term.  A converged report
+    also carries the A w of that fresh residual, its image, which is
+    dropped before any step, so no step holds it.
     """
     same_grid(w0, prob)
     phi = prob.phi.values
     w = w0.values  # read only: every step rebinds w
     del w0  # the start would stay beside every step
+    scale_free = abs(prob.c) <= C_ZERO_TOL
+
+    def merit(norm: float) -> float:
+        # |F(w)|, or |H(w)| = e^(-mean w) |F(w)| at zero degree
+        if scale_free:
+            with np.errstate(over="ignore", invalid="ignore"):
+                norm *= float(np.exp(-np.mean(w)))
+        return norm
+
     reaction = _reaction(phi, w)
     r, image = _newton_residual(w, prob, reaction)
     fresh = True  # r was applied to w, not carried
-    norm, prev_norm, eta = _norm2(r), None, FORCING_MAX
-    fresh_norm = norm  # 2-norm of the last fresh residual
+    norm, prev_norm, eta = merit(_norm2(r)), None, FORCING_MAX
+    fresh_norm = norm  # merit of the last fresh residual
     trace = [float(np.max(w))]
     status = "max-iter"
     message = ""
@@ -639,7 +651,7 @@ def newton_solve(
         if not fresh and r_sup <= bound:
             # a carried residual passes: confirm it on the stencils
             (r, image), fresh = _newton_residual(w, prob, reaction), True
-            norm, r_sup = _norm2(r), _sup(r)
+            norm, r_sup = merit(_norm2(r)), _sup(r)
             if r_sup > bound and norm >= fresh_norm:
                 status = "not-certified"
                 message = "line search stalled at the round-off floor"
@@ -653,7 +665,7 @@ def newton_solve(
             break
         eta = _forcing(norm, prev_norm, eta, 0.5 * tol * scale / r_sup)
         step, failure, inner_ok = _newton_step(
-            w, r, reaction, phi, prob.alpha, lin, rtol=eta
+            w, r, reaction, phi, prob.alpha, lin, eta, scale_free
         )
         unconverged += not inner_ok
         fresh = False  # the step overwrote r
@@ -663,7 +675,7 @@ def newton_solve(
             reaction = _reaction(phi, w)  # the line search overwrote it
             break
         w, r, reaction, rn = step
-        norm, prev_norm = rn, norm
+        norm, prev_norm = merit(rn), norm
         trace.append(float(np.max(w)))
     if not fresh:
         r, _ = _newton_residual(w, prob, reaction)
@@ -873,117 +885,15 @@ def critical_c_bracket(
 
 
 # ---------------------------------------------------------------------------
-# Sections 5 solvers: fixed point and continuation
+# Full pipeline
 # ---------------------------------------------------------------------------
 
-def fixed_point_solve(
-    s: ScalarField,
-    s_hat: ScalarField,
-    alpha: OneForm,
-    setup: GeometrySetup,
-    *,
-    tol: float = DEFAULT_KW_TOL,
-    lin: LinearOptions | None = None,
-) -> SolveReport:
-    """Small-oscillation Picard iteration on the unreduced equation.
-
-    Iterates T(u) = L^{-1}((2/k)[s_hat - s - s_hat (1 + u - e^u)]) with
-    L u = A u - (2/k) s_hat u, starting from zero.  Requires L to be
-    numerically invertible; identically vanishing s_hat leaves the
-    constants in the kernel and raises SolverError.  So does a constant
-    s_hat with constant drift whose L is nearly singular: its symbol, the
-    stencils' (linsolve._drift_symbol) - (2/k) s_hat, within
-    FIXED_POINT_SINGULAR_RTOL of |(2/k) s_hat| of zero (s_hat = k m^2 / 2
-    for a Laplacian eigenvalue m^2, which the stencil matches to
-    O(h^4)).  Variable s_hat or drift has no such exact test.
-    """
-    lin = lin or LinearOptions()
-    if setup.degenerate:
-        raise DegenerateError("fixed-point solver needs a nondegenerate parameter")
-    same_grid(s, s_hat, alpha)
-    k = setup.k_t
-    spec = s.spec
-    if float(np.max(np.abs(s_hat.values))) < 1e-12:
-        raise SolverError(
-            "fixed-point operator is singular: s_hat vanishes identically"
-        )
-    reaction = -(2.0 / k) * s_hat.values
-    level = float(reaction.flat[0])
-    drift = alpha.coefficients
-    if np.all(reaction == level) and not any(isinstance(v, np.ndarray) for v in drift):
-        head, tail = _drift_symbol(spec, tuple(0.0 if v is None else v for v in drift))
-        distance = float(np.min(np.abs(head + tail + level)))
-        if distance <= FIXED_POINT_SINGULAR_RTOL * abs(level):
-            raise SolverError(
-                "fixed-point operator is nearly singular: its Fourier symbol comes "
-                f"within {distance:.3e} of zero"
-            )
-
-    u = np.zeros(spec.dims)
-    trace = [0.0]
-    prev_step = np.inf
-    growth = 0
-    status = "max-iter"
-    message = ""
-    iterations = 0
-    for _ in range(FIXED_POINT_MAXITER):
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs = (2.0 / k) * (
-                s_hat.values - s.values - s_hat.values * (1.0 + u - np.exp(u))
-            )
-        if not np.all(np.isfinite(rhs)):
-            status = "not-certified"
-            message = (
-                f"iteration diverged: e^u overflowed after {iterations} steps "
-                f"(sup u = {float(np.max(u)):.3e}); reporting the last finite iterate"
-            )
-            break
-        u_next, stats = _solve_system(alpha, reaction, rhs, lin=lin)
-        if not stats.converged:
-            raise SolverError(
-                f"fixed-point linear solve failed (residual {stats.residual_sup:.3e}); "
-                "the linearized operator may be singular for this s_hat"
-            )
-        del stats  # no image beside the next solve
-        step = float(np.max(np.abs(u_next - u)))
-        u = u_next
-        iterations += 1
-        trace.append(float(np.max(u)))
-        if step <= tol:
-            status = "converged"
-            break
-        if step > prev_step:
-            growth += 1
-            if growth >= 10:
-                status = "not-certified"
-                message = "iteration diverging: step grew 10 times in a row"
-                break
-        else:
-            growth = 0
-        prev_step = step
-    residual = _unreduced_residual(u, s, s_hat, alpha, k)
-    if status == "converged":
-        scale = 1.0 + float(np.max(np.abs(s.values))) + float(np.max(np.abs(s_hat.values)))
-        if residual > 10.0 * max(tol, lin.tol) * scale:
-            status = "not-certified"
-            message = f"converged step but equation residual {residual:.3e} too large"
-    return SolveReport(
-        solution=ScalarField(spec, u),
-        status=status,
-        trace=trace,
-        residual_sup=residual,
-        method="fixed-point",
-        iterations=iterations,
-        message=message,
-    )
-
-
-def _unreduced_defect(u, s, s_hat, alpha, k, tau=1.0, image=None) -> np.ndarray:
-    # A u + (2 tau / k)(s - s_hat e^u): the unreduced equation scaled by
-    # tau, summed into image, the A u the caller holds, when given
+def _unreduced_defect(u, s, s_hat, alpha, k, image=None) -> np.ndarray:
+    # A u + (2/k)(s - s_hat e^u), summed into image, the A u the caller
+    # holds, when given
     if image is None:
         image = _apply(alpha, u)
-    image += (2.0 * tau / k) * (s.values - s_hat.values * np.exp(u))
+    image += (2.0 / k) * (s.values - s_hat.values * np.exp(u))
     return image
 
 
@@ -996,111 +906,28 @@ def _unreduced_residual(u, s, s_hat, alpha, k, image=None) -> float:
         return _sup(_unreduced_defect(u, s, s_hat, alpha, k, image=image))
 
 
-def continuation_solve(
-    s: ScalarField,
-    s_hat: ScalarField,
-    alpha: OneForm,
-    setup: GeometrySetup,
-    *,
-    tol: float = DEFAULT_KW_TOL,
-    lin: LinearOptions | None = None,
-) -> SolveReport:
-    """Homotopy in the data: solve with (tau s, tau s_hat), tau = j / CONTINUATION_STEPS.
-
-    Newton-corrects at each step from the previous solution, starting at
-    the exact solution u = 0 for tau = 0.  Near zero data the
-    linearization is only invertible on mean-zero functions and the
-    equation admits spurious almost-solutions escaping to minus infinity,
-    so the corrector works in the mean-zero subspace and fixes the
-    constant mode by solving the mean equation exactly whenever a shift
-    can.  On failure the report carries the tau reached and the count of
-    unconverged inner solves.
-    """
-    if setup.degenerate:
-        raise DegenerateError("continuation solver needs a nondegenerate parameter")
-    same_grid(s, s_hat, alpha)
-    k = setup.k_t
-    spec = s.spec
-    scale = 1.0 + float(np.max(np.abs(s.values))) + float(np.max(np.abs(s_hat.values)))
-    s_mean = float(np.mean(s.values))
-
-    u = np.zeros(spec.dims)
-    trace = [0.0]
-    iterations = 0
-    unconverged = 0
-    for j in range(1, CONTINUATION_STEPS + 1):
-        tau = j / CONTINUATION_STEPS
-        # the residual is A w + (2 tau / k) s - phi_tau e^w
-        phi_tau = (2.0 * tau / k) * s_hat.values
-        converged = False
-        prev_norm = carried = np.inf
-        for _ in range(CONTINUATION_NEWTON_MAXITER):
-            # constant mode: the mean equation mean(s_hat e^u) = mean(s) is
-            # solved exactly by a shift whenever both means are genuinely
-            # nonzero and share a sign
-            weight = float(np.mean(s_hat.values * np.exp(u)))
-            mean_floor = 1e-13 * scale
-            if abs(s_mean) > mean_floor and abs(weight) > mean_floor and s_mean * weight > 0.0:
-                u = u + float(np.log(s_mean / weight))
-            r = _unreduced_defect(u, s, s_hat, alpha, k, tau)
-            r_proj = r - np.mean(r)
-            bound = tol * scale + _round_off(alpha, 0.0, float(np.max(np.abs(u))))
-            full_ok = float(np.max(np.abs(r))) <= bound
-            proj_ok = float(np.max(np.abs(r_proj))) <= bound
-            # intermediate waypoints only need the mean-zero part: their
-            # constant-mode defect closes as tau reaches 1
-            if full_ok or (proj_ok and j < CONTINUATION_STEPS):
-                converged = True
-                break
-            # the carried residual passed, the fresh one fails and did not fall
-            norm = _norm2(r_proj)
-            if carried <= bound and norm >= prev_norm:
-                break
-            prev_norm = norm
-            # mean-zero mode: Newton step restricted to the subspace where
-            # the linearization stays uniformly invertible; the escape
-            # family u -> -inf of the c = 0 regime is invisible there
-            step, _, inner_ok = _newton_step(
-                u, r_proj, _reaction(phi_tau, u), phi_tau, alpha, lin, meanzero=True
-            )
-            unconverged += not inner_ok
-            if step is None:
-                break
-            u = step[0]
-            carried = float(np.max(np.abs(step[1])))
-            iterations += 1
-        if not converged:
-            return SolveReport(
-                solution=ScalarField(spec, u),
-                status="not-certified",
-                trace=trace,
-                residual_sup=_sup(_unreduced_defect(u, s, s_hat, alpha, k, tau)),
-                method="continuation",
-                iterations=iterations,
-                message=_failure_message(
-                    f"newton correction failed at tau = {tau:.6g}", unconverged
-                ),
-            )
-        trace.append(float(np.max(u)))
-    return SolveReport(
-        solution=ScalarField(spec, u),
-        status="converged",
-        trace=trace,
-        residual_sup=_unreduced_residual(u, s, s_hat, alpha, k),
-        method="continuation",
-        iterations=iterations,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Full pipeline
-# ---------------------------------------------------------------------------
-
 def _averaged_start(prob: KWProblem) -> ScalarField:
-    """The constant solving c = mean(phi) e^w, or 0 when mean(phi) >= 0."""
+    """The constant solving c = mean(phi) e^w, or 0 where c mean(phi) <= 0."""
     phi_bar = mean(prob.phi)
-    level = float(np.clip(np.log(prob.c / phi_bar), -20.0, 20.0)) if phi_bar < 0 else 0.0
+    level = float(np.clip(np.log(prob.c / phi_bar), -20.0, 20.0)) if prob.c * phi_bar > 0 else 0.0
     return make_field(prob.spec, level)
+
+
+def _oscillation_start(prob: KWProblem, lin: LinearOptions | None) -> ScalarField | None:
+    """The zero-degree start w0 = t + e^t v0, or None where it does not exist.
+
+    v0 solves A v = phi - mean(phi) (_solve_for_v).  At c = 0,
+    F(t + e^t v0) = -e^t mean(phi) - e^(2t) phi v0 to second order in
+    e^t, so e^t = -mean(phi) / mean(phi v0) leaves F mean-zero.  As
+    mean(phi v0) = mean(v0 A v0) > 0 (alpha is co-closed), that needs
+    mean(phi) < 0, Kazdan and Warner's condition.
+    """
+    phi_bar = mean(prob.phi)
+    if not phi_bar < 0.0:
+        return None
+    v, _ = _solve_for_v(prob, lin)
+    scale = -phi_bar / float(np.mean(prob.phi.values * v.values))  # e^t
+    return ScalarField(prob.spec, float(np.log(scale)) + scale * v.values) if scale > 0.0 else None
 
 
 def _coarse_start(prob: KWProblem, tol: float, lin: LinearOptions | None) -> ScalarField | None:
@@ -1209,6 +1036,51 @@ def _solve_negative_c(
         return SolveReport.without_iterates(w_plus, "not-certified", "monotone", str(e))
 
 
+def _solve_zero_degree(prob: KWProblem, red, s, s_hat, *, tol: float,
+                       lin: LinearOptions | None) -> tuple[ScalarField, SolveReport]:
+    """u = w + g and the report, converged or not-certified, of a
+    zero-degree solve (|c| <= C_ZERO_TOL, s_hat not identically zero).
+
+    The discrete mean identity mean(A w) = 0 (alpha is co-closed) leaves
+    every solution with mean(phi e^w) = c, about 0, which phi of one sign
+    meets only as w escapes toward minus infinity: such phi runs no
+    Newton, nor does phi without _oscillation_start.  Neither refusal is
+    a certificate, since c need not vanish exactly.  Else newton_solve,
+    on its scale-free merit, starts there.  A converged answer with
+    |mean F| > sqrt(tol) mean(|phi| e^w) has shrunk phi e^w below the
+    residual test, an escape toward minus infinity: not-certified too.
+    """
+    phi, phi_bar = prob.phi.values, mean(prob.phi)
+    if float(np.min(phi)) >= 0.0 or float(np.max(phi)) <= 0.0:
+        refusal = (f"phi {'>=' if phi_bar > 0.0 else '<='} 0 everywhere at zero degree: the mean "
+                   f"identity mean(A w) = 0 gives mean(phi e^w) = c = {prob.c:.3e}, which "
+                   "one-signed phi meets, if at all, only as w escapes toward -inf")
+    else:
+        try:
+            start = _oscillation_start(prob, lin)
+            refusal = "" if start is not None else (
+                f"no zero-degree start: e^t = -mean(phi) / mean(phi v0) is not positive, with "
+                f"mean(phi) = {phi_bar:.3e} (Kazdan-Warner's condition is mean(phi) < 0)")
+        except SolverError as e:
+            refusal = str(e)
+    if refusal:
+        w = make_field(prob.spec, 0.0)
+        return recover_metric(w, red), SolveReport.without_iterates(
+            w, "not-certified", "newton", refusal)
+    report = newton_solve(prob, start, tol=tol, lin=lin)
+    del start  # newton_solve dropped its own reference
+    u, k = recover_metric(report.solution, red), red.setup.k_t
+    if report.converged:
+        # the escape test, with phi e^w = (2/k) s_hat e^u
+        gap = abs(float(np.mean(_unreduced_defect(u.values, s, s_hat, prob.alpha, k))))
+        size = float(np.mean((2.0 / k) * np.abs(s_hat.values) * np.exp(u.values)))
+        if gap > np.sqrt(tol) * size:
+            report.status = "not-certified"
+            report.message = (f"escaped toward -inf: |mean F| = {gap:.3e}, mean(|phi| e^w)"
+                              f" = {size:.3e}, max u = {float(np.max(u.values)):.3e}")
+    return u, report
+
+
 def solve_prescribed(
     s: ScalarField,
     s_hat: ScalarField,
@@ -1228,15 +1100,10 @@ def solve_prescribed(
     certified unsolvable), then the certificate-based solve.  Vanishing c
     with vanishing s_hat is the linear case.  The remaining regimes
     (c > 0, or c = 0 with s_hat not identically zero) have no general
-    existence theory.  They run newton_solve from zero, then
-    fixed_point_solve, then continuation_solve, and the first converged
-    report stands.  At c = 0 a solution has mean F = -mean(phi e^w) = 0,
-    so an answer with |mean F| > sqrt(tol) mean(|phi| e^w) has shrunk
-    phi e^w below the residual test: an escape toward minus infinity,
-    reported not-certified whichever solver found it.  A fallback that
-    raises SolverError has failed.  When all three fail, Newton's report
-    stands, its message naming each fallback, its status and its reason
-    (the message or the error's text).
+    existence theory, and Newton alone solves them: at zero degree
+    through _solve_zero_degree, for c > 0 from zero and, if that fails,
+    from _averaged_start (unless that is zero too).  A failed report is
+    the first run's, its message naming the second's status and reason.
 
     Every report's residual_sup is the unreduced residual of u.  Where g
     is the zero constant, as for every constant s, u = w + 0 has the A w
@@ -1277,9 +1144,10 @@ def solve_prescribed(
         report.residual_sup = resid
         return u, report
 
+    prob = KWProblem(alpha, c, red.phi)
     if c < -C_ZERO_TOL:
         report = _solve_negative_c(
-            KWProblem(alpha, c, red.phi),
+            prob,
             tol=tol,
             budget=maxiter if monotone_budget is None else min(maxiter, monotone_budget),
             lin=lin,
@@ -1301,35 +1169,19 @@ def solve_prescribed(
         )
         return finish(u, report)
 
-    def reject_escape(u: ScalarField, report: SolveReport) -> None:
-        # the docstring's escape test, with phi e^w = (2/k) s_hat e^u
-        if report.converged and abs(c) <= C_ZERO_TOL:
-            gap = abs(float(np.mean(_unreduced_defect(u.values, s, s_hat, alpha, k))))
-            size = float(np.mean((2.0 / k) * np.abs(s_hat.values) * np.exp(u.values)))
-            if gap > np.sqrt(tol) * size:
-                report.status = "not-certified"
-                report.message = (f"escaped toward -inf: |mean F| = {gap:.3e}, mean(|phi| e^w)"
-                                  f" = {size:.3e}, max u = {float(np.max(u.values)):.3e}")
+    if abs(c) <= C_ZERO_TOL:
+        return finish(*_solve_zero_degree(prob, red, s, s_hat, tol=tol, lin=lin))
 
-    # c > 0, or c = 0 with s_hat not identically zero: best effort
-    report = newton_solve(KWProblem(alpha, c, red.phi), make_field(spec, 0.0), tol=tol, lin=lin)
-    u = recover_metric(report.solution, red)
-    reject_escape(u, report)
-    if not report.converged:
-        report.image = None  # an escape's A w would stay beside the fallbacks
-        outcomes = []
-        fallbacks = (("fixed-point", fixed_point_solve), ("continuation", continuation_solve))
-        for name, solver in fallbacks:
-            try:
-                fallback = solver(s, s_hat, alpha, setup, tol=tol, lin=lin)
-            except SolverError as e:
-                outcomes.append(f"{name} not-certified ({e})")
-                continue
-            reject_escape(fallback.solution, fallback)
-            if fallback.converged:
-                return finish(fallback.solution, fallback)
-            reason = f" ({fallback.message})" if fallback.message else ""
-            outcomes.append(f"{name} {fallback.status}{reason}")
-        note = "fallbacks: " + ", ".join(outcomes)
-        report.message = "; ".join(filter(None, (report.message, note)))
-    return finish(u, report)
+    # c > 0: best effort, from zero and then from the averaged constant
+    report = newton_solve(prob, make_field(spec, 0.0), tol=tol, lin=lin)
+    start = _averaged_start(prob)
+    if not report.converged and start.values.flat[0] != 0.0:  # else the same run again
+        report.image = None  # not held beside the second run
+        second = newton_solve(prob, start, tol=tol, lin=lin)
+        if second.converged:
+            report = second
+        else:
+            reason = f" ({second.message})" if second.message else ""
+            note = f"from the averaged start: {second.status}{reason}"
+            report.message = "; ".join(filter(None, (report.message, note)))
+    return finish(recover_metric(report.solution, red), report)

@@ -374,8 +374,7 @@ def _solve_system(
     _apply(alpha, x).  From the Arnoldi residual it is b - resid -
     reaction x, which differs from _apply(alpha, x) by round-off and,
     with meanzero, by a constant as well: the Krylov residual is known
-    only on the mean-zero subspace, and the projected line search that
-    reads this image discards constants.  A caller that needs A x takes
+    only on the mean-zero subspace.  A caller that needs A x takes
     it from there rather than applying the stencils again, and drops it
     before its next solve.
     """

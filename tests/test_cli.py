@@ -16,7 +16,6 @@ from kwtorus import (
     OneForm,
     ScalarField,
     construct_unsolvable,
-    fixed_point_solve,
     read_field,
     write_field,
 )
@@ -344,30 +343,31 @@ def test_report_key_order_and_artifacts(tmp_path, command):
              ["--s=cos(x0)", "--s-hat=0.5+sin(x0)"], ["--s=0", "--s-hat=0.5"]]
 )
 def test_zero_degree_escape_is_not_converged(tmp_path, data):
-    # zero degree with mean(phi) > 0 has no solution: Newton walks down
-    # the constant mode until phi e^w passes the residual test, and that
-    # escape, like both fallbacks' failures, exits 3.  s_hat = 0.5 puts
-    # (2/k) s_hat on the Laplacian's |m| = 1 eigenvalue: the fixed-point
-    # fallback raises, and its reason reaches the message
+    # zero degree with mean(phi) > 0 has no solution, and no Newton step
+    # runs: positive phi fails the mean identity mean(phi e^w) = c = 0
+    # outright, and the sign-changing 0.5 + sin(x0) has no small-oscillation
+    # start.  Neither is a certificate: exit 3
     assert run(["solve", "--dims", "64", "--n", "1", "--t", "1", *data], tmp_path) == 3
     rep = read_report(tmp_path)
-    assert (rep["status"], rep["method"]) == ("not-certified", "newton")
-    assert rep["message"].startswith("escaped toward -inf")
-    assert "fallbacks: fixed-point " in rep["message"]
-    assert ", continuation not-certified (newton correction failed at tau = " in rep["message"]
-    singular = "fixed-point not-certified (fixed-point operator is nearly singular: "
-    assert (singular in rep["message"]) is (data[1] == "--s-hat=0.5")
+    assert (rep["status"], rep["method"], rep["iterations"]) == ("not-certified", "newton", "0")
+    if data[1] == "--s-hat=0.5+sin(x0)":
+        assert rep["message"].startswith("no zero-degree start: e^t = -mean(phi) / mean(phi v0) "
+                                         "is not positive, with mean(phi) = 2.280e+00")
+    else:
+        assert rep["message"].startswith(
+            "phi >= 0 everywhere at zero degree: the mean identity mean(A w) = 0 gives "
+            "mean(phi e^w) = c = "
+        )
 
 
 @pytest.mark.parametrize("u_star", ["0.3*cos(x0)", "0.5+0.3*cos(x0)"])
 def test_zero_degree_round_trip_recovers_u_star(tmp_path, u_star):
-    # Newton escapes from both.  The fixed-point fallback runs next and
-    # recovers u*, also the shifted one, whose mean continuation (which
-    # also recovers the first) never reaches
+    # Newton on the scale-free merit, from the small-oscillation start,
+    # recovers u*, also the shifted one
     assert run(["roundtrip", "--dims", "64", "--n", "1", "--t", "1", "--s=sin(x0)",
                 f"--u-star={u_star}"], tmp_path) == 0
     rep = read_report(tmp_path)
-    assert (rep["status"], rep["method"]) == ("converged", "fixed-point")
+    assert (rep["status"], rep["method"]) == ("converged", "newton")
     assert float(rep["sup_error"]) <= 1e-8
 
 
@@ -379,27 +379,6 @@ def test_huge_rhs_is_a_solver_failure(tmp_path):
                 "--s=1", "--s-hat=-1e300"], tmp_path)
     assert code == 3
     assert read_report(tmp_path)["status"] == "max-iter"
-
-
-def test_diverging_fixed_point_is_not_blamed_on_the_operator():
-    # the Picard iterate grows until e^u overflows: the solve stops on the
-    # non-finite right-hand side, with no RuntimeWarning (an error under
-    # tier-1's filterwarnings), and reports the divergence and the last
-    # finite iterate instead of a singular linear solve.  Newton solves
-    # this problem, so solve never reaches the fixed-point fallback here
-    spec = GridSpec((32, 32))
-    s = field_from(spec, lambda x0, x1: 0.5 + 0.1 * np.sin(x0))
-    s_hat = field_from(spec, lambda x0, x1: 0.5 + 0.05 * np.cos(x1))
-    alpha = OneForm(spec, (field_from(spec, lambda x0, x1: 0.1 * np.sin(x1)),
-                           field_from(spec, lambda x0, x1: 0.1 * np.cos(x0))))
-    rep = fixed_point_solve(s, s_hat, alpha, GeometrySetup(1, 1.0))
-    assert rep.status == "not-certified"
-    assert rep.method == "fixed-point"
-    assert "diverged" in rep.message and "last finite iterate" in rep.message
-    assert "singular" not in rep.message
-    assert rep.iterations >= 1
-    assert math.isfinite(float(np.max(rep.solution.values)))
-    assert np.all(np.isfinite(rep.solution.values))
 
 
 def test_degenerate_t_and_rejection(tmp_path):

@@ -242,8 +242,6 @@ def _mismatched_calls():
         "monotone_solve": lambda: kw.monotone_solve(prob, fb, fa),
         "newton_solve": lambda: kw.newton_solve(prob, fb),
         "construct_unsolvable": lambda: kw.construct_unsolvable(psi, 0.1, -1.0, zb),
-        "fixed_point_solve": lambda: kw.fixed_point_solve(fa, fa, zb, setup),
-        "continuation_solve": lambda: kw.continuation_solve(fa, fa, zb, setup),
         "solve_prescribed": lambda: kw.solve_prescribed(fa, fa, zb, setup),
     }
 

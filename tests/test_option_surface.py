@@ -13,11 +13,9 @@ import pytest
 
 from kwtorus import (
     LinearOptions,
-    continuation_solve,
     critical_c_bracket,
     degenerate_solve,
     estimate_gamma,
-    fixed_point_solve,
     monotone_solve,
     solve_meanzero,
     solve_prescribed,
@@ -34,8 +32,6 @@ SIGNATURES = {
     estimate_gamma: ["alpha", "c", "p", "samples", "lin"],
     solve_meanzero: ["alpha", "f", "lin"],
     degenerate_solve: ["s", "s_hat"],
-    fixed_point_solve: ["s", "s_hat", "alpha", "setup", "tol", "lin"],
-    continuation_solve: ["s", "s_hat", "alpha", "setup", "tol", "lin"],
 }
 
 
@@ -69,8 +65,8 @@ def test_removed_linear_flags_are_rejected(tmp_path, flag):
     ],
 )
 def test_removed_solver_flags_are_rejected(tmp_path, argv):
-    # the solver picks the c >= 0 method in a fixed order; the flags that
-    # chose it are gone
+    # the solver picks the c >= 0 method, Newton; the flags that chose
+    # among three are gone
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path)])
     assert exc.value.code == 2
