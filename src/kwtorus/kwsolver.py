@@ -199,19 +199,26 @@ def _reaction(phi_vals: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     return np.negative(prod, out=prod)
 
 
-def _defect(w: np.ndarray, prob: KWProblem) -> np.ndarray:
-    # laplacian(w) + <alpha, dw> + c - phi e^w
-    return _apply(prob.alpha, w) + prob.c - _phi_exp(prob.phi.values, w)
-
-
-def _newton_residual(w: np.ndarray, prob: KWProblem, reaction: np.ndarray):
-    # (A w + c) + reaction with reaction = -phi e^w: the bits of
-    # _defect(w, prob), since t + (-p) rounds as t - p, from the reaction
-    # the caller holds.  Returns the residual and A w
-    image = _apply(prob.alpha, w)
-    r = image + prob.c
+def _defect(w: np.ndarray, prob: KWProblem, image=None, reaction=None, out=None) -> np.ndarray:
+    # laplacian(w) + <alpha, dw> + c - phi e^w, summed as (A w + c) +
+    # reaction with reaction = -phi e^w (t + (-p) rounds as t - p), from
+    # the A w (image) and reaction the caller holds, else formed here;
+    # into out, else into the image formed here, else into a new field
+    if reaction is None:
+        reaction = _reaction(prob.phi.values, w)
+    if image is None:
+        image = out = _apply(prob.alpha, w)
+    r = np.add(image, prob.c, out=out)
     r += reaction
-    return r, image
+    return r
+
+
+def _residual_bound(prob: KWProblem, w: np.ndarray, reaction: np.ndarray, tol: float):
+    # (bound, scale) of newton_solve's and monotone_solve's stopping test:
+    # sup|residual| <= bound = tol * scale plus the stencils' round-off on
+    # w, with scale = 1 + |c| + sup|phi e^w| and reaction = -phi e^w
+    scale = 1.0 + abs(prob.c) + _sup(reaction)
+    return tol * scale + _round_off(prob.alpha, 0.0, _sup(w)), scale
 
 
 def is_subsolution(
@@ -386,8 +393,9 @@ def monotone_solve(
     """Monotone iteration between an ordered sub/super-solution pair.
 
     Starts at w_minus and solves (A + lambda) w_{i+1} = phi e^{w_i} - c
-    + lambda w_i until the sup-norm update and the equation residual both
-    drop below tolerance.  lambda = 1 + sup(max(-phi, 0) e^{w_plus})
+    + lambda w_i until the sup-norm update is at most tol and the
+    equation residual passes newton_solve's test (_residual_bound), which
+    tol sets, not lin.tol.  lambda = 1 + sup(max(-phi, 0) e^{w_plus})
     exceeds sup(-phi e^w) over all states between the bounds, which makes
     the updates pointwise nonnegative.
     """
@@ -409,25 +417,20 @@ def monotone_solve(
             f"iteration shift overflow (lambda = {lam:.3e}); supersolution too large"
         )
 
-    def defect_sup(image, pe):
-        # sup|A w + c - phi e^w| from A w and phi e^w, summed as _defect
-        # sums them; overwrites image
-        image += prob.c
-        image -= pe
-        return float(np.max(np.abs(image, out=image)))
-
     w = w_minus.values  # read only: every step rebinds w
     trace = [float(np.max(w))]
     min_steps: list[float] = []
-    # the loop's own fields: phi e^w, computed once per iterate, and the
-    # step; pe turns into the next right-hand side, with lam w in step
-    pe, step = _phi_exp(phi, w), np.empty_like(w)
-    residual = defect_sup(_apply(prob.alpha, w), pe)
+    # the loop's own fields: the reaction -phi e^w, formed once per
+    # iterate, and the step; the reaction turns into the next right-hand
+    # side, with lam w in step
+    reaction, step = _reaction(phi, w), np.empty_like(w)
+    residual = _sup(_defect(w, prob, reaction=reaction))
     status = "max-iter"
     for _ in range(maxiter):
-        np.subtract(pe, prob.c, out=pe)
-        pe += np.multiply(w, lam, out=step)  # phi e^w - c + lam w
-        w_next, stats = _solve_system(prob.alpha, lam, pe, lin=lin)
+        # phi e^w - c + lam w, summed as lam w - (reaction + c): the same bits
+        np.add(reaction, prob.c, out=reaction)
+        rhs = np.subtract(np.multiply(w, lam, out=step), reaction, out=reaction)
+        w_next, stats = _solve_system(prob.alpha, lam, rhs, lin=lin)
         if not stats.converged:
             raise SolverError(
                 f"inner shifted solve failed (residual {stats.residual_sup:.3e})"
@@ -436,12 +439,11 @@ def monotone_solve(
         min_steps.append(float(np.min(step)))
         w = w_next
         trace.append(float(np.max(w)))
-        _phi_exp(phi, w, out=pe)
+        _reaction(phi, w, out=reaction)
         # the solve's residual test applied the stencils to w already
-        residual = defect_sup(stats.image, pe)
+        residual = _sup(_defect(w, prob, stats.image, reaction, out=stats.image))
         del stats  # no image beside the next solve
-        scale = 1.0 + abs(prob.c) + float(np.max(np.abs(pe)))
-        if float(np.max(np.abs(step))) <= tol and residual <= 10.0 * lin.tol * scale:
+        if _sup(step) <= tol and residual <= _residual_bound(prob, w, reaction, tol)[0]:
             status = "converged"
             break
     return SolveReport(
@@ -608,10 +610,10 @@ def newton_solve(
     Arnoldi residual, so a step applies no stencil: they run for the
     first residual and for the fresh ones below.  Each iterate's phi e^w
     is formed once, by the line search that accepts it (by the start for
-    w0), and every fresh residual (_newton_residual) takes it from the
-    reaction -phi e^w held for w.  Stops when the sup-norm residual is at
-    most tol times the problem scale plus the stencils' round-off on w
-    (linsolve._round_off), confirmed on a fresh residual: a carried
+    w0), and every fresh residual (_defect) takes it from the reaction
+    -phi e^w held for w.  Stops when the sup-norm residual passes
+    _residual_bound, the test monotone_solve shares, confirmed on a
+    fresh residual: a carried
     residual that passes is replaced by the fresh one, and if that fails
     and its merit did not fall below the last fresh one's, the solve has
     stalled.  That stall, a stalled line search, a singular scale-free
@@ -636,7 +638,8 @@ def newton_solve(
         return norm
 
     reaction = _reaction(phi, w)
-    r, image = _newton_residual(w, prob, reaction)
+    image = _apply(prob.alpha, w)
+    r = _defect(w, prob, image, reaction)
     fresh = True  # r was applied to w, not carried
     norm, prev_norm, eta = merit(_norm2(r)), None, FORCING_MAX
     fresh_norm = norm  # merit of the last fresh residual
@@ -645,12 +648,12 @@ def newton_solve(
     message = ""
     unconverged = 0
     for i in range(maxiter + 1):
-        scale = 1.0 + abs(prob.c) + _sup(reaction)
-        bound = tol * scale + _round_off(prob.alpha, 0.0, _sup(w))
+        bound, scale = _residual_bound(prob, w, reaction, tol)
         r_sup = _sup(r)
         if not fresh and r_sup <= bound:
             # a carried residual passes: confirm it on the stencils
-            (r, image), fresh = _newton_residual(w, prob, reaction), True
+            image = _apply(prob.alpha, w)
+            r, fresh = _defect(w, prob, image, reaction), True
             norm, r_sup = merit(_norm2(r)), _sup(r)
             if r_sup > bound and norm >= fresh_norm:
                 status = "not-certified"
@@ -678,7 +681,7 @@ def newton_solve(
         norm, prev_norm = merit(rn), norm
         trace.append(float(np.max(w)))
     if not fresh:
-        r, _ = _newton_residual(w, prob, reaction)
+        r = _defect(w, prob, reaction=reaction)
     if status != "converged":
         image = None
         message = _failure_message(message, unconverged)
@@ -897,15 +900,6 @@ def _unreduced_defect(u, s, s_hat, alpha, k, image=None) -> np.ndarray:
     return image
 
 
-def _unreduced_residual(u, s, s_hat, alpha, k, image=None) -> float:
-    """sup|A u + (2/k)(s - s_hat e^u)|, summed into image when the caller
-    holds A u (which it then gives up), else from the stencils applied to
-    u.  inf, without a warning, where e^u overflows (a diverged
-    iterate)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _sup(_unreduced_defect(u, s, s_hat, alpha, k, image=image))
-
-
 def _averaged_start(prob: KWProblem) -> ScalarField:
     """The constant solving c = mean(phi) e^w, or 0 where c mean(phi) <= 0."""
     phi_bar = mean(prob.phi)
@@ -1036,19 +1030,18 @@ def _solve_negative_c(
         return SolveReport.without_iterates(w_plus, "not-certified", "monotone", str(e))
 
 
-def _solve_zero_degree(prob: KWProblem, red, s, s_hat, *, tol: float,
-                       lin: LinearOptions | None) -> tuple[ScalarField, SolveReport]:
-    """u = w + g and the report, converged or not-certified, of a
-    zero-degree solve (|c| <= C_ZERO_TOL, s_hat not identically zero).
+def _solve_zero_degree(prob: KWProblem, *, tol: float, lin: LinearOptions | None) -> SolveReport:
+    """The report, on w, of a zero-degree solve (|c| <= C_ZERO_TOL, s_hat
+    not identically zero).
 
     The discrete mean identity mean(A w) = 0 (alpha is co-closed) leaves
     every solution with mean(phi e^w) = c, about 0, which phi of one sign
     meets only as w escapes toward minus infinity: such phi runs no
-    Newton, nor does phi without _oscillation_start.  Neither refusal is
-    a certificate, since c need not vanish exactly.  Else newton_solve,
-    on its scale-free merit, starts there.  A converged answer with
-    |mean F| > sqrt(tol) mean(|phi| e^w) has shrunk phi e^w below the
-    residual test, an escape toward minus infinity: not-certified too.
+    Newton, nor does phi without _oscillation_start: each is reported
+    not-certified at w = 0.  Neither refusal is a certificate, since c
+    need not vanish exactly.  Else newton_solve, on its scale-free merit,
+    starts there.  solve_prescribed tests a converged answer for an
+    escape toward minus infinity on its unreduced defect.
     """
     phi, phi_bar = prob.phi.values, mean(prob.phi)
     if float(np.min(phi)) >= 0.0 or float(np.max(phi)) <= 0.0:
@@ -1064,21 +1057,9 @@ def _solve_zero_degree(prob: KWProblem, red, s, s_hat, *, tol: float,
         except SolverError as e:
             refusal = str(e)
     if refusal:
-        w = make_field(prob.spec, 0.0)
-        return recover_metric(w, red), SolveReport.without_iterates(
-            w, "not-certified", "newton", refusal)
-    report = newton_solve(prob, start, tol=tol, lin=lin)
-    del start  # newton_solve dropped its own reference
-    u, k = recover_metric(report.solution, red), red.setup.k_t
-    if report.converged:
-        # the escape test, with phi e^w = (2/k) s_hat e^u
-        gap = abs(float(np.mean(_unreduced_defect(u.values, s, s_hat, prob.alpha, k))))
-        size = float(np.mean((2.0 / k) * np.abs(s_hat.values) * np.exp(u.values)))
-        if gap > np.sqrt(tol) * size:
-            report.status = "not-certified"
-            report.message = (f"escaped toward -inf: |mean F| = {gap:.3e}, mean(|phi| e^w)"
-                              f" = {size:.3e}, max u = {float(np.max(u.values)):.3e}")
-    return u, report
+        return SolveReport.without_iterates(
+            make_field(prob.spec, 0.0), "not-certified", "newton", refusal)
+    return newton_solve(prob, start, tol=tol, lin=lin)
 
 
 def solve_prescribed(
@@ -1105,10 +1086,15 @@ def solve_prescribed(
     from _averaged_start (unless that is zero too).  A failed report is
     the first run's, its message naming the second's status and reason.
 
-    Every report's residual_sup is the unreduced residual of u.  Where g
-    is the zero constant, as for every constant s, u = w + 0 has the A w
-    that a verified or best-effort Newton report carries (its image), and
-    that residual applies no stencil; the report drops the image.
+    Every report's residual_sup is the sup of the unreduced defect of u,
+    formed once.  Where g is the zero constant, as for every constant s,
+    u = w + 0 has the A w that a verified or best-effort Newton report
+    carries (its image), and that defect applies no stencil; the report
+    drops the image.  At zero degree the mean of the same defect is the
+    escape test: a converged answer with |mean F| > sqrt(tol)
+    mean(|phi| e^w), phi e^w = (2/k) s_hat e^u, has shrunk phi e^w below
+    the residual test, an escape toward minus infinity, and is reported
+    not-certified.  |2/k| keeps that size positive where k < 0.
     """
     if not tol > 0:
         raise ConfigError(f"kw tolerance must be positive, got {tol!r}")
@@ -1136,12 +1122,22 @@ def solve_prescribed(
     # u = w + g is w up to the sign of its zeros: a report's image is A u
     zero_g = not any(g.strides) and float(g.flat[0]) == 0.0
 
-    def finish(u: ScalarField, report: SolveReport) -> tuple[ScalarField, SolveReport]:
+    def finish(u: ScalarField, report: SolveReport,
+               zero_degree: bool = False) -> tuple[ScalarField, SolveReport]:
         image = report.image if zero_g else None
         report.image = None
-        resid = _unreduced_residual(u.values, s, s_hat, alpha, k, image)
+        # inf, without a warning, where e^u overflows (a diverged iterate)
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = _unreduced_defect(u.values, s, s_hat, alpha, k, image)
         report.solution = u
-        report.residual_sup = resid
+        report.residual_sup = _sup(defect)
+        if zero_degree and report.converged:
+            gap = abs(float(np.mean(defect)))
+            size = float(np.mean(abs(2.0 / k) * np.abs(s_hat.values) * np.exp(u.values)))
+            if gap > np.sqrt(tol) * size:
+                report.status = "not-certified"
+                report.message = (f"escaped toward -inf: |mean F| = {gap:.3e}, mean(|phi| e^w)"
+                                  f" = {size:.3e}, max u = {float(np.max(u.values)):.3e}")
         return u, report
 
     prob = KWProblem(alpha, c, red.phi)
@@ -1170,7 +1166,8 @@ def solve_prescribed(
         return finish(u, report)
 
     if abs(c) <= C_ZERO_TOL:
-        return finish(*_solve_zero_degree(prob, red, s, s_hat, tol=tol, lin=lin))
+        report = _solve_zero_degree(prob, tol=tol, lin=lin)
+        return finish(recover_metric(report.solution, red), report, zero_degree=True)
 
     # c > 0: best effort, from zero and then from the averaged constant
     report = newton_solve(prob, make_field(spec, 0.0), tol=tol, lin=lin)

@@ -335,11 +335,11 @@ def _solve_system(
     """Solve A x = rhs with A = Delta + <alpha, d.> + reaction.
 
     reaction is a scalar or an ndarray; meanzero restricts the solve to
-    the mean-zero subspace.  P is the exact FFT inverse of Delta + <abar,
-    d.> + shift, with abar the mean drift and shift the reaction when it
-    is a scalar (else _precondition_shift); R = <alpha - abar, d.> +
-    reaction - shift is what is left.  With constant drift and a scalar
-    reaction R = 0 and x = P rhs.  Otherwise GMRES solves A P y = rhs
+    the mean-zero subspace and takes no rtol.  P is the exact FFT inverse
+    of Delta + <abar, d.> + shift, with abar the mean drift and shift the
+    reaction when it is a scalar (else _precondition_shift); R = <alpha -
+    abar, d.> + reaction - shift is what is left.  With constant drift
+    and a scalar reaction R = 0 and x = P rhs.  Else GMRES solves A P y = rhs
     from x0 = P rhs, whose residual is -R x0, and keeps x = P y itself:
     each Krylov iteration makes one solve with P and one application of
     R, and no Laplacian runs in the Krylov loop.  The GMRES basis is
@@ -372,12 +372,12 @@ def _solve_system(
     stats.image is A x without the reaction (Laplacian plus drift).
     Where the true residual was taken it is that image, the same bits as
     _apply(alpha, x).  From the Arnoldi residual it is b - resid -
-    reaction x, which differs from _apply(alpha, x) by round-off and,
-    with meanzero, by a constant as well: the Krylov residual is known
-    only on the mean-zero subspace.  A caller that needs A x takes
-    it from there rather than applying the stencils again, and drops it
-    before its next solve.
+    reaction x, which differs from _apply(alpha, x) by round-off.  A
+    caller that needs A x takes it from there rather than applying the
+    stencils again, and drops it before its next solve.
     """
+    if meanzero and rtol is not None:
+        raise ValueError("a mean-zero solve takes no rtol: it is judged on its true residual")
     lin = lin or LinearOptions()
     spec = alpha.spec
     coeffs = alpha.coefficients

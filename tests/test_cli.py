@@ -360,15 +360,39 @@ def test_zero_degree_escape_is_not_converged(tmp_path, data):
         )
 
 
-@pytest.mark.parametrize("u_star", ["0.3*cos(x0)", "0.5+0.3*cos(x0)"])
-def test_zero_degree_round_trip_recovers_u_star(tmp_path, u_star):
+@pytest.mark.parametrize("u_star, n, t", [
+    ("0.3*cos(x0)", 1, 1), ("0.5+0.3*cos(x0)", 1, 1), ("0.5+0.3*cos(x0)", 3, -1),
+], ids=["0.3*cos(x0)", "0.5+0.3*cos(x0)", "bismut-n3-0.5+0.3*cos(x0)"])
+def test_zero_degree_round_trip_recovers_u_star(tmp_path, u_star, n, t):
     # Newton on the scale-free merit, from the small-oscillation start,
-    # recovers u*, also the shifted one
-    assert run(["roundtrip", "--dims", "64", "--n", "1", "--t", "1", "--s=sin(x0)",
+    # recovers u*, also the shifted one.  Bismut (t = -1) at n = 3 has
+    # k = -1 < 0, which must not make the escape test's size negative
+    assert run(["roundtrip", "--dims", "64", "--n", str(n), "--t", str(t), "--s=sin(x0)",
                 f"--u-star={u_star}"], tmp_path) == 0
     rep = read_report(tmp_path)
     assert (rep["status"], rep["method"]) == ("converged", "newton")
     assert float(rep["sup_error"]) <= 1e-8
+
+
+@pytest.mark.parametrize("s, u_star, passes", [
+    ("sin(x0)", "0.5+0.3*cos(x0)", 3), ("0", "0.3*cos(x0)", 2),
+], ids=["varying-s", "zero-s"])
+def test_zero_degree_round_trip_applies_the_stencils_once_per_field(
+    tmp_path, monkeypatch, s, u_star, passes
+):
+    # Newton applies the stencils to its start and to its answer; the
+    # unreduced defect of u = w + g, whose sup is residual_sup and whose
+    # mean is the escape test, applies them once more where g varies, and
+    # sums Newton's A w where s = 0 makes g the zero constant
+    from kwtorus import kwsolver
+
+    applied = []
+    real = kwsolver._apply
+    monkeypatch.setattr(kwsolver, "_apply", lambda *a, **k: applied.append(1) or real(*a, **k))
+    assert run(["roundtrip", "--dims", "64", "--n", "1", "--t", "1", f"--s={s}",
+                f"--u-star={u_star}"], tmp_path) == 0
+    assert read_report(tmp_path)["status"] == "converged"
+    assert len(applied) == passes
 
 
 def test_huge_rhs_is_a_solver_failure(tmp_path):

@@ -264,6 +264,32 @@ def test_monotone_manufactured():
     assert rep.solution.values.max() <= build_supersolution(prob).values.max() + 1e-10
 
 
+def test_monotone_stops_on_the_newton_residual_test():
+    # monotone_solve's residual target is newton_solve's: tol times the
+    # scale 1 + |c| + sup|phi e^w| plus the stencils' round-off on w,
+    # whatever lin.tol.  With lin.tol = 1e-13, 10 lin.tol times the scale
+    # lies below the residual's floor on 1024 points (about 5.6e-12),
+    # which no step could meet
+    spec = GridSpec((1024,))
+    prob = KWProblem(OneForm.zero(spec), -1.0, field_from(spec, lambda x: -1.0 - 0.3 * np.cos(x)))
+    lo, hi = build_subsolution(prob), build_supersolution(prob)
+    lin = LinearOptions(tol=1e-13)
+    steps = []
+    for tol in (kwsolver.DEFAULT_KW_TOL, 1e-6):
+        rep = monotone_solve(prob, lo, hi, tol=tol, lin=lin)
+        assert rep.converged
+        steps.append(rep.iterations)
+        w = rep.solution.values
+        assert rep.residual_sup == float(np.max(np.abs(kwsolver._defect(w, prob))))
+        scale = 1.0 + abs(prob.c) + float(np.max(np.abs(prob.phi.values * np.exp(w))))
+        round_off = _round_off(prob.alpha, 0.0, float(np.max(np.abs(w))))
+        assert rep.residual_sup <= tol * scale + round_off
+    assert steps[0] <= 60 and steps[1] < steps[0]
+    # tol, not lin.tol, set the looser run's target: it stopped far above
+    # 10 lin.tol times the scale
+    assert rep.residual_sup > 1e5 * 10.0 * lin.tol * scale
+
+
 def test_monotone_shift_overflow_is_a_solver_error():
     # the shift 1 + sup(-phi e^{w_plus}) grows like |c|; past 1e14 the
     # shifted solves lose every digit, so the iteration refuses to start
@@ -843,10 +869,7 @@ def test_carried_residual_alone_never_converges(monkeypatch):
     w0 = make_field(prob.spec, 0.0)
     steps = newton_solve(prob, w0).iterations
     _offset_images(monkeypatch, [1e-6])
-    applied = []
-    real = kwsolver._newton_residual
-    monkeypatch.setattr(kwsolver, "_newton_residual",
-                        lambda *args: applied.append(1) or real(*args))
+    applied = _count_calls(monkeypatch, kwsolver, "_apply")
     rep = newton_solve(prob, w0, maxiter=steps)
     assert rep.status == "max-iter"
     assert len(applied) == 2  # the start and the rejected confirmation
@@ -961,7 +984,7 @@ def test_constant_s_takes_the_unreduced_residual_from_newton(monkeypatch):
         assert (rep.status, rep.method) == ("converged", "newton")
         assert len(stencils) - returned[-1] == after
         assert rep.image is None
-        resid = kwsolver._unreduced_residual(u.values, s, s_hat, alpha, setup.k_t)
+        resid = np.max(np.abs(kwsolver._unreduced_defect(u.values, s, s_hat, alpha, setup.k_t)))
         assert np.float64(rep.residual_sup).tobytes() == np.float64(resid).tobytes()
 
 

@@ -505,21 +505,18 @@ def _inexact_case(dims, drift):
 
 
 @pytest.mark.parametrize("rtol", [0.1, 1e-6])
-@pytest.mark.parametrize("meanzero", [False, True], ids=["full", "meanzero"])
+# the full space only: a mean-zero solve takes no rtol
+@pytest.mark.parametrize("meanzero", [False], ids=["full"])
 @pytest.mark.parametrize("drift", ["constant", "variable"])
 @pytest.mark.parametrize("dims", [(4096,), (64, 64), (16, 16, 16), (12, 12, 12, 12)])
 def test_inexact_solve_image_matches_the_stencil(dims, drift, meanzero, rtol):
     # an inexact solve takes A x from the Arnoldi residual, not from the
     # stencils: it stays within the round-off of applying them, 10 (k + 1)
-    # eps ||A||_inf sup|x| after k Krylov iterations (modulo constants
-    # with meanzero, where the Krylov residual lives on the mean-zero
-    # subspace)
+    # eps ||A||_inf sup|x| after k Krylov iterations
     alpha, reaction, rhs = _inexact_case(dims, drift)
     x, stats = _solve_system(alpha, reaction, rhs, meanzero=meanzero, rtol=rtol)
     assert stats.converged and stats.iterations >= 1
     diff = stats.image - _apply(alpha, x)
-    if meanzero:
-        diff -= np.mean(diff)
     norm_a = float(np.max(np.abs(reaction))) + _stencil_norm(alpha)
     unit = np.finfo(float).eps * norm_a * float(np.max(np.abs(x)))
     assert float(np.max(np.abs(diff))) <= 10.0 * (stats.iterations + 1) * unit
@@ -572,7 +569,8 @@ def test_contract_rejects_an_error_a_few_times_the_round_off():
     assert resid > allowed
 
 
-@pytest.mark.parametrize("meanzero", [False, True], ids=["full", "meanzero"])
+# the full space only: a mean-zero solve takes no rtol
+@pytest.mark.parametrize("meanzero", [False], ids=["full"])
 @pytest.mark.parametrize("drift", ["constant", "variable"])
 def test_inexact_solve_applies_no_stencil(monkeypatch, drift, meanzero):
     # the Laplacian never runs in an inexact solve, and the drift stencil
@@ -590,6 +588,14 @@ def test_inexact_solve_applies_no_stencil(monkeypatch, drift, meanzero):
     assert stats.converged and stats.iterations >= 1
     assert "_laplacian" not in calls
     assert ("_lee_pairing" in calls) == (drift == "variable")
+
+
+def test_meanzero_solve_takes_no_rtol():
+    # a mean-zero solve is judged on its true residual: an Arnoldi-judged
+    # one is internal misuse
+    alpha, reaction, rhs = _inexact_case((32, 32), "variable")
+    with pytest.raises(ValueError, match="mean-zero solve takes no rtol"):
+        _solve_system(alpha, reaction, rhs, meanzero=True, rtol=1e-6)
 
 
 def test_overflowed_newton_inner_solve_is_not_converged():
