@@ -4,8 +4,9 @@ Every command reads a flat ``key = value`` config file (``#`` comments)
 with command-line flags overriding file keys.  A file key must be one of
 the flag keys (``_FLAG_KEYS``); any other key is rejected (exit 2), as an
 unknown flag is.  Fields are defined either by an expression (key ``s``)
-or a field file (key ``s_file``), never both.  Numeric keys must hold
-finite numbers.
+or a field file (key ``s_file``), never both.  Every numeric key given
+must hold a finite number (an integer for a count), whether or not the
+command reads it.
 Artifacts land in the output directory (flag ``--out``, else the
 KW_OUTPUT_DIR environment variable, else the working directory):
 
@@ -64,11 +65,11 @@ FIELD_KEYS = ("s", "s_hat", "s2", "phi", "psi", "f", "u", "u_star")
 # probes of estimate_gamma when the samples key is unset
 GAMMA_SAMPLES = 8
 
-# config key -> (keyword, kind) of the library calls; an unset key passes
+# config key -> keyword of the library calls; an unset key passes
 # nothing, so the library's own default holds
-LINEAR_KEYS = {"lin_tol": ("tol", float), "lin_maxiter": ("maxiter", int)}
-KW_KEYS = {"kw_tol": ("tol", float), "kw_maxiter": ("maxiter", int)}
-SOLVE_KEYS = {**KW_KEYS, "monotone_budget": ("monotone_budget", int)}
+LINEAR_KEYS = {"lin_tol": "tol", "lin_maxiter": "maxiter"}
+KW_KEYS = {"kw_tol": "tol", "kw_maxiter": "maxiter"}
+SOLVE_KEYS = {**KW_KEYS, "monotone_budget": "monotone_budget"}
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +90,24 @@ def _finite_list(text: str) -> list[float]:
     return values
 
 
-# kind of RunConfig.get -> (what its text must be, parser raising ValueError)
+# kind of a key's value -> (what its text must be, parser raising ValueError)
 _KINDS = {
     str: ("a string", str),
     float: ("a finite number", _finite),
     int: ("an integer", int),
     list: ("a comma list of finite numbers", _finite_list),
+}
+
+# flag and config key -> kind of its value
+_FLAG_KEYS = {
+    "dims": str, "n": int, "t": float,
+    **{key + suffix: str
+       for key in (*FIELD_KEYS, *(f"alpha{ax}" for ax in range(MAX_RANK)))
+       for suffix in ("", "_file")},
+    "c": float, "c_list": list, "alpha_const": float, "p": float, "samples": int,
+    "gamma_hat": float, "search_floor": float,
+    "lin_tol": float, "lin_maxiter": int,
+    "kw_tol": float, "kw_maxiter": int, "monotone_budget": int,
 }
 
 
@@ -115,30 +128,32 @@ class RunConfig:
             except ValueError:
                 raise ConfigError(f"dims is not a comma list of integers: {dims!r}")
             self.spec = GridSpec(counts)
+        # every key given, parsed once by its kind: a bad value fails unread too
+        self.values = {key: self._parse(key, _FLAG_KEYS.get(key, str)) for key in raw}
 
-    def get(self, key: str, default=None, kind=str):
-        """Value of key parsed as kind (str, float, int or list, a list of
-        floats), or default when the key is unset."""
-        if key not in self.raw:
-            return default
+    def _parse(self, key: str, kind):
         what, parse = _KINDS[kind]
         try:
             return parse(self.raw[key])
         except ValueError:
             raise ConfigError(f"key {key} is not {what}: {self.raw[key]!r}")
 
-    def given(self, keys: dict) -> dict:
-        """{keyword: value} for the keys of keys (config key -> (keyword,
-        kind)) that are set."""
-        return {
-            kw: self.get(key, kind=kind) for key, (kw, kind) in keys.items() if key in self.raw
-        }
+    def get(self, key: str, default=None, kind=None):
+        """Value of key parsed by its kind in _FLAG_KEYS (str for any other
+        key) or by kind where given, or default when the key is unset."""
+        if key not in self.raw:
+            return default
+        return self.values[key] if kind is None else self._parse(key, kind)
 
-    def need(self, key: str, kind=float):
+    def given(self, keys: dict) -> dict:
+        """{keyword: value} for the set keys of keys (config key -> keyword)."""
+        return {kw: self.values[key] for key, kw in keys.items() if key in self.raw}
+
+    def need(self, key: str):
         """Value of a key the command cannot run without."""
         if key not in self.raw:
             raise ConfigError(f"missing required key {key}")
-        return self.get(key, kind=kind)
+        return self.values[key]
 
     def _adopt(self, spec: GridSpec):
         if self.spec is None:
@@ -173,12 +188,12 @@ class RunConfig:
         return OneForm(self.spec, tuple(comps))
 
     def setup(self) -> GeometrySetup:
-        return GeometrySetup(n=self.need("n", int), t=self.need("t"))
+        return GeometrySetup(n=self.need("n"), t=self.need("t"))
 
     def exponent(self) -> float:
         """The Lebesgue exponent p: by default rank + 1, the least integer
         above the rank that estimate_gamma accepts."""
-        return self.get("p", float(self.spec.rank + 1), float)
+        return self.get("p", float(self.spec.rank + 1))
 
 
 def read_field_file(path, what: str) -> ScalarField:
@@ -396,9 +411,9 @@ def cmd_sufficient(cfg: RunConfig, rep: Reporter) -> int:
     alpha = cfg.one_form()
     c = cfg.need("c")
     p = cfg.exponent()
-    gamma_hat = cfg.get("gamma_hat", None, float)
+    gamma_hat = cfg.get("gamma_hat")
     if gamma_hat is None:
-        samples = cfg.get("samples", GAMMA_SAMPLES, int)
+        samples = cfg.get("samples", GAMMA_SAMPLES)
         gamma_hat = estimate_gamma(alpha, c, p, samples, lin=linear_options(cfg))
         rep.add("gamma_source", "estimated")
     else:
@@ -417,7 +432,7 @@ def cmd_sufficient(cfg: RunConfig, rep: Reporter) -> int:
 def cmd_critical_c(cfg: RunConfig, rep: Reporter) -> int:
     phi = cfg.field("phi")
     alpha = cfg.one_form()
-    keys = {"search_floor": ("search_floor", float), **KW_KEYS}
+    keys = {"search_floor": "search_floor", **KW_KEYS}
     bracket = critical_c_bracket(phi, alpha, **cfg.given(keys), lin=linear_options(cfg))
     rep.add("c_lo", bracket.c_lo)
     rep.add("c_hi", bracket.c_hi)
@@ -433,7 +448,7 @@ def cmd_critical_c(cfg: RunConfig, rep: Reporter) -> int:
 def cmd_asymptotic(cfg: RunConfig, rep: Reporter) -> int:
     f = cfg.field("f")
     alpha = cfg.one_form()
-    rows = asymptotic_suite(f, alpha, cfg.need("c_list", list), linear_options(cfg))
+    rows = asymptotic_suite(f, alpha, cfg.need("c_list"), linear_options(cfg))
     rep.save_csv("asymptotic", ("c", "deviation"), rows)
     rep.add("entries", len(rows))
     rep.add("max_deviation", max(dev for _, dev in rows))
@@ -476,7 +491,7 @@ def cmd_gamma_estimate(cfg: RunConfig, rep: Reporter) -> int:
     alpha = cfg.one_form()
     c = cfg.need("c")
     p = cfg.exponent()
-    samples = cfg.get("samples", GAMMA_SAMPLES, int)
+    samples = cfg.get("samples", GAMMA_SAMPLES)
     gamma_hat = estimate_gamma(alpha, c, p, samples, lin=linear_options(cfg))
     rep.add("c", c)
     rep.add("p", p)
@@ -517,17 +532,6 @@ COMMANDS = {
     "gamma-estimate": cmd_gamma_estimate,
     "degenerate-t": cmd_degenerate_t,
 }
-
-_FLAG_KEYS = [
-    "dims", "n", "t",
-    *(key + suffix
-      for key in (*FIELD_KEYS, *(f"alpha{ax}" for ax in range(MAX_RANK)))
-      for suffix in ("", "_file")),
-    "c", "c_list", "alpha_const", "p", "samples", "gamma_hat", "search_floor",
-    "lin_tol", "lin_maxiter",
-    "kw_tol", "kw_maxiter", "monotone_budget",
-]
-
 
 @functools.cache  # parse_args keeps no state, so every main call shares one
 def build_parser() -> argparse.ArgumentParser:

@@ -41,7 +41,7 @@ from .errors import (
     SolvabilityError,
     SolverError,
 )
-from .geometry import GeometrySetup, recover_metric, reduce_problem
+from .geometry import GeometrySetup, degenerate_solve, recover_metric, reduce_problem
 from .grid import GridSpec, OneForm, ScalarField, make_field, refine_field, restrict, same_grid
 from .linsolve import (
     LinearOptions,
@@ -802,6 +802,16 @@ def asymptotic_suite(
 # Critical constant bracketing
 # ---------------------------------------------------------------------------
 
+def _check_limits(tol: float, **caps) -> None:
+    # a nonlinear solve's tolerance must be positive and each iteration
+    # cap given >= 0 (0 runs no step); None leaves a cap unset
+    if not tol > 0:
+        raise ConfigError(f"kw tolerance must be positive, got {tol!r}")
+    for name, cap in caps.items():
+        if cap is not None and cap < 0:
+            raise ConfigError(f"{name.replace('_', ' ')} must be >= 0, got {cap!r}")
+
+
 def critical_c_bracket(
     phi: ScalarField,
     alpha: OneForm,
@@ -828,8 +838,7 @@ def critical_c_bracket(
         raise SolvabilityError("bracketing needs mean(phi) < 0")
     if search_floor >= -BRACKET_EPS:
         raise ConfigError(f"search_floor must lie below the first probe c = {-BRACKET_EPS:g}")
-    if not tol > 0:
-        raise ConfigError(f"kw tolerance must be positive, got {tol!r}")
+    _check_limits(tol, kw_maxiter=maxiter)
     probes: list[tuple[float, str]] = []
     warm = last_solved = first_failed = None
     fail_kind = "solver-failed"
@@ -1062,6 +1071,27 @@ def _solve_zero_degree(prob: KWProblem, *, tol: float, lin: LinearOptions | None
     return newton_solve(prob, start, tol=tol, lin=lin)
 
 
+def _solve_positive_c(prob: KWProblem, *, tol: float, lin: LinearOptions | None) -> SolveReport:
+    """The report, on w, of a c > 0 solve, which has no existence theory.
+
+    Newton runs from zero and, if that fails, from _averaged_start
+    (unless that is zero too, the same run again).  A converged second
+    run stands; else the first run's report does, its message naming the
+    second's status and reason.
+    """
+    report = newton_solve(prob, make_field(prob.spec, 0.0), tol=tol, lin=lin)
+    start = _averaged_start(prob)
+    if not report.converged and start.values.flat[0] != 0.0:
+        report.image = None  # not held beside the second run
+        second = newton_solve(prob, start, tol=tol, lin=lin)
+        if second.converged:
+            return second
+        reason = f" ({second.message})" if second.message else ""
+        note = f"from the averaged start: {second.status}{reason}"
+        report.message = "; ".join(filter(None, (report.message, note)))
+    return report
+
+
 def solve_prescribed(
     s: ScalarField,
     s_hat: ScalarField,
@@ -1076,109 +1106,65 @@ def solve_prescribed(
     """Full prescription pipeline from curvature data to the log factor u.
 
     Degenerate parameter values solve pointwise.  Otherwise the problem
-    reduces to the exponential equation; negative c runs the positivity
-    test where phi is positive somewhere or identically zero (failure is
-    certified unsolvable), then the certificate-based solve.  Vanishing c
-    with vanishing s_hat is the linear case.  The remaining regimes
-    (c > 0, or c = 0 with s_hat not identically zero) have no general
-    existence theory, and Newton alone solves them: at zero degree
-    through _solve_zero_degree, for c > 0 from zero and, if that fails,
-    from _averaged_start (unless that is zero too).  A failed report is
-    the first run's, its message naming the second's status and reason.
+    reduces to the exponential equation, and the solve branches once on
+    c: c < 0 runs _solve_negative_c, whose certified-unsolvable report
+    stands on w = 0; c > 0 runs _solve_positive_c; c = 0 with s_hat not
+    identically zero runs _solve_zero_degree.  c = 0 with vanishing
+    s_hat is the linear case A u = (2/k)(mean(s) - s), the equation of
+    the reduction's g: u is g, the report takes its solve's iteration
+    count, and no second solve runs.  maxiter and monotone_budget (c <
+    0's monotone steps, at most maxiter) must be >= 0.
 
-    Every report's residual_sup is the sup of the unreduced defect of u,
-    formed once.  Where g is the zero constant, as for every constant s,
-    u = w + 0 has the A w that a verified or best-effort Newton report
-    carries (its image), and that defect applies no stencil; the report
-    drops the image.  At zero degree the mean of the same defect is the
+    Every other report leaves by one exit, which forms u = w + g and its
+    unreduced defect once: its sup is residual_sup.  Where g is the zero
+    constant, as for every constant s, u = w + 0 has the A w that a
+    verified or best-effort Newton report carries (its image), and that
+    defect applies no stencil; the report drops the image.  At zero
+    degree outside the linear case the mean of the same defect is the
     escape test: a converged answer with |mean F| > sqrt(tol)
     mean(|phi| e^w), phi e^w = (2/k) s_hat e^u, has shrunk phi e^w below
     the residual test, an escape toward minus infinity, and is reported
     not-certified.  |2/k| keeps that size positive where k < 0.
     """
-    if not tol > 0:
-        raise ConfigError(f"kw tolerance must be positive, got {tol!r}")
+    _check_limits(tol, kw_maxiter=maxiter, monotone_budget=monotone_budget)
 
     if setup.degenerate:
-        from .geometry import degenerate_solve
-
         u = degenerate_solve(s, s_hat)
         resid = float(np.max(np.abs(np.exp(u.values) * s_hat.values - s.values)))
-        report = SolveReport(
-            solution=u,
-            status="converged",
-            trace=[float(np.max(u.values))],
-            residual_sup=resid,
-            method="degenerate",
-            iterations=1,
-        )
-        return u, report
+        return u, SolveReport(u, "converged", [float(np.max(u.values))], resid, "degenerate", 1)
 
-    red, _ = reduce_problem(s, s_hat, alpha, setup, lin)
-    k = setup.k_t
-    c = red.c
-    spec = s.spec
+    red, stats = reduce_problem(s, s_hat, alpha, setup, lin)
+    k, c = setup.k_t, red.c
+    prob = KWProblem(alpha, c, red.phi)
+    linear = abs(c) <= C_ZERO_TOL and float(np.max(np.abs(s_hat.values))) < 1e-12
+    if c < -C_ZERO_TOL:
+        budget = maxiter if monotone_budget is None else min(maxiter, monotone_budget)
+        report = _solve_negative_c(prob, tol=tol, budget=budget, lin=lin)
+        if report.status == "certified-unsolvable":
+            return report.solution, report
+    elif c > C_ZERO_TOL:
+        report = _solve_positive_c(prob, tol=tol, lin=lin)
+    elif linear:
+        report = SolveReport(red.g, "converged", [float(np.max(red.g.values))],
+                             stats.residual_sup, "linear", stats.iterations)
+    else:
+        report = _solve_zero_degree(prob, tol=tol, lin=lin)
+
+    u = red.g if linear else recover_metric(report.solution, red)
     g = red.g.values
     # u = w + g is w up to the sign of its zeros: a report's image is A u
     zero_g = not any(g.strides) and float(g.flat[0]) == 0.0
-
-    def finish(u: ScalarField, report: SolveReport,
-               zero_degree: bool = False) -> tuple[ScalarField, SolveReport]:
-        image = report.image if zero_g else None
-        report.image = None
-        # inf, without a warning, where e^u overflows (a diverged iterate)
-        with np.errstate(over="ignore", invalid="ignore"):
-            defect = _unreduced_defect(u.values, s, s_hat, alpha, k, image)
-        report.solution = u
-        report.residual_sup = _sup(defect)
-        if zero_degree and report.converged:
-            gap = abs(float(np.mean(defect)))
-            size = float(np.mean(abs(2.0 / k) * np.abs(s_hat.values) * np.exp(u.values)))
-            if gap > np.sqrt(tol) * size:
-                report.status = "not-certified"
-                report.message = (f"escaped toward -inf: |mean F| = {gap:.3e}, mean(|phi| e^w)"
-                                  f" = {size:.3e}, max u = {float(np.max(u.values)):.3e}")
-        return u, report
-
-    prob = KWProblem(alpha, c, red.phi)
-    if c < -C_ZERO_TOL:
-        report = _solve_negative_c(
-            prob,
-            tol=tol,
-            budget=maxiter if monotone_budget is None else min(maxiter, monotone_budget),
-            lin=lin,
-        )
-        if report.status == "certified-unsolvable":
-            return report.solution, report
-        return finish(recover_metric(report.solution, red), report)
-
-    if abs(c) <= C_ZERO_TOL and float(np.max(np.abs(s_hat.values))) < 1e-12:
-        rhs = ScalarField(spec, -(2.0 / k) * (s.values - float(np.mean(s.values))))
-        u, stats = solve_meanzero(alpha, rhs, lin=lin)
-        report = SolveReport(
-            solution=u,
-            status="converged",
-            trace=[float(np.max(u.values))],
-            residual_sup=stats.residual_sup,
-            method="linear",
-            iterations=stats.iterations,
-        )
-        return finish(u, report)
-
-    if abs(c) <= C_ZERO_TOL:
-        report = _solve_zero_degree(prob, tol=tol, lin=lin)
-        return finish(recover_metric(report.solution, red), report, zero_degree=True)
-
-    # c > 0: best effort, from zero and then from the averaged constant
-    report = newton_solve(prob, make_field(spec, 0.0), tol=tol, lin=lin)
-    start = _averaged_start(prob)
-    if not report.converged and start.values.flat[0] != 0.0:  # else the same run again
-        report.image = None  # not held beside the second run
-        second = newton_solve(prob, start, tol=tol, lin=lin)
-        if second.converged:
-            report = second
-        else:
-            reason = f" ({second.message})" if second.message else ""
-            note = f"from the averaged start: {second.status}{reason}"
-            report.message = "; ".join(filter(None, (report.message, note)))
-    return finish(recover_metric(report.solution, red), report)
+    image, report.image = (report.image if zero_g else None), None
+    # inf, without a warning, where e^u overflows (a diverged iterate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = _unreduced_defect(u.values, s, s_hat, alpha, k, image)
+    report.solution = u
+    report.residual_sup = _sup(defect)
+    if abs(c) <= C_ZERO_TOL and not linear and report.converged:
+        gap = abs(float(np.mean(defect)))
+        size = float(np.mean(abs(2.0 / k) * np.abs(s_hat.values) * np.exp(u.values)))
+        if gap > np.sqrt(tol) * size:
+            report.status = "not-certified"
+            report.message = (f"escaped toward -inf: |mean F| = {gap:.3e}, mean(|phi| e^w)"
+                              f" = {size:.3e}, max u = {float(np.max(u.values)):.3e}")
+    return u, report

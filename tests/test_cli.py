@@ -160,6 +160,8 @@ DRIFT_SOLVE_16 = [
     "--s-hat=-1-0.3*cos(x0)", "--alpha0=0.2*sin(x1)", "--alpha1=0.2*cos(x0)",
 ]
 
+PLAIN_SOLVE_16 = ["solve", "--dims", "16", "--n", "1", "--t", "1", "--s=-1", "--s-hat=-1"]
+
 
 @pytest.mark.parametrize(
     "bad",
@@ -200,6 +202,13 @@ DRIFT_SOLVE_16 = [
         ["roundtrip", "--dims", "16", "--n", "1", "--t", "1", "--s=-1", "--u-star=-1000"],
         ["validate", "--dims", "16", "--alpha0=1.5e308*sin(x0)"],
         ["solve", "--config", "{tmp}/removed-key.cfg"],
+        # keys the command does not read, and negative iteration caps
+        PLAIN_SOLVE_16 + ["--c=nan"],
+        PLAIN_SOLVE_16 + ["--samples", "abc"],
+        PLAIN_SOLVE_16 + ["--kw-maxiter=-1"],
+        PLAIN_SOLVE_16 + ["--monotone-budget=-7"],
+        ["critical-c", "--dims", "16", "--phi=-1-sin(x0)", "--search-floor=-10",
+         "--kw-maxiter=-1"],
     ],
 )
 def test_bad_options_exit_code(tmp_path, capsys, bad):

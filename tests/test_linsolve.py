@@ -505,16 +505,14 @@ def _inexact_case(dims, drift):
 
 
 @pytest.mark.parametrize("rtol", [0.1, 1e-6])
-# the full space only: a mean-zero solve takes no rtol
-@pytest.mark.parametrize("meanzero", [False], ids=["full"])
 @pytest.mark.parametrize("drift", ["constant", "variable"])
 @pytest.mark.parametrize("dims", [(4096,), (64, 64), (16, 16, 16), (12, 12, 12, 12)])
-def test_inexact_solve_image_matches_the_stencil(dims, drift, meanzero, rtol):
+def test_inexact_solve_image_matches_the_stencil(dims, drift, rtol):
     # an inexact solve takes A x from the Arnoldi residual, not from the
     # stencils: it stays within the round-off of applying them, 10 (k + 1)
     # eps ||A||_inf sup|x| after k Krylov iterations
     alpha, reaction, rhs = _inexact_case(dims, drift)
-    x, stats = _solve_system(alpha, reaction, rhs, meanzero=meanzero, rtol=rtol)
+    x, stats = _solve_system(alpha, reaction, rhs, rtol=rtol)
     assert stats.converged and stats.iterations >= 1
     diff = stats.image - _apply(alpha, x)
     norm_a = float(np.max(np.abs(reaction))) + _stencil_norm(alpha)
@@ -569,10 +567,8 @@ def test_contract_rejects_an_error_a_few_times_the_round_off():
     assert resid > allowed
 
 
-# the full space only: a mean-zero solve takes no rtol
-@pytest.mark.parametrize("meanzero", [False], ids=["full"])
 @pytest.mark.parametrize("drift", ["constant", "variable"])
-def test_inexact_solve_applies_no_stencil(monkeypatch, drift, meanzero):
+def test_inexact_solve_applies_no_stencil(monkeypatch, drift):
     # the Laplacian never runs in an inexact solve, and the drift stencil
     # only inside the Krylov loop, where a varying drift needs it
     import kwtorus.linsolve as linsolve
@@ -584,7 +580,7 @@ def test_inexact_solve_applies_no_stencil(monkeypatch, drift, meanzero):
         monkeypatch.setattr(
             linsolve, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a)
         )
-    _, stats = _solve_system(alpha, reaction, rhs, meanzero=meanzero, rtol=1e-6)
+    _, stats = _solve_system(alpha, reaction, rhs, rtol=1e-6)
     assert stats.converged and stats.iterations >= 1
     assert "_laplacian" not in calls
     assert ("_lee_pairing" in calls) == (drift == "variable")
