@@ -129,21 +129,19 @@ class RunConfig:
                 raise ConfigError(f"dims is not a comma list of integers: {dims!r}")
             self.spec = GridSpec(counts)
         # every key given, parsed once by its kind: a bad value fails unread too
-        self.values = {key: self._parse(key, _FLAG_KEYS.get(key, str)) for key in raw}
+        self.values = {key: self._parse(key) for key in raw}
 
-    def _parse(self, key: str, kind):
-        what, parse = _KINDS[kind]
+    def _parse(self, key: str):
+        what, parse = _KINDS[_FLAG_KEYS.get(key, str)]
         try:
             return parse(self.raw[key])
         except ValueError:
             raise ConfigError(f"key {key} is not {what}: {self.raw[key]!r}")
 
-    def get(self, key: str, default=None, kind=None):
+    def get(self, key: str, default=None):
         """Value of key parsed by its kind in _FLAG_KEYS (str for any other
-        key) or by kind where given, or default when the key is unset."""
-        if key not in self.raw:
-            return default
-        return self.values[key] if kind is None else self._parse(key, kind)
+        key), or default when the key is unset."""
+        return self.values.get(key, default)
 
     def given(self, keys: dict) -> dict:
         """{keyword: value} for the set keys of keys (config key -> keyword)."""

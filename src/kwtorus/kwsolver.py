@@ -268,10 +268,12 @@ def build_supersolution(
     Sign-changing phi gets the a v + b that _offset_search finds by
     testing the defining inequality pointwise, which certifies wherever
     the small-oscillation bound does; it finds none for c far below zero,
-    even where the equation happens to be solvable.  Of the
-    candidates that is_supersolution accepts, the one with the lowest
-    maximum is returned: a v + b beats the constant where phi_max is
-    near zero, whose level log(c / phi_max) + 0.1 is then large.
+    even where the equation happens to be solvable.  An a v + b that
+    overflows (c near the float range) is dropped, silently: no pair
+    then verifies the caller's Newton answer.  Of the candidates that
+    is_supersolution accepts, the one with the lowest maximum is
+    returned: a v + b beats the constant where phi_max is near zero,
+    whose level log(c / phi_max) + 0.1 is then large.
     """
     c = prob.c
     if c >= 0:
@@ -289,10 +291,14 @@ def build_supersolution(
     if phi_max <= 0.0:
         if phi_max < 0.0:
             candidates.append(make_field(prob.spec, _supersolution_level(c, phi_max)))
-        # nonpositive phi: w_+ = a v + b with a mean(phi) < c and e^{a v + b} > a
+        # nonpositive phi: w_+ = a v + b with a mean(phi) < c and e^{a v + b} > a,
+        # dropped where c near the float range makes it overflow
         a = 1.1 * c / phi_bar
         b = float(np.log(a)) - a * float(np.min(v.values)) + 0.1
-        candidates.append(ScalarField(prob.spec, a * v.values + b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_plus = a * v.values + b
+        if np.all(np.isfinite(w_plus)):
+            candidates.append(ScalarField(prob.spec, w_plus))
     else:
         cand = _offset_search(prob, v.values, phi_bar)
         if cand is not None:

@@ -16,9 +16,10 @@ which the nonlinear solvers' tests add too).  GMRES minimizes the
 2-norm, so while the sup residual misses, the solve restarts warm with a
 tighter 2-norm target until the contract holds or the budget is spent.
 Inexact Newton steps instead pass their own relative 2-norm tolerance (a
-forcing term), and a GMRES solve judges it on the Arnoldi residual that
-GMRES already holds, so it applies no stencil; the Newton iteration
-confirms its own convergence on a freshly applied residual.
+forcing term): one GMRES call runs until the Arnoldi residual it
+recomputes meets it, and the solve judges it there, so it applies no
+stencil; the Newton iteration confirms its own convergence on a freshly
+applied residual.
 
 The singular mean-zero problem (r = 0, kernel = constants) is solved on
 the mean-zero subspace: the right-hand side, every operator application,
@@ -88,9 +89,10 @@ class SolveStats:
     image: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def _apply(alpha: OneForm, arr: np.ndarray, reaction=0.0) -> np.ndarray:
-    """(Delta + <alpha, d.> + reaction) arr, with the drift in the format
-    of OneForm.coefficients.
+def _apply(alpha: OneForm, arr: np.ndarray) -> np.ndarray:
+    """(Delta + <alpha, d.>) arr, with the drift in the format of
+    OneForm.coefficients: the image without a reaction, which a caller
+    adds as reaction * arr.
 
     A constant arr whose double is finite skips the stencils: they map
     it to exactly +0.0, whatever the drift.  Above about 9e307 they
@@ -104,15 +106,9 @@ def _apply(alpha: OneForm, arr: np.ndarray, reaction=0.0) -> np.ndarray:
     if math.isfinite(2.0 * first) and (
         not any(arr.strides) or (arr.flat[-1] == first and np.all(arr == first))
     ):
-        out = np.zeros_like(arr)
-    else:
-        out = _laplacian(arr, spacings)
-        out += _lee_pairing(alpha.coefficients, arr, spacings)
-    if np.isscalar(reaction):
-        if reaction != 0.0:
-            out += reaction * arr
-    else:
-        out += reaction * arr
+        return np.zeros_like(arr)
+    out = _laplacian(arr, spacings)
+    out += _lee_pairing(alpha.coefficients, arr, spacings)
     return out
 
 
@@ -216,7 +212,7 @@ def _fft_inverse(spec: GridSpec, alpha_const, shift: float, zero_mode_null: bool
 # Core solve
 # ---------------------------------------------------------------------------
 
-def gmres(matvec, b, x, r, *, rtol, maxiter, callback, basis=None):
+def gmres(matvec, b, x, r, *, basis, rtol, maxiter):
     """Restarted right-preconditioned GMRES for A x = b (Saad & Schultz 1986).
 
     matvec(v, w, out=None, work=None) writes A z into w and returns
@@ -226,38 +222,38 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback, basis=None):
     r is the residual b - A x, a C-contiguous array the caller already
     holds, and x and r are updated in place.  basis holds at least
     min(GMRES_RESTART, maxiter) + 2 rows shaped like r, reused by every
-    cycle (and by the caller's next call); gmres allocates it when none
-    is given.  Each cycle of at most GMRES_RESTART iterations builds an
-    orthonormal basis v_k by modified Gram-Schmidt, each A z_j written
-    straight into basis row j + 1 and orthogonalized and scaled there.
-    It keeps z_k = P v_k, as flexible GMRES does, so that
-    x += sum_k c_k z_k costs no further solve with P; z_0 goes into r,
-    whose content no step reads from v_0 = r / beta until the cycle
-    writes its residual there after that update.  That residual is
-    V_{k+1} Q^T (g_k e_{k+1}), its last direction taken as the
-    orthogonalized last row before its scaling, so no basis row beyond
-    the cycle's iterations is written: the next cycle starts from it,
-    and on return r holds b - A x to round-off without an operator
+    cycle (and by the caller's next call).  Each cycle of at most
+    GMRES_RESTART iterations builds an orthonormal basis v_k by modified
+    Gram-Schmidt, each A z_j written straight into basis row j + 1 and
+    orthogonalized and scaled there.  It keeps z_k = P v_k, as flexible
+    GMRES does, so that x += sum_k c_k z_k costs no further solve with
+    P; z_0 goes into r, whose content no step reads from v_0 = r / beta
+    until the cycle writes its residual there after that update.  That
+    residual is V_{k+1} Q^T (g_k e_{k+1}), its last direction taken as
+    the orthogonalized last row before its scaling, so no basis row
+    beyond the cycle's iterations is written: the next cycle starts from
+    it, and on return r holds b - A x to round-off without an operator
     application.  The basis reserves two rows more than a cycle's
     iterations, the last for P's work only, and rows never written take
     no memory.  Every update y += v a runs slab by slab
     (operators._slabs) through one slab of scratch, the cycle's residual
     as such updates in basis order, and every inner product and norm by
     _dot, so no BLAS call (and no BLAS thread count) touches the bits.
-    callback gets the 2-norm residual estimate once per iteration.  Stops
-    when that estimate is at most rtol * ||b||, on breakdown (the Krylov
-    space holds the solution), or after maxiter iterations in all.
-    Returns (x, info): info is -1 when a norm overflowed (r is then not
-    meaningful) and 0 otherwise.
+
+    A cycle ends early when the rotated 2-norm estimate meets
+    rtol * ||b|| or on breakdown (the Krylov space holds the solution).
+    gmres returns once the 2-norm of the residual it recomputes at a
+    cycle's end is at most rtol * ||b||, after a breakdown, after maxiter
+    iterations in all, or when a norm overflows.  Returns (iterations,
+    info): iterations counts every Krylov iteration, and info is -1 when
+    a norm overflowed (r is then not meaningful) and 0 otherwise.
     """
     eps = float(np.finfo(float).eps)
     target = rtol * _norm(b)
     beta = _norm(r)
     slabs = _slabs(r.shape)
     scratch = np.empty_like(r[slabs[0]])
-    cycle = min(GMRES_RESTART, maxiter)
-    if basis is None:
-        basis = np.empty((cycle + 2,) + r.shape)
+    done = 0
 
     def axpy(y, v, a):
         # y += v * a; elementwise, so the slab cut changes no bit
@@ -265,8 +261,8 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback, basis=None):
             acc = y[rows]
             acc += np.multiply(v[rows], a, out=scratch[: rows.stop - rows.start])
 
-    while maxiter > 0 and math.isfinite(beta) and beta > target:
-        m = min(cycle, maxiter)
+    while done < maxiter and math.isfinite(beta) and beta > target:
+        m = min(GMRES_RESTART, maxiter - done)
         np.multiply(r, 1.0 / beta, out=basis[0])
         zs, cols, rots, g = [], [], [], [beta]
         for j in range(m):
@@ -290,11 +286,9 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback, basis=None):
             cols.append(h)
             g.append(-s * g[j])
             g[j] *= c
-            callback(abs(g[-1]))
             if not math.isfinite(g[-1]):
-                return x, -1
-            stop = abs(g[-1]) <= target or h_next == 0.0
-            if stop or j + 1 == m:
+                return done + j + 1, -1
+            if abs(g[-1]) <= target or h_next == 0.0 or j + 1 == m:
                 break
             w *= 1.0 / h_next
         # back substitution on the rotated triangle, then x += sum c_k z_k
@@ -305,7 +299,7 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback, basis=None):
             coef[i] = t / cols[i][i] if cols[i][i] else 0.0
         for i, ck in enumerate(coef):
             axpy(x, zs[i], ck)  # a loop name would hold z_k into the next cycle
-        maxiter -= k
+        done += k
         # the residual V_{k+1} Q^T (g_k e_{k+1}) of the cycle, rotated back;
         # on breakdown g_k = 0, and so is every u_i
         u = [0.0] * k + [g[k]]
@@ -318,9 +312,9 @@ def gmres(matvec, b, x, r, *, rtol, maxiter, callback, basis=None):
         if h_next:
             axpy(r, w, u[k] / h_next)
         beta = _norm(r)
-        if stop:
-            return x, 0
-    return x, 0 if math.isfinite(beta) else -1
+        if not h_next:
+            break  # breakdown: another cycle would start from round-off
+    return done, 0 if math.isfinite(beta) else -1
 
 
 def _solve_system(
@@ -353,21 +347,22 @@ def _solve_system(
     direct path (R = 0) transforms in a spectrum of its own.
 
     By default a solve is judged on its true residual, the stencils
-    applied to x once.  It holds when that residual is finite and at most
-    lin.tol * (1 + sup|rhs|) plus its round-off, _round_off(alpha,
-    reaction, sup|x|).  While it fails, GMRES restarts from x and
-    that true residual with a tighter 2-norm rtol (never below
+    applied to x once after each GMRES call.  It holds when that residual
+    is finite and at most lin.tol * (1 + sup|rhs|) plus its round-off,
+    _round_off(alpha, reaction, sup|x|).  While it fails, GMRES restarts
+    from x and that true residual with a tighter 2-norm rtol (never below
     RTOL_FLOOR).  Passing rtol instead requests a plain relative 2-norm
     reduction (the inexact-Newton mode, where the outer iteration absorbs
-    the slack and confirms its own convergence on a fresh residual) and
-    judges by it.  A GMRES solve in that mode is judged on the Arnoldi
-    residual that gmres leaves behind, b - A x to round-off, and applies
-    no stencil; the direct FFT path and a GMRES call that overflowed are
+    the slack and confirms its own convergence on a fresh residual).  A
+    GMRES solve in that mode makes one GMRES call, which stops on that
+    reduction itself, and is judged on the Arnoldi residual that gmres
+    leaves behind, b - A x to round-off, by the same test: it applies no
+    stencil.  The direct FFT path and a GMRES call that overflowed are
     judged on the true residual in both modes.  No GMRES call runs past
-    the lin.maxiter budget, and stats.iterations counts every Krylov
-    iteration.  A non-finite Krylov norm (a right-hand side near the
-    float range) stops the solve at once with x = 0.  Never raises on
-    non-convergence: inspect stats.converged.
+    the lin.maxiter budget, and stats.iterations sums the iteration
+    counts gmres returns.  A non-finite Krylov norm (a right-hand side
+    near the float range) stops the solve at once with x = 0.  Never
+    raises on non-convergence: inspect stats.converged.
 
     stats.image is A x without the reaction (Laplacian plus drift).
     Where the true residual was taken it is that image, the same bits as
@@ -429,11 +424,6 @@ def _solve_system(
         w += v
         return z
 
-    iters = [0]
-
-    def count(_estimate):
-        iters[0] += 1
-
     rtol_eff = max(lin.tol if rtol is None else rtol, RTOL_FLOOR)
     # a reaction near the float minimum overflows P's zero mode, and a
     # right-hand side near the float range the Krylov norms; x or its
@@ -447,20 +437,21 @@ def _solve_system(
             np.negative(resid, out=resid)
         else:
             x = precond(b)
+        iterations = 0
         while True:
-            done = iters[0]
             overflow = False
             if krylov:
                 image = None  # a stale image is not held beside the basis
-                x, info = gmres(
-                    matvec, b, x, resid, rtol=rtol_eff, maxiter=lin.maxiter - done,
-                    callback=count, basis=basis,
+                done, info = gmres(
+                    matvec, b, x, resid, basis=basis, rtol=rtol_eff,
+                    maxiter=lin.maxiter - iterations,
                 )
+                iterations += done
                 overflow = info < 0
                 if overflow:
                     x = np.zeros(spec.dims)
             if not arnoldi or overflow:
-                # b - A x with A x = image + reaction x, summed as _apply sums it
+                # b - A x with A x = image + reaction x
                 image = _apply(alpha, x)
                 if np.isscalar(reaction) and reaction == 0.0:
                     resid = b - image
@@ -480,27 +471,21 @@ def _solve_system(
             else:
                 resid_l2 = _norm(resid)
                 # after an overflow both norms read inf, and inf <= inf would pass
-                converged = math.isfinite(resid_l2) and (
-                    resid_l2 <= 1.01 * rtol_eff * _norm(b)
-                )
-            if (converged or overflow or not krylov or iters[0] >= lin.maxiter
-                    or not math.isfinite(resid_sup)):
+                converged = math.isfinite(resid_l2) and resid_l2 <= rtol_eff * _norm(b)
+            if (rtol is not None or converged or overflow or not krylov
+                    or iterations >= lin.maxiter or not math.isfinite(resid_sup)
+                    or rtol_eff == RTOL_FLOOR):
                 break
-            if rtol is None:
-                if rtol_eff == RTOL_FLOOR:
-                    break
-                # cut rtol in proportion to the miss, by 10 to 10^4
-                cut = float(np.clip(0.5 * bound / resid_sup, 1e-4, 0.1))
-                rtol_eff = max(rtol_eff * cut, RTOL_FLOOR)
-            elif iters[0] == done:
-                break  # GMRES already holds x converged; another call cannot move it
+            # cut rtol in proportion to the miss, by 10 to 10^4
+            cut = float(np.clip(0.5 * bound / resid_sup, 1e-4, 0.1))
+            rtol_eff = max(rtol_eff * cut, RTOL_FLOOR)
         if image is None:
             # resid = b - (image + reaction x) to round-off: no stencil.  The
             # image is formed in resid's storage, and reaction x in a basis
             # row that no step reads any more (x + y rounds as y + x)
             resid += np.multiply(reaction, x, out=basis[0])
             image = np.subtract(b, resid, out=resid)
-    return x, SolveStats(max(iters[0], 1), resid_sup, converged, image)
+    return x, SolveStats(max(iterations, 1), resid_sup, converged, image)
 
 
 def _stencil_norm(alpha: OneForm) -> float:

@@ -19,8 +19,7 @@ from kwtorus import (
     read_field,
     write_field,
 )
-from kwtorus.cli import RunConfig, build_parser, main
-from kwtorus.errors import ConfigError
+from kwtorus.cli import _KINDS, build_parser, main
 from helpers import escaping_newton, field_from
 
 
@@ -250,9 +249,12 @@ def test_subnormal_shift_is_a_solver_failure(tmp_path, capsys, argv):
     kind=st.sampled_from([str, float, int, list]),
 )
 def test_config_get_returns_finite_values_or_config_error(text, kind):
+    # the parser of each kind, which RunConfig applies to every key of that
+    # kind and whose ValueError it turns into a ConfigError
+    _, parse = _KINDS[kind]
     try:
-        value = RunConfig({"key": text}).get("key", None, kind)
-    except ConfigError:
+        value = parse(text)
+    except ValueError:
         return
     for item in value if kind is list else [value]:
         assert isinstance(item, float if kind is list else kind)
@@ -655,15 +657,40 @@ def test_critical_c_reports_why_its_lower_end_failed(tmp_path):
 
 def test_critical_c_bracket_of_the_64_point_unsolvable_instance(tmp_path):
     # the probes warm-start Newton from the last solved answer, pair or
-    # no pair; the bracket stays where it was before Newton ran first
+    # no pair; the bracket stays where it was before Newton ran first.
+    # With the drift phi was built for, every failed probe's Newton runs
+    # inexact GMRES solves to their caps
     assert run(["construct-unsolvable", "--dims", "64", "--psi=sin(x0)",
                 "--alpha-const=0.1", "--c=-1"], tmp_path / "gen") == 0
-    out = tmp_path / "bracket"
-    assert run(["critical-c", "--phi-file", str(tmp_path / "gen" / "phi.kwf")], out) == 0
-    rep = read_report(out)
-    assert float(rep["c_lo"]) == -0.001259765625 and float(rep["c_hi"]) == -0.00125
-    assert (rep["lo_evidence"], rep["hi_evidence"]) == ("solver-failed", "solved")
-    assert rep["probes"] == "11" and rep["lo_message"] == "max-iter"
+    cases = [
+        ([], -0.001259765625, -0.00125, "max-iter"),
+        (["--alpha0=0.1"], -0.0012695312499999998, -0.001259765625, "line search stalled"),
+    ]
+    for i, (drift, c_lo, c_hi, lo_message) in enumerate(cases):
+        out = tmp_path / f"bracket{i}"
+        argv = ["critical-c", "--phi-file", str(tmp_path / "gen" / "phi.kwf"), *drift]
+        assert run(argv, out) == 0
+        rep = read_report(out)
+        assert float(rep["c_lo"]) == c_lo and float(rep["c_hi"]) == c_hi
+        assert (rep["lo_evidence"], rep["hi_evidence"]) == ("solver-failed", "solved")
+        assert rep["probes"] == "11" and rep["lo_message"] == lo_message
+
+
+@pytest.mark.parametrize(
+    "argv, code, key, value",
+    [
+        (PLAIN_SOLVE_16[:-2] + ["--s=-5e307", "--s-hat=-1-sin(x0)"], 3, "status", "not-certified"),
+        (["critical-c", "--dims", "16", "--phi=-1-sin(x0)", "--search-floor=-1e308"],
+         0, "lo_evidence", "search-limit"),
+    ],
+    ids=["solve", "critical-c"],
+)
+def test_overflowing_supersolution_candidate_is_dropped(tmp_path, argv, code, key, value):
+    # c near -1e308 overflows the a v + b candidate of nonpositive phi:
+    # the candidate is dropped, without a RuntimeWarning, so the solve's
+    # Newton answer stands unverified and the ladder reaches its floor
+    assert run(argv, tmp_path) == code
+    assert read_report(tmp_path)[key] == value
 
 
 def test_config_file_and_flag_override(tmp_path):
